@@ -40,11 +40,11 @@ class LinkBudget:
     def __post_init__(self):
         if not self.bandwidth_hz > 0:
             raise ValueError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz}")
-        if self.signal_power_w < 0:
+        if not self.signal_power_w >= 0:
             raise ValueError(f"signal_power_w must be >= 0, got {self.signal_power_w}")
         if not self.noise_power_w > 0:
             raise ValueError(f"noise_power_w must be > 0, got {self.noise_power_w}")
-        if self.interference_power_w < 0:
+        if not self.interference_power_w >= 0:
             raise ValueError(
                 f"interference_power_w must be >= 0, got {self.interference_power_w}"
             )
@@ -69,7 +69,7 @@ class FadingSpec:
         if self.kind is FadingKind.RICIAN:
             if self.k_factor is None:
                 raise ValueError("Rician fading requires a k_factor")
-            if self.k_factor < 0:
+            if not self.k_factor >= 0:
                 raise ValueError(f"k_factor must be >= 0, got {self.k_factor}")
         elif self.k_factor is not None:
             raise ValueError(f"k_factor is only valid for Rician fading, got kind={self.kind}")
@@ -147,12 +147,13 @@ def faded_capacity(link: LinkBudget, draw: FadingDraw) -> float:
 
 def faded_capacity_samples(link: LinkBudget, h_squared: np.ndarray) -> np.ndarray:
     """Vectorized faded capacity over an array of |h|^2 draws."""
-    return _capacity(
-        link.bandwidth_hz,
-        link.signal_power_w * np.asarray(h_squared, dtype=float),
-        link.noise_power_w,
-        link.interference_power_w,
-    )
+    # _capacity's operations in its order, applied in place on one array.
+    caps = link.signal_power_w * np.asarray(h_squared, dtype=float)
+    caps /= link.noise_power_w + link.interference_power_w
+    np.log1p(caps, out=caps)
+    caps *= link.bandwidth_hz
+    caps /= _LN2
+    return caps
 
 
 def apply_trs(capacity_bps: float, gain: TrsGain) -> float:

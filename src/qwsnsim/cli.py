@@ -17,8 +17,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import (
     AllSamplesOutageError,
     NoFeasiblePointError,
@@ -27,14 +25,14 @@ from .errors import (
 )
 from .optimizer import optimize_sa
 from .scenario import (
-    _SA_STREAM,
     ScenarioConfig,
-    _optimization_tree,
     emit_report,
     gamma_sweep,
     load_scenario,
+    optimization_tree,
     report_tree,
     run_scenario,
+    sa_rng,
 )
 
 
@@ -110,11 +108,8 @@ def _cmd_optimize(args) -> int:
     if config.optimizer is None:
         raise ScenarioValidationError("optimizer", "config has no optimizer section")
     problem = config.optimizer.to_problem(config.topology)
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(_SA_STREAM,)))
-    )
-    result = optimize_sa(problem, config.optimizer.schedule, rng)
-    sys.stdout.write(json.dumps(_optimization_tree(result), indent=2) + "\n")
+    result = optimize_sa(problem, config.optimizer.schedule, sa_rng(config.seed))
+    sys.stdout.write(json.dumps(optimization_tree(result), indent=2) + "\n")
     return 0
 
 

@@ -29,7 +29,7 @@ class Node:
     packet_length_bits: float
 
     def __post_init__(self):
-        if self.tx_power_w < 0:
+        if not self.tx_power_w >= 0:
             raise ValueError(f"tx_power_w must be >= 0, got {self.tx_power_w}")
         if not self.packet_length_bits > 0:
             raise ValueError(

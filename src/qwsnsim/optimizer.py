@@ -76,11 +76,11 @@ class PowerProblem:
                 f"power bounds must satisfy 0 <= p_min < p_max, got "
                 f"[{self.p_min_w}, {self.p_max_w}]"
             )
-        if self.r_min_bps < 0:
+        if not self.r_min_bps >= 0:
             raise ValueError(f"r_min_bps must be >= 0, got {self.r_min_bps}")
         if not self.latency_max_s > 0:
             raise ValueError(f"latency_max_s must be > 0, got {self.latency_max_s}")
-        if self.alpha < 0 or self.beta < 0:
+        if not (self.alpha >= 0 and self.beta >= 0):
             raise ValueError("weights must be >= 0")
         if self.alpha == 0 and self.beta == 0:
             raise ValueError("at least one of alpha, beta must be positive")
@@ -149,12 +149,20 @@ class SaSchedule:
 
 
 class _Evaluator:
-    """Per-problem cache of link constants and frozen fading draws."""
+    """Per-problem cache of link constants and frozen fading draws.
+
+    An SA move changes one node's power, so only the links leaving that node
+    change capacity: ``capacities`` takes the capacities of the previous
+    allocation and recomputes just the moved node's links. Totals are always
+    reduced from scratch over the per-link capacities, so a move evaluation
+    equals a full evaluation bit for bit.
+    """
 
     def __init__(self, problem: PowerProblem):
         self.problem = problem
         node_index = {n.id: i for i, n in enumerate(problem.topology.nodes)}
         self.links = []
+        self.node_links: list[list[int]] = [[] for _ in problem.topology.nodes]
         for i, link in enumerate(problem.topology.links):
             h2 = None
             if isinstance(problem.fading, ErgodicMean) and link.fading.kind is not FadingKind.AWGN:
@@ -163,6 +171,7 @@ class _Evaluator:
                 )
                 h2 = sample_h_squared(link.fading, rng, size=problem.fading.n_samples)
             src = node_index[link.src]
+            self.node_links[src].append(i)
             self.links.append(
                 (
                     src,
@@ -174,26 +183,47 @@ class _Evaluator:
                 )
             )
 
-    def capacities(self, powers: Sequence[float]) -> list[float]:
-        """Per-link capacity (bit/s) at the allocation, without TRS."""
-        out = []
-        for src, bandwidth, denom, _gamma, _length, h2 in self.links:
-            p = powers[src]
-            if h2 is None:
-                out.append(bandwidth * math.log1p(p / denom) / _LN2)
-            else:
-                out.append(stable_mean(bandwidth * np.log1p(p * h2 / denom) / _LN2))
-        return out
+    def _capacity(self, i: int, powers: Sequence[float]) -> float:
+        src, bandwidth, denom, _gamma, _length, h2 = self.links[i]
+        p = powers[src]
+        if h2 is None:
+            return bandwidth * math.log1p(p / denom) / _LN2
+        return stable_mean(bandwidth * np.log1p(p * h2 / denom) / _LN2)
 
-    def totals(self, powers: Sequence[float]) -> tuple[float, float, float]:
+    def capacities(
+        self,
+        powers: Sequence[float],
+        previous: list[float] | None = None,
+        moved: int | None = None,
+    ) -> list[float]:
+        """Per-link capacity (bit/s) at the allocation, without TRS.
+
+        With ``previous`` (the capacities of an allocation that differs from
+        ``powers`` only at node ``moved``), only that node's links are
+        recomputed.
+        """
+        if previous is None:
+            return [self._capacity(i, powers) for i in range(len(self.links))]
+        caps = list(previous)
+        for i in self.node_links[moved]:
+            caps[i] = self._capacity(i, powers)
+        return caps
+
+    def totals(
+        self, powers: Sequence[float], caps: list[float] | None = None
+    ) -> tuple[float, float, float]:
         """(TRS energy total, TRS latency total, min TRS link capacity).
 
+        ``caps`` are the per-link capacities at ``powers`` when already known.
         Raises InfeasibleLinkError when a link has zero capacity.
         """
         energy = 0.0
         latency = 0.0
         min_cap_trs = math.inf
-        caps = self.capacities(powers)
+        if caps is None:
+            caps = self.capacities(powers)
+        # A running left-to-right sum in link order: math.fsum, or sum() on
+        # Python >= 3.12 (compensated), would round differently.
         for i, ((src, _b, _d, gamma, length, _h2), cap) in enumerate(zip(self.links, caps)):
             if cap <= 0.0:
                 link = self.problem.topology.links[i]
@@ -208,14 +238,14 @@ class _Evaluator:
                 min_cap_trs = cap_trs
         return energy, latency, min_cap_trs
 
-    def assess(self, powers: Sequence[float]):
+    def assess(self, powers: Sequence[float], caps: list[float] | None = None):
         """(objective, feasible, penalized objective) at the allocation.
 
         Zero-capacity allocations come back as +inf so stochastic search can
         reject them without special-casing.
         """
         try:
-            energy, latency, min_cap_trs = self.totals(powers)
+            energy, latency, min_cap_trs = self.totals(powers, caps)
         except InfeasibleLinkError:
             return math.inf, False, math.inf
         problem = self.problem
@@ -348,7 +378,8 @@ def optimize_sa(
     n = problem.n_nodes
 
     powers = rng.uniform(lo, hi, size=n)
-    objective, feasible, penalized = evaluator.assess(powers)
+    caps = evaluator.capacities(powers)
+    objective, feasible, penalized = evaluator.assess(powers, caps)
     best = (objective, tuple(powers)) if feasible else None
     if schedule.t_initial is not None:
         temperature = schedule.t_initial
@@ -359,13 +390,14 @@ def optimize_sa(
         j = int(rng.integers(n))
         candidate = powers.copy()
         candidate[j] = _reflect(candidate[j] + rng.normal(0.0, sigma), lo, hi)
-        cand_obj, cand_feasible, cand_pen = evaluator.assess(candidate)
+        cand_caps = evaluator.capacities(candidate, caps, j)
+        cand_obj, cand_feasible, cand_pen = evaluator.assess(candidate, cand_caps)
         if cand_feasible and (best is None or cand_obj < best[0]):
             best = (cand_obj, tuple(candidate))
         delta = cand_pen - penalized
         u = rng.random()
         if delta <= 0 or (temperature > 0 and u < math.exp(-delta / temperature)):
-            powers, penalized = candidate, cand_pen
+            powers, penalized, caps = candidate, cand_pen, cand_caps
         temperature *= schedule.cooling
 
     if best is None:

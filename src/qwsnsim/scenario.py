@@ -82,11 +82,12 @@ from .optimizer import (
 _SA_STREAM = 2**32 - 1
 
 
-class _ScenarioLoader(yaml.SafeLoader):
+class _ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """SafeLoader that also accepts unsigned exponents like 2.0e6.
 
     Stock YAML 1.1 resolution insists on a signed exponent and would hand
-    such scalars back as strings.
+    such scalars back as strings. The libyaml parser is used when PyYAML was
+    built with it; implicit resolvers run in Python either way.
     """
 
 
@@ -515,29 +516,41 @@ def _link_rng(seed: int, link_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(link_index,))))
 
 
+def sa_rng(seed: int) -> np.random.Generator:
+    """The annealing chain's generator: the scenario seed's reserved sub-stream."""
+    return _link_rng(seed, _SA_STREAM)
+
+
 def simulate_link(node: Node, link: Link, h_squared: np.ndarray) -> tuple[LinkMetrics, int]:
     """Average one link's metrics over an array of fading draws.
 
-    Zero-capacity draws are counted as outages and excluded from the means
-    (time and energy diverge at zero capacity). Raises AllSamplesOutageError
-    when nothing is left to average.
+    A draw whose capacity is zero, or so small that its time or energy is not
+    finite, is counted as an outage and excluded from the means. Raises
+    AllSamplesOutageError when nothing is left to average.
     """
     h2 = np.asarray(h_squared, dtype=float)
-    usable = h2 * link.budget.signal_power_w > 0.0
-    used = h2[usable]
-    outages = int(h2.size - used.size)
-    if used.size == 0:
-        raise AllSamplesOutageError(link.id)
     gamma = link.gain.gamma
-    caps = faded_capacity_samples(link.budget, used)
-    tx_times = node.packet_length_bits / caps
-    energies = node.tx_power_w * tx_times
-    mean_cap = stable_mean(caps)
-    mean_cap_trs = stable_mean(gamma * caps)
-    mean_tx = stable_mean(tx_times)
-    mean_tx_trs = stable_mean(tx_times / gamma)
-    mean_energy = stable_mean(energies)
-    mean_energy_trs = stable_mean(energies / gamma)
+    caps = faded_capacity_samples(link.budget, h2)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        tx_times = node.packet_length_bits / caps
+        energies = node.tx_power_w * tx_times
+    # A zero capacity gives an infinite (or 0/0) time, and an infinite time an
+    # infinite (or 0*inf) energy, so a finite energy marks a usable draw.
+    usable = np.isfinite(energies)
+    used = int(np.count_nonzero(usable))
+    outages = h2.size - used
+    if used == 0:
+        raise AllSamplesOutageError(link.id)
+    if outages:
+        caps, tx_times, energies = caps[usable], tx_times[usable], energies[usable]
+    # One scratch buffer takes every TRS-scaled array and every residual.
+    scratch = np.empty_like(caps)
+    mean_cap = stable_mean(caps, scratch)
+    mean_cap_trs = stable_mean(np.multiply(caps, gamma, out=scratch), scratch)
+    mean_tx = stable_mean(tx_times, scratch)
+    mean_tx_trs = stable_mean(np.divide(tx_times, gamma, out=scratch), scratch)
+    mean_energy = stable_mean(energies, scratch)
+    mean_energy_trs = stable_mean(np.divide(energies, gamma, out=scratch), scratch)
     metrics = LinkMetrics(
         capacity_bps=mean_cap,
         capacity_trs_bps=mean_cap_trs,
@@ -606,10 +619,7 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> RunReport:
     optimization = None
     if config.optimizer is not None:
         problem = config.optimizer.to_problem(topology)
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(_SA_STREAM,)))
-        )
-        optimization = optimize_sa(problem, config.optimizer.schedule, rng)
+        optimization = optimize_sa(problem, config.optimizer.schedule, sa_rng(config.seed))
 
     return RunReport(
         seed=config.seed,
@@ -668,7 +678,8 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-def _optimization_tree(result: OptResult) -> dict:
+def optimization_tree(result: OptResult) -> dict:
+    """JSON-ready tree of an optimizer result (the `optimize` command's output)."""
     return {
         "solver": result.solver.value,
         "feasible": result.feasible,
@@ -704,7 +715,7 @@ def report_tree(report: RunReport) -> dict:
         "config": report.config,
     }
     if report.optimization is not None:
-        tree["optimization"] = _optimization_tree(report.optimization)
+        tree["optimization"] = optimization_tree(report.optimization)
     return tree
 
 

@@ -12,10 +12,12 @@ from qwsnsim.channel import (
     apply_trs,
     ergodic_capacity,
     faded_capacity,
+    faded_capacity_samples,
     sample_fading,
     sample_h_squared,
     shannon_capacity,
 )
+from qwsnsim.numeric import stable_mean
 
 from oracles import (
     KS_CRIT_1PCT,
@@ -97,6 +99,24 @@ class TestFadedCapacity:
     def test_negative_draw_rejected(self):
         with pytest.raises(ValueError):
             FadingDraw(-0.1)
+
+    def test_vectorized_matches_scalar_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        link = LinkBudget(2e6, 1e-6, 4e-9, 1e-9)
+        h2 = np.concatenate(([0.0, 1.0], rng.exponential(1.0, size=500)))
+        caps = faded_capacity_samples(link, h2)
+        assert caps.tobytes() == np.array(
+            [faded_capacity(link, FadingDraw(float(x))) for x in h2]
+        ).tobytes()
+
+
+class TestStableMean:
+    def test_scratch_and_aliased_scratch_match_fresh(self):
+        values = np.random.default_rng(6).exponential(3.0, size=1000)
+        fresh = stable_mean(values)
+        assert stable_mean(values, np.empty_like(values)) == fresh
+        alias = values.copy()
+        assert stable_mean(alias, alias) == fresh
 
 
 class TestApplyTrs:

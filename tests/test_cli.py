@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -167,3 +169,89 @@ class TestSweep:
         assert main(["sweep", "--config", config_file(GOOD), "--gamma", "abc"]) == 1
         assert main(["sweep", "--config", config_file(GOOD), "--gamma", "0.5"]) == 1
         assert main(["sweep", "--config", config_file(GOOD), "--gamma", ","]) == 1
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# SHA-256 of the CLI's stdout on the example configs, recorded before the SA
+# optimizer evaluated moves incrementally and before the per-link reduction
+# reused one scratch buffer. Both changes must leave every byte as it was.
+PINNED = {
+    ("simulate", "example_chain", "csv"): "ed784b69da9b70dc65b01b6c26c9252c62ba4cc706c4770dba6acc612e6f20d9",
+    ("simulate", "example_chain", "json"): "19c3bec4407d673bea02179f96085f12ed26e24ffc94fc6f307a2cf343b82c95",
+    ("simulate", "example_optimize", "csv"): "20b63a16e066e582509032ce5af16b0cfcef22b14d78fd2a316d3dcefe09744f",
+    ("simulate", "example_optimize", "json"): "6d460b02b21b8559b29e8b48f2a577f4ce6bfcf2b91f031d21f7cd4df06fae0d",
+    ("sweep", "example_chain", "csv"): "6ecc987e5b907e5174a3d8ae4b88367c38e9671d9153e306b46e1cf3c5cbef78",
+    ("sweep", "example_chain", "json"): "41ae36b4862dc2f8d0f00655e20a56ddbb063d26c2ae245c73da5325b4d9cb2a",
+    ("sweep", "example_optimize", "csv"): "1f4eb01b8b8a22d1978fe9b1ddda8097f211070abdba9f2c1a9ec5f7d0753f50",
+    ("sweep", "example_optimize", "json"): "6d46ea376d3f602a7d46fb59be3bb27a7d9f5aee0cb5216c50cd915a292d4215",
+    ("optimize", "example_optimize", None): "d7affafcd067e68bd96fc7cfcbe6e3ff3609fce3127e9df3b63cf609353e0759",
+}
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("command,config,fmt", sorted(PINNED, key=str))
+    def test_output_bytes_unchanged(self, command, config, fmt, capsys):
+        argv = [command, "--config", str(CONFIGS / f"{config}.yaml")]
+        if command == "sweep":
+            argv += ["--gamma", "1,1.5,3,8"]
+        if fmt is not None:
+            argv += ["--format", fmt]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED[(command, config, fmt)]
+        if command == "optimize":
+            assert json.loads(out)["evaluations"] == 8000 + 1
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "old,new,path",
+        [
+            pytest.param(
+                "tx_power_w: 1.0, packet_length_bits: 100}\n    - {id: b",
+                "tx_power_w: .nan, packet_length_bits: 100}\n    - {id: b",
+                "topology.nodes[0]",
+                id="tx_power_w",
+            ),
+            pytest.param(
+                "signal_power_w: 1.0,", "signal_power_w: .nan,", "topology.links[0]",
+                id="signal_power_w",
+            ),
+            pytest.param(
+                "noise_power_w: 1.0,",
+                "noise_power_w: 1.0, interference_power_w: .nan,",
+                "topology.links[0]",
+                id="interference_power_w",
+            ),
+            pytest.param(
+                "gamma: 2.0}",
+                "gamma: 2.0, fading: {kind: rician, k_factor: .nan}}",
+                "topology.links[0].fading",
+                id="k_factor",
+            ),
+            pytest.param(
+                "p_max_w: 3.0", "p_max_w: 3.0\n  r_min_bps: .nan", "optimizer", id="r_min_bps"
+            ),
+            pytest.param("alpha: 1.0", "alpha: .nan", "optimizer", id="alpha"),
+            pytest.param("beta: 1.0", "beta: .nan", "optimizer", id="beta"),
+        ],
+    )
+    def test_nan_field_exits_1_with_path(self, config_file, capsys, old, new, path):
+        assert old in OPTIMIZABLE
+        cfg = config_file(OPTIMIZABLE.replace(old, new))
+        assert main(["simulate", "--config", cfg]) == 1
+        assert f"error: {path}:" in capsys.readouterr().err
+
+    def test_underflowing_capacity_is_an_outage(self, config_file, capsys):
+        # The signal survives h2 * S > 0, but B * log2(1 + S h2 / N) is
+        # subnormal and the packet time overflows to inf.
+        text = (
+            GOOD.replace("bandwidth_hz: 1.0e3", "bandwidth_hz: 1.0e-10")
+            .replace("signal_power_w: 2.0", "signal_power_w: 1.0e-300")
+            .replace("noise_power_w: 1.0", "noise_power_w: 1.0e10")
+        )
+        assert main(["simulate", "--config", config_file(text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "all samples were outages" in captured.err

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwsnsim.channel import FadingSpec, LinkBudget, TrsGain
 from qwsnsim.errors import NoFeasiblePointError
@@ -14,6 +16,7 @@ from qwsnsim.optimizer import (
     PowerProblem,
     SaSchedule,
     Solver,
+    _Evaluator,
     check_feasibility,
     energy_objective,
     grid_search_oracle,
@@ -307,6 +310,90 @@ class TestErgodicTreatment:
         assert weighted_objective(alloc, ergodic) == weighted_objective(alloc, flat)
 
 
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+# Power 0 gives zero capacity: the infeasible (inf, False, inf) assessment.
+_POWERS = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+
+
+@st.composite
+def delta_cases(draw):
+    """A mixed AWGN/Rayleigh/Rician mesh under either fading treatment, a
+    starting allocation, and a chain of single-node moves."""
+    n = draw(st.integers(2, 5))
+    nodes = tuple(
+        Node(f"n{i}", 1.0, draw(st.sampled_from((1.0, 512.0, 4096.0)))) for i in range(n)
+    )
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] != t[1]),
+            min_size=1,
+            max_size=8,
+            unique=True,
+        )
+    )
+    links = []
+    for src, dst in pairs:
+        kind = draw(st.sampled_from(("awgn", "rayleigh", "rician")))
+        spec = {
+            "awgn": FadingSpec.awgn,
+            "rayleigh": lambda: FadingSpec.rayleigh(draw(st.floats(0.5, 2.0))),
+            "rician": lambda: FadingSpec.rician(draw(st.floats(0.0, 10.0)), draw(st.floats(0.5, 2.0))),
+        }[kind]()
+        budget = LinkBudget(
+            draw(st.floats(1.0, 1e7)), 1.0, draw(st.floats(1e-12, 1.0)), draw(st.floats(0.0, 1e-3))
+        )
+        links.append(Link(f"n{src}", f"n{dst}", budget, spec, TrsGain(draw(st.floats(1.0, 8.0)))))
+    fading = draw(
+        st.one_of(
+            st.just(Deterministic()),
+            st.builds(ErgodicMean, n_samples=st.integers(1, 32), seed=st.integers(0, 2**32)),
+        )
+    )
+    problem = PowerProblem(
+        Topology(TopologyKind.MESH, nodes, tuple(links)),
+        p_min_w=0.0,
+        p_max_w=1.0,
+        r_min_bps=draw(st.sampled_from((0.0, 1e3, 1e6))),
+        latency_max_s=draw(st.sampled_from((math.inf, 1e-3, 1.0))),
+        alpha=draw(st.sampled_from((0.0, 1.0))),
+        beta=draw(st.sampled_from((0.5, 1.0))),
+        fading=fading,
+    )
+    powers = draw(st.lists(_POWERS, min_size=n, max_size=n))
+    moves = draw(st.lists(st.tuples(st.integers(0, n - 1), _POWERS), min_size=1, max_size=6))
+    return problem, powers, moves
+
+
+class TestDeltaEvaluation:
+    @settings(max_examples=200, deadline=None)
+    @given(delta_cases())
+    def test_move_evaluation_equals_full_evaluation(self, case):
+        problem, powers, moves = case
+        powers = np.array(powers)
+        evaluator = _Evaluator(problem)
+        caps = evaluator.capacities(powers)
+        for node, power in moves:
+            candidate = powers.copy()
+            candidate[node] = power
+            cand_caps = evaluator.capacities(candidate, caps, node)
+            assert _bits(cand_caps) == _bits(evaluator.capacities(candidate))
+            assert _bits(evaluator.assess(candidate, cand_caps)) == _bits(
+                evaluator.assess(candidate)
+            )
+            powers, caps = candidate, cand_caps
+
+    def test_move_to_zero_power_is_infeasible(self):
+        problem = two_link_problem(3, p_min=0.0)
+        evaluator = _Evaluator(problem)
+        caps = evaluator.capacities([1.0, 1.0])
+        moved = evaluator.capacities([0.0, 1.0], caps, 0)
+        assert evaluator.assess([0.0, 1.0], moved) == (math.inf, False, math.inf)
+        assert evaluator.assess([0.0, 1.0]) == (math.inf, False, math.inf)
+
+
 class TestKkt:
     def test_zero_multipliers_give_zero_complementary_slackness(self):
         problem = single_link_problem(alpha=1.0, beta=1.0)
@@ -353,5 +440,8 @@ class TestProblemValidation:
             PowerProblem(topo, 0.1, 1.0, latency_max_s=0.0)
         with pytest.raises(ValueError):
             PowerProblem(topo, 0.1, 1.0, alpha=0.0, beta=0.0)
+        for field in ("r_min_bps", "alpha", "beta"):
+            with pytest.raises(ValueError):
+                PowerProblem(topo, 0.1, 1.0, **{field: math.nan})
         with pytest.raises(ValueError):
             ErgodicMean(n_samples=0, seed=1)

@@ -271,6 +271,19 @@ class TestSimulateLink:
         with pytest.raises(AllSamplesOutageError):
             simulate_link(node, link, np.zeros(4))
 
+    def test_underflowing_capacity_counted_as_outage(self):
+        from qwsnsim.channel import FadingSpec, LinkBudget, TrsGain
+        from qwsnsim.network import Link, Node
+
+        # h2 = 1 leaves a subnormal capacity whose packet time overflows;
+        # h2 = 1e300 brings the SNR to 1e-10 and a finite time.
+        node = Node("a", 1.0, 100.0)
+        budget = LinkBudget(1e-10, 1e-300, 1e10)
+        link = Link("a", "b", budget, FadingSpec.rayleigh(), TrsGain(2.0))
+        metrics, outages = simulate_link(node, link, np.array([1.0, 1e300]))
+        assert outages == 1
+        assert all(math.isfinite(getattr(metrics, f)) for f in ("tx_time_s", "energy_trs_j"))
+
 
 class TestGammaSweep:
     def test_dyadic_sweep_scales_exactly(self):
