@@ -77,6 +77,10 @@ def _load_config(args) -> ScenarioConfig:
     config = load_scenario(Path(args.config).read_text())
     overrides = {}
     if args.seed is not None:
+        if not 0 <= args.seed < 2**64:
+            raise ScenarioValidationError(
+                "monte_carlo.seed", f"--seed must fit in 64 unsigned bits, got {args.seed}"
+            )
         overrides["seed"] = args.seed
     if getattr(args, "samples", None) is not None:
         if args.samples < 1:
@@ -109,7 +113,7 @@ def _cmd_optimize(args) -> int:
         raise ScenarioValidationError("optimizer", "config has no optimizer section")
     problem = config.optimizer.to_problem(config.topology)
     result = optimize_sa(problem, config.optimizer.schedule, sa_rng(config.seed))
-    sys.stdout.write(json.dumps(optimization_tree(result), indent=2) + "\n")
+    sys.stdout.write(json.dumps(optimization_tree(result), indent=2, allow_nan=False) + "\n")
     return 0
 
 
@@ -124,7 +128,7 @@ def _cmd_sweep(args) -> int:
     results = gamma_sweep(config, gammas, threads=args.threads)
     if config.output_format == "json":
         tree = [{"gamma": g, "report": report_tree(r)} for g, r in results]
-        _write(config, json.dumps(tree, indent=2) + "\n")
+        _write(config, json.dumps(tree, indent=2, allow_nan=False) + "\n")
     else:
         lines = ["gamma,total_throughput_bps,total_energy_j,total_latency_s"]
         for g, r in results:

@@ -160,9 +160,11 @@ class _Evaluator:
 
     def __init__(self, problem: PowerProblem):
         self.problem = problem
-        node_index = {n.id: i for i, n in enumerate(problem.topology.nodes)}
+        nodes = problem.topology.nodes
+        node_index = {n.id: i for i, n in enumerate(nodes)}
         self.links = []
-        self.node_links: list[list[int]] = [[] for _ in problem.topology.nodes]
+        self.node_links: list[list[int]] = [[] for _ in nodes]
+        srcs, gammas = [], []
         for i, link in enumerate(problem.topology.links):
             h2 = None
             if isinstance(problem.fading, ErgodicMean) and link.fading.kind is not FadingKind.AWGN:
@@ -172,19 +174,23 @@ class _Evaluator:
                 h2 = sample_h_squared(link.fading, rng, size=problem.fading.n_samples)
             src = node_index[link.src]
             self.node_links[src].append(i)
+            srcs.append(src)
+            gammas.append(link.gain.gamma)
             self.links.append(
                 (
                     src,
                     link.budget.bandwidth_hz,
                     link.budget.noise_power_w + link.budget.interference_power_w,
-                    link.gain.gamma,
-                    problem.topology.nodes[src].packet_length_bits,
                     h2,
                 )
             )
+        # Per-link operands of ``totals``.
+        self.src = np.array(srcs, dtype=np.intp)
+        self.gamma = np.array(gammas, dtype=float)
+        self.length = np.array([nodes[src].packet_length_bits for src in srcs], dtype=float)
 
     def _capacity(self, i: int, powers: Sequence[float]) -> float:
-        src, bandwidth, denom, _gamma, _length, h2 = self.links[i]
+        src, bandwidth, denom, h2 = self.links[i]
         p = powers[src]
         if h2 is None:
             return bandwidth * math.log1p(p / denom) / _LN2
@@ -193,9 +199,9 @@ class _Evaluator:
     def capacities(
         self,
         powers: Sequence[float],
-        previous: list[float] | None = None,
+        previous: np.ndarray | None = None,
         moved: int | None = None,
-    ) -> list[float]:
+    ) -> np.ndarray:
         """Per-link capacity (bit/s) at the allocation, without TRS.
 
         With ``previous`` (the capacities of an allocation that differs from
@@ -203,42 +209,50 @@ class _Evaluator:
         recomputed.
         """
         if previous is None:
-            return [self._capacity(i, powers) for i in range(len(self.links))]
-        caps = list(previous)
+            return np.array([self._capacity(i, powers) for i in range(len(self.links))])
+        caps = previous.copy()
         for i in self.node_links[moved]:
             caps[i] = self._capacity(i, powers)
         return caps
 
     def totals(
-        self, powers: Sequence[float], caps: list[float] | None = None
+        self, powers: Sequence[float], caps: np.ndarray | None = None
     ) -> tuple[float, float, float]:
         """(TRS energy total, TRS latency total, min TRS link capacity).
 
         ``caps`` are the per-link capacities at ``powers`` when already known.
         Raises InfeasibleLinkError when a link has zero capacity.
+
+        The totals are left-to-right running sums in link order, as the
+        equivalent Python loop ``total += term`` computes them:
+        ``np.add.accumulate`` adds sequentially, whereas ``np.sum`` and
+        ``np.add.reduce`` add pairwise and ``math.fsum`` compensates, so
+        each of those would round differently and move the SA trajectory.
         """
-        energy = 0.0
-        latency = 0.0
-        min_cap_trs = math.inf
         if caps is None:
             caps = self.capacities(powers)
-        # A running left-to-right sum in link order: math.fsum, or sum() on
-        # Python >= 3.12 (compensated), would round differently.
-        for i, ((src, _b, _d, gamma, length, _h2), cap) in enumerate(zip(self.links, caps)):
-            if cap <= 0.0:
-                link = self.problem.topology.links[i]
-                raise InfeasibleLinkError(
-                    f"zero capacity on link {link.id} at power {powers[src]}"
-                )
-            denom = gamma * cap
-            latency += length / denom
-            energy += powers[src] * length / denom
-            cap_trs = gamma * cap
-            if cap_trs < min_cap_trs:
-                min_cap_trs = cap_trs
-        return energy, latency, min_cap_trs
+        if not len(caps):
+            return 0.0, 0.0, math.inf
+        # `<=`, not `~(caps > 0)`: a NaN capacity is not an infeasible link.
+        bad = np.flatnonzero(caps <= 0.0)
+        if bad.size:
+            i = int(bad[0])
+            raise InfeasibleLinkError(
+                f"zero capacity on link {self.problem.topology.links[i].id} "
+                f"at power {powers[self.src[i]]}"
+            )
+        p = np.asarray(powers, dtype=float)[self.src]
+        # Overflow to inf is silent, as in Python float arithmetic.
+        with np.errstate(over="ignore", invalid="ignore"):
+            denom = self.gamma * caps
+            # The leading 0.0 is the loop's start value: it maps -0.0 to 0.0.
+            latency = 0.0 + np.add.accumulate(self.length / denom)[-1]
+            energy = 0.0 + np.add.accumulate(p * self.length / denom)[-1]
+        # fmin skips NaN, as the loop's `cap < min_cap` test does.
+        min_cap_trs = np.fmin.reduce(denom, initial=math.inf)
+        return float(energy), float(latency), float(min_cap_trs)
 
-    def assess(self, powers: Sequence[float], caps: list[float] | None = None):
+    def assess(self, powers: Sequence[float], caps: np.ndarray | None = None):
         """(objective, feasible, penalized objective) at the allocation.
 
         Zero-capacity allocations come back as +inf so stochastic search can

@@ -188,7 +188,9 @@ class ScenarioConfig:
                 "p_min_w": opt.p_min_w,
                 "p_max_w": opt.p_max_w,
                 "r_min_bps": opt.r_min_bps,
-                "latency_max_s": opt.latency_max_s,
+                # No limit echoes as null (strict JSON has no Infinity);
+                # null reads back as the default.
+                "latency_max_s": opt.latency_max_s if math.isfinite(opt.latency_max_s) else None,
                 "weights": {"alpha": opt.alpha, "beta": opt.beta},
                 "schedule": {
                     "t_initial": opt.schedule.t_initial,
@@ -278,6 +280,11 @@ def _string(mapping: dict, key: str, path: str, default=_REQUIRED):
     if not isinstance(value, str):
         raise ScenarioValidationError(f"{path}.{key}", f"expected a string, got {value!r}")
     return value
+
+
+def _check_seed(seed: int, path: str) -> None:
+    if not 0 <= seed < 2**64:
+        raise ScenarioValidationError(path, f"must fit in 64 unsigned bits, got {seed}")
 
 
 def _parse_fading(raw, path: str) -> FadingSpec:
@@ -422,10 +429,12 @@ def _parse_optimizer(raw, path: str) -> OptimizerSection:
         if treatment == "deterministic":
             pass
         elif treatment == "ergodic":
+            seed = _integer(fmap, "seed", f"{path}.fading", default=0)
+            _check_seed(seed, f"{path}.fading.seed")
             try:
                 fading = ErgodicMean(
                     n_samples=_integer(fmap, "n_samples", f"{path}.fading", default=1000),
-                    seed=_integer(fmap, "seed", f"{path}.fading", default=0),
+                    seed=seed,
                 )
             except ValueError as exc:
                 raise ScenarioValidationError(f"{path}.fading", str(exc)) from None
@@ -475,8 +484,7 @@ def load_scenario(text: str) -> ScenarioConfig:
         seed = _integer(mc, "seed", "monte_carlo", default=0)
         if n_samples < 1:
             raise ScenarioValidationError("monte_carlo.n_samples", f"must be >= 1, got {n_samples}")
-        if not 0 <= seed < 2**64:
-            raise ScenarioValidationError("monte_carlo.seed", "must fit in 64 unsigned bits")
+        _check_seed(seed, "monte_carlo.seed")
 
     optimizer = None
     if "optimizer" in mapping and mapping["optimizer"] is not None:
@@ -591,7 +599,14 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> RunReport:
         results = [worker(i) for i in range(len(links))]
 
     summaries = []
-    for link, (metrics, outages) in zip(links, results):
+    for i, (link, (metrics, outages)) in enumerate(zip(links, results)):
+        # B log2(1 + SNR), or gamma times it, overflowed (an inf draw leaves
+        # inf - inf = NaN in the mean); the ratios below would divide 0 by 0.
+        if not math.isfinite(metrics.capacity_trs_bps):
+            raise ScenarioValidationError(
+                f"topology.links[{i}]",
+                f"capacity overflows: mean TRS capacity is {metrics.capacity_trs_bps} bit/s",
+            )
         summaries.append(
             LinkSummary(
                 link_id=link.id,
@@ -726,7 +741,7 @@ def emit_report(report: RunReport, output_format: str) -> str:
     in the JSON tree since the CSV column set is fixed.
     """
     if output_format == "json":
-        return json.dumps(report_tree(report), indent=2) + "\n"
+        return json.dumps(report_tree(report), indent=2, allow_nan=False) + "\n"
     if output_format != "csv":
         raise ValueError(f"unknown report format {output_format!r}")
     lines = [CSV_HEADER]

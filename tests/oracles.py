@@ -2,9 +2,11 @@
 
 These deliberately avoid the code paths they check: capacity via
 extended-precision decimal arithmetic, ergodic capacity via Gauss-Laguerre
-quadrature, log-det via eigenvalues, distributions via analytic CDFs.
+quadrature, log-det via eigenvalues, distributions via analytic CDFs, and the
+SA objective's totals via a plain Python loop.
 """
 
+import math
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -32,6 +34,36 @@ def gauss_laguerre_ergodic(snr, bandwidth=1.0, nodes=96) -> float:
     """E[B * log2(1 + snr*x)] for x ~ Exp(1), by Gauss-Laguerre quadrature."""
     x, w = np.polynomial.laguerre.laggauss(nodes)
     return float(bandwidth * np.sum(w * np.log1p(snr * x)) / np.log(2.0))
+
+
+class ZeroCapacity(Exception):
+    """Raised by ``running_totals`` at the first link with capacity <= 0."""
+
+    def __init__(self, index):
+        super().__init__(index)
+        self.index = index
+
+
+def running_totals(links, caps, powers):
+    """(TRS energy total, TRS latency total, min TRS capacity) of the SA
+    objective, by a left-to-right Python loop over the links in order.
+
+    ``links`` holds one ``(src node index, gamma, packet_length_bits)`` per
+    link and ``caps`` the per-link capacities without TRS.
+    """
+    energy = 0.0
+    latency = 0.0
+    min_cap_trs = math.inf
+    # Python floats throughout, so overflow is silent as in IEEE arithmetic.
+    for i, ((src, gamma, length), cap) in enumerate(zip(links, map(float, caps))):
+        if cap <= 0.0:
+            raise ZeroCapacity(i)
+        denom = float(gamma) * cap
+        latency += float(length) / denom
+        energy += float(powers[src]) * float(length) / denom
+        if denom < min_cap_trs:
+            min_cap_trs = denom
+    return energy, latency, min_cap_trs
 
 
 def ks_statistic_exponential(samples, mean) -> float:

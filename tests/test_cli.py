@@ -1,10 +1,12 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from qwsnsim.cli import main
+from qwsnsim.scenario import load_scenario
 
 GOOD = """
 topology:
@@ -255,3 +257,56 @@ class TestNonFiniteInputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "all samples were outages" in captured.err
+
+    def test_overflowing_capacity_exits_1_with_path(self, config_file, capsys):
+        # B log2(1 + S/N) overflows to inf, so the tx times are 0 and the
+        # time reduction ratio would be 0/0.
+        text = GOOD.replace("bandwidth_hz: 1.0e3", "bandwidth_hz: 1.0e308").replace(
+            "signal_power_w: 2.0", "signal_power_w: 1.0e6"
+        )
+        assert main(["simulate", "--config", config_file(text)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: topology.links[0]: capacity overflows" in captured.err
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+class TestStrictJson:
+    def test_unlimited_latency_echoes_null(self, config_file, capsys):
+        # OPTIMIZABLE omits latency_max_s, which defaults to inf.
+        assert "latency_max_s" not in OPTIMIZABLE
+        cfg = config_file(OPTIMIZABLE)
+        assert main(["simulate", "--config", cfg, "--format", "json"]) == 0
+        tree = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert tree["config"]["optimizer"]["latency_max_s"] is None
+
+    def test_null_echo_reads_back_as_no_limit(self):
+        config = load_scenario(OPTIMIZABLE)
+        echoed = load_scenario(json.dumps(config.echo(), allow_nan=False))
+        assert echoed.optimizer.latency_max_s == math.inf
+        assert echoed.echo() == config.echo()
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", ["-3", str(2**64)])
+    @pytest.mark.parametrize("command", ["simulate", "optimize"])
+    def test_seed_flag_out_of_range_exits_1(self, config_file, capsys, command, seed):
+        cfg = config_file(OPTIMIZABLE)
+        assert main([command, "--config", cfg, "--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: monte_carlo.seed: --seed must fit in 64 unsigned bits" in captured.err
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_ergodic_seed_out_of_range_exits_1(self, config_file, capsys, seed):
+        text = OPTIMIZABLE.replace(
+            "schedule: {iterations: 300}",
+            f"schedule: {{iterations: 300}}\n  fading: {{treatment: ergodic, seed: {seed}}}",
+        ).replace("gamma: 2.0}", "gamma: 2.0, fading: {kind: rayleigh}}")
+        assert main(["optimize", "--config", config_file(text)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: optimizer.fading.seed: must fit in 64 unsigned bits" in captured.err

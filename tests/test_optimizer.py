@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwsnsim.channel import FadingSpec, LinkBudget, TrsGain
-from qwsnsim.errors import NoFeasiblePointError
+from qwsnsim.errors import InfeasibleLinkError, NoFeasiblePointError
 from qwsnsim.network import Link, Node, Topology, TopologyKind
 from qwsnsim.optimizer import (
     Allocation,
@@ -24,6 +24,8 @@ from qwsnsim.optimizer import (
     optimize_sa,
     weighted_objective,
 )
+
+from oracles import ZeroCapacity, running_totals
 
 
 def single_link_problem(
@@ -319,18 +321,19 @@ _POWERS = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
 
 
 @st.composite
-def delta_cases(draw):
+def delta_cases(draw, n_nodes=(2, 5), n_links=(1, 8), start=_POWERS):
     """A mixed AWGN/Rayleigh/Rician mesh under either fading treatment, a
-    starting allocation, and a chain of single-node moves."""
-    n = draw(st.integers(2, 5))
+    starting allocation drawn from ``start``, and a chain of single-node
+    moves."""
+    n = draw(st.integers(*n_nodes))
     nodes = tuple(
         Node(f"n{i}", 1.0, draw(st.sampled_from((1.0, 512.0, 4096.0)))) for i in range(n)
     )
     pairs = draw(
         st.lists(
             st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] != t[1]),
-            min_size=1,
-            max_size=8,
+            min_size=n_links[0],
+            max_size=n_links[1],
             unique=True,
         )
     )
@@ -362,7 +365,7 @@ def delta_cases(draw):
         beta=draw(st.sampled_from((0.5, 1.0))),
         fading=fading,
     )
-    powers = draw(st.lists(_POWERS, min_size=n, max_size=n))
+    powers = draw(st.lists(start, min_size=n, max_size=n))
     moves = draw(st.lists(st.tuples(st.integers(0, n - 1), _POWERS), min_size=1, max_size=6))
     return problem, powers, moves
 
@@ -392,6 +395,129 @@ class TestDeltaEvaluation:
         moved = evaluator.capacities([0.0, 1.0], caps, 0)
         assert evaluator.assess([0.0, 1.0], moved) == (math.inf, False, math.inf)
         assert evaluator.assess([0.0, 1.0]) == (math.inf, False, math.inf)
+
+
+def _oracle_totals(problem, caps, powers):
+    """running_totals over the problem's links, or the InfeasibleLinkError
+    message of its first zero-capacity link."""
+    nodes = problem.topology.nodes
+    index = {n.id: i for i, n in enumerate(nodes)}
+    links = [
+        (index[link.src], link.gain.gamma, nodes[index[link.src]].packet_length_bits)
+        for link in problem.topology.links
+    ]
+    try:
+        return running_totals(links, caps, powers)
+    except ZeroCapacity as exc:
+        link_id = problem.topology.links[exc.index].id
+        return f"zero capacity on link {link_id} at power {powers[links[exc.index][0]]}"
+
+
+def _evaluator_totals(evaluator, powers, caps=None):
+    try:
+        return evaluator.totals(powers, caps)
+    except InfeasibleLinkError as exc:
+        return str(exc)
+
+
+def _same(a, b) -> bool:
+    """Equal messages, or equal totals bit for bit (any NaN matches any NaN)."""
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return len(a) == len(b) and all(
+        (math.isnan(x) and math.isnan(y)) or _bits(x) == _bits(y) for x, y in zip(a, b)
+    )
+
+
+_ANY_CAP = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from((0.0, -0.0, 5e-324, 1e-310, 1e308)),
+)
+
+
+# More than 8 links, so a pairwise or unrolled sum would round differently,
+# and a feasible start, so the sums are reached before a zero-power move.
+_LARGE_MESHES = delta_cases(n_nodes=(5, 12), n_links=(9, 40), start=st.floats(1e-3, 1.0))
+
+
+class TestTotalsOracle:
+    """The vectorized ``totals`` against the left-to-right Python loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_LARGE_MESHES)
+    def test_equals_running_loop_on_meshes(self, case):
+        problem, powers, moves = case
+        powers = np.array(powers)
+        evaluator = _Evaluator(problem)
+        caps = evaluator.capacities(powers)
+        assert _same(_evaluator_totals(evaluator, powers), _oracle_totals(problem, caps, powers))
+        for node, power in moves:
+            powers = powers.copy()
+            powers[node] = power
+            caps = evaluator.capacities(powers, caps, node)
+            assert _same(
+                _evaluator_totals(evaluator, powers, caps), _oracle_totals(problem, caps, powers)
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(_LARGE_MESHES, st.data())
+    def test_equals_running_loop_on_any_capacities(self, case, data):
+        # Capacities the channel never yields (NaN, inf, negative, subnormal)
+        # and powers up to overflow: the first zero link, NaN propagation and
+        # the NaN-skipping minimum must all match the loop.
+        problem, _powers, _moves = case
+        n_links, n_nodes = len(problem.topology.links), problem.n_nodes
+        caps = np.array(data.draw(st.lists(_ANY_CAP, min_size=n_links, max_size=n_links)))
+        power = st.one_of(st.just(-0.0), st.floats(0.0, 1e308))
+        powers = data.draw(st.lists(power, min_size=n_nodes, max_size=n_nodes))
+        assert _same(
+            _evaluator_totals(_Evaluator(problem), powers, caps),
+            _oracle_totals(problem, caps, powers),
+        )
+
+    @pytest.mark.parametrize(
+        "caps,powers",
+        [
+            pytest.param([math.nan, 0.0, 1.0], [0.5, 1.0, 0.25], id="nan-then-zero"),
+            pytest.param([math.nan, 2.0, 3.0], [0.5, 1.0, 0.25], id="nan-skipped-by-min"),
+            pytest.param([-0.0, 1.0, 1.0], [0.5, 1.0, 0.25], id="negative-zero-capacity"),
+            pytest.param([1.0, 2.0, 3.0], [-0.0, -0.0, -0.0], id="negative-zero-power"),
+            pytest.param([math.inf, 1.0, 5e-324], [0.5, 1.0, 0.25], id="inf-and-subnormal"),
+        ],
+    )
+    def test_equals_running_loop_on_edge_capacities(self, caps, powers):
+        nodes = tuple(Node(f"n{i}", 1.0, 64.0) for i in range(3))
+        budget = LinkBudget(1.0, 1.0, 1.0, 0.0)
+        links = tuple(
+            Link(f"n{i}", f"n{(i + 1) % 3}", budget, FadingSpec.awgn(), TrsGain(2.0))
+            for i in range(3)
+        )
+        topology = Topology(TopologyKind.MESH, nodes, links)
+        problem = PowerProblem(topology, p_min_w=0.0, p_max_w=1.0)
+        caps = np.array(caps)
+        assert _same(
+            _evaluator_totals(_Evaluator(problem), powers, caps),
+            _oracle_totals(problem, caps, powers),
+        )
+
+    def test_no_links(self):
+        problem = no_link_problem()
+        evaluator = _Evaluator(problem)
+        expected = running_totals([], [], [1.0, 1.0])
+        assert expected == (0.0, 0.0, math.inf)
+        assert evaluator.totals([1.0, 1.0]) == expected
+        assert evaluator.totals([1.0, 1.0], evaluator.capacities([1.0, 1.0])) == expected
+
+    def test_accumulate_is_the_python_running_sum(self):
+        # totals relies on np.add.accumulate adding strictly left to right;
+        # a numpy release that changes that must fail here, not shift the
+        # SA trajectory silently.
+        rng = np.random.default_rng(20260601)
+        lengths = [1, 2, 3, 3000, *rng.integers(1, 3001, size=196)]
+        for n in lengths:
+            x = 10.0 ** rng.uniform(-9.0, 9.0, size=n) * rng.choice((-1.0, 1.0), size=n)
+            running = list(itertools.accumulate(x.tolist()))
+            assert _bits(np.add.accumulate(x)) == _bits(running)
 
 
 class TestKkt:
