@@ -38,15 +38,15 @@ class LinkBudget:
     interference_power_w: float = 0.0
 
     def __post_init__(self):
-        if not self.bandwidth_hz > 0:
-            raise ValueError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz}")
-        if not self.signal_power_w >= 0:
-            raise ValueError(f"signal_power_w must be >= 0, got {self.signal_power_w}")
-        if not self.noise_power_w > 0:
-            raise ValueError(f"noise_power_w must be > 0, got {self.noise_power_w}")
-        if not self.interference_power_w >= 0:
+        if not 0 < self.bandwidth_hz < math.inf:
+            raise ValueError(f"bandwidth_hz must be > 0 and finite, got {self.bandwidth_hz}")
+        if not 0 <= self.signal_power_w < math.inf:
+            raise ValueError(f"signal_power_w must be >= 0 and finite, got {self.signal_power_w}")
+        if not 0 < self.noise_power_w < math.inf:
+            raise ValueError(f"noise_power_w must be > 0 and finite, got {self.noise_power_w}")
+        if not 0 <= self.interference_power_w < math.inf:
             raise ValueError(
-                f"interference_power_w must be >= 0, got {self.interference_power_w}"
+                f"interference_power_w must be >= 0 and finite, got {self.interference_power_w}"
             )
 
 
@@ -64,13 +64,13 @@ class FadingSpec:
     k_factor: float | None = None
 
     def __post_init__(self):
-        if self.kind is not FadingKind.AWGN and not self.mean_power > 0:
-            raise ValueError(f"mean_power must be > 0, got {self.mean_power}")
+        if self.kind is not FadingKind.AWGN and not 0 < self.mean_power < math.inf:
+            raise ValueError(f"mean_power must be > 0 and finite, got {self.mean_power}")
         if self.kind is FadingKind.RICIAN:
             if self.k_factor is None:
                 raise ValueError("Rician fading requires a k_factor")
-            if not self.k_factor >= 0:
-                raise ValueError(f"k_factor must be >= 0, got {self.k_factor}")
+            if not 0 <= self.k_factor < math.inf:
+                raise ValueError(f"k_factor must be >= 0 and finite, got {self.k_factor}")
         elif self.k_factor is not None:
             raise ValueError(f"k_factor is only valid for Rician fading, got kind={self.kind}")
 
@@ -108,8 +108,8 @@ class TrsGain:
     gamma: float
 
     def __post_init__(self):
-        if not self.gamma >= 1.0:
-            raise ValueError(f"gamma must be >= 1, got {self.gamma}")
+        if not 1.0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be >= 1 and finite, got {self.gamma}")
 
 
 TRS_OFF = TrsGain(1.0)

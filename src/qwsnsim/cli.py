@@ -46,7 +46,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, with_output: bool = True)
         parser.add_argument("--out", default=None, help="output path (default: stdout)")
         parser.add_argument("--format", choices=("csv", "json"), default=None)
         parser.add_argument(
-            "--threads", type=int, default=1, help="worker threads (output is identical)"
+            "--threads", type=int, default=1, help="accepted and ignored (runs are single-threaded)"
         )
 
 
@@ -102,7 +102,7 @@ def _write(config: ScenarioConfig, document: str) -> None:
 
 def _cmd_simulate(args) -> int:
     config = _load_config(args)
-    report = run_scenario(config, threads=args.threads)
+    report = run_scenario(config)
     _write(config, emit_report(report, config.output_format))
     return 0
 
@@ -125,7 +125,7 @@ def _cmd_sweep(args) -> int:
         raise ScenarioValidationError("--gamma", f"expected comma-separated numbers, got {args.gamma!r}")
     if not gammas:
         raise ScenarioValidationError("--gamma", "expected at least one value")
-    results = gamma_sweep(config, gammas, threads=args.threads)
+    results = gamma_sweep(config, gammas)
     if config.output_format == "json":
         tree = [{"gamma": g, "report": report_tree(r)} for g, r in results]
         _write(config, json.dumps(tree, indent=2, allow_nan=False) + "\n")

@@ -8,6 +8,7 @@ capacity goes up by gamma, time/energy/latency come down by gamma.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -29,11 +30,11 @@ class Node:
     packet_length_bits: float
 
     def __post_init__(self):
-        if not self.tx_power_w >= 0:
-            raise ValueError(f"tx_power_w must be >= 0, got {self.tx_power_w}")
-        if not self.packet_length_bits > 0:
+        if not 0 <= self.tx_power_w < math.inf:
+            raise ValueError(f"tx_power_w must be >= 0 and finite, got {self.tx_power_w}")
+        if not 0 < self.packet_length_bits < math.inf:
             raise ValueError(
-                f"packet_length_bits must be > 0, got {self.packet_length_bits}"
+                f"packet_length_bits must be > 0 and finite, got {self.packet_length_bits}"
             )
 
 

@@ -48,8 +48,8 @@ class ErgodicMean:
     a fixed deterministic function of the allocation.
     """
 
-    n_samples: int
-    seed: int
+    n_samples: int = 1000
+    seed: int = 0
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -71,17 +71,17 @@ class PowerProblem:
     fading: FadingTreatment = field(default_factory=Deterministic)
 
     def __post_init__(self):
-        if not 0 <= self.p_min_w < self.p_max_w:
+        if not 0 <= self.p_min_w < self.p_max_w < math.inf:
             raise ValueError(
-                f"power bounds must satisfy 0 <= p_min < p_max, got "
+                f"power bounds must be finite and satisfy 0 <= p_min < p_max, got "
                 f"[{self.p_min_w}, {self.p_max_w}]"
             )
-        if not self.r_min_bps >= 0:
-            raise ValueError(f"r_min_bps must be >= 0, got {self.r_min_bps}")
+        if not 0 <= self.r_min_bps < math.inf:
+            raise ValueError(f"r_min_bps must be >= 0 and finite, got {self.r_min_bps}")
         if not self.latency_max_s > 0:
             raise ValueError(f"latency_max_s must be > 0, got {self.latency_max_s}")
-        if not (self.alpha >= 0 and self.beta >= 0):
-            raise ValueError("weights must be >= 0")
+        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
+            raise ValueError(f"weights must be finite and >= 0, got {self.alpha}, {self.beta}")
         if self.alpha == 0 and self.beta == 0:
             raise ValueError("at least one of alpha, beta must be positive")
 
@@ -144,8 +144,8 @@ class SaSchedule:
             raise ValueError(f"cooling must be in (0, 1), got {self.cooling}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.t_initial is not None and not self.t_initial > 0:
-            raise ValueError(f"t_initial must be > 0, got {self.t_initial}")
+        if self.t_initial is not None and not 0 < self.t_initial < math.inf:
+            raise ValueError(f"t_initial must be finite and > 0, got {self.t_initial}")
 
 
 class _Evaluator:
@@ -215,13 +215,13 @@ class _Evaluator:
             caps[i] = self._capacity(i, powers)
         return caps
 
-    def totals(
-        self, powers: Sequence[float], caps: np.ndarray | None = None
-    ) -> tuple[float, float, float]:
+    def totals(self, powers: Sequence[float] | np.ndarray, caps: np.ndarray | None = None):
         """(TRS energy total, TRS latency total, min TRS link capacity).
 
         ``caps`` are the per-link capacities at ``powers`` when already known.
-        Raises InfeasibleLinkError when a link has zero capacity.
+        Raises InfeasibleLinkError when a link has zero capacity. Given a
+        leading batch axis on ``powers`` (B, nodes) and ``caps`` (B, links),
+        with no zero capacity, it returns three arrays of B totals.
 
         The totals are left-to-right running sums in link order, as the
         equivalent Python loop ``total += term`` computes them:
@@ -231,7 +231,7 @@ class _Evaluator:
         """
         if caps is None:
             caps = self.capacities(powers)
-        if not len(caps):
+        if not caps.size:
             return 0.0, 0.0, math.inf
         # `<=`, not `~(caps > 0)`: a NaN capacity is not an infeasible link.
         bad = np.flatnonzero(caps <= 0.0)
@@ -241,15 +241,20 @@ class _Evaluator:
                 f"zero capacity on link {self.problem.topology.links[i].id} "
                 f"at power {powers[self.src[i]]}"
             )
-        p = np.asarray(powers, dtype=float)[self.src]
+        # `take`, not `[..., self.src]`, which costs more per SA move.
+        p = np.asarray(powers, dtype=float).take(self.src, -1)
         # Overflow to inf is silent, as in Python float arithmetic.
         with np.errstate(over="ignore", invalid="ignore"):
             denom = self.gamma * caps
             # The leading 0.0 is the loop's start value: it maps -0.0 to 0.0.
-            latency = 0.0 + np.add.accumulate(self.length / denom)[-1]
-            energy = 0.0 + np.add.accumulate(p * self.length / denom)[-1]
+            # `.T[-1]` takes the last running sum of each row; `[..., -1]`
+            # would too, but leaves a slower 0-d array for a single row.
+            latency = 0.0 + np.add.accumulate(self.length / denom, -1).T[-1]
+            energy = 0.0 + np.add.accumulate(p * self.length / denom, -1).T[-1]
         # fmin skips NaN, as the loop's `cap < min_cap` test does.
-        min_cap_trs = np.fmin.reduce(denom, initial=math.inf)
+        min_cap_trs = np.fmin.reduce(denom, -1, initial=math.inf)
+        if caps.ndim > 1:
+            return energy, latency, min_cap_trs
         return float(energy), float(latency), float(min_cap_trs)
 
     def assess(self, powers: Sequence[float], caps: np.ndarray | None = None):
@@ -345,22 +350,64 @@ def grid_search_oracle(problem: PowerProblem, points_per_node: int) -> OptResult
         raise ValueError(f"grid oracle limited to 4 nodes, got {problem.n_nodes}")
     evaluator = _Evaluator(problem)
     axis = np.linspace(problem.p_min_w, problem.p_max_w, points_per_node)
-    best = None  # (objective, total_power, powers)
-    for idx in itertools.product(range(points_per_node), repeat=problem.n_nodes):
-        powers = tuple(float(axis[k]) for k in idx)
-        objective, feasible, _pen = evaluator.assess(powers)
-        if not feasible:
+    n = problem.n_nodes
+    # A link's capacity depends only on its source's power: tabulate each
+    # link once per grid value, table[k, i] for link i at power axis[k].
+    table = np.array([evaluator.capacities([p] * n) for p in axis.tolist()])
+    links = np.arange(table.shape[1])
+    from_last = evaluator.src == n - 1
+    batch = np.arange(points_per_node)[:, None]
+    best = None  # (objective, total_power, grid index)
+    # The last node's grid values form one batch per index of the others,
+    # visited in itertools.product order, as are the rows of each batch.
+    for idx in itertools.product(range(points_per_node), repeat=n - 1):
+        powers = np.empty((points_per_node, n))
+        powers[:, : n - 1] = axis[list(idx)]
+        powers[:, n - 1] = axis
+        rows = np.where(from_last, batch, np.array(idx + (0,))[evaluator.src])
+        objective, feasible = _batch_assess(evaluator, powers, table[rows, links])
+        total_power = sum(axis[k] for k in idx) + axis
+        ks = np.flatnonzero(feasible)
+        if not ks.size:
             continue
-        total_power = sum(powers)
-        if (
-            best is None
-            or objective < best[0]
-            or (objective == best[0] and total_power < best[1])
-        ):
-            best = (objective, total_power, powers)
+        if best is None:
+            # The first feasible point stands until a later one beats it; a
+            # NaN objective is never beaten.
+            best = (objective[ks[0]], total_power[ks[0]], idx + (int(ks[0]),))
+        # The first row of least objective; total power rises along the
+        # batch, so it is also the least total power among the tied rows.
+        ks = ks[objective[ks] == np.fmin.reduce(objective[ks])]
+        if not ks.size:  # every feasible objective is NaN
+            continue
+        k = int(ks[0])
+        if objective[k] < best[0] or (objective[k] == best[0] and total_power[k] < best[1]):
+            best = (objective[k], total_power[k], idx + (k,))
     if best is None:
         raise NoFeasiblePointError("entire grid violates the constraints")
-    return _result(evaluator, best[2], points_per_node**problem.n_nodes, Solver.GRID_ORACLE)
+    powers = tuple(float(axis[k]) for k in best[2])
+    return _result(evaluator, powers, points_per_node**problem.n_nodes, Solver.GRID_ORACLE)
+
+
+def _batch_assess(evaluator: _Evaluator, powers: np.ndarray, caps: np.ndarray):
+    """Objective and feasibility of each row, as ``_Evaluator.assess`` gives
+    them for one allocation."""
+    problem = evaluator.problem
+    objective = np.full(len(caps), math.inf)
+    feasible = np.zeros(len(caps), dtype=bool)
+    # Rows with a zero-capacity link stay infeasible at +inf, as in `assess`.
+    linked = ~(caps <= 0.0).any(axis=-1)
+    energy, latency, min_cap_trs = evaluator.totals(powers[linked], caps[linked])
+    with np.errstate(over="ignore", invalid="ignore"):
+        objective[linked] = problem.alpha * energy + problem.beta * latency
+        # fmax(0, NaN) is 0, as Python's max(0.0, nan) is.
+        viol_cap = np.fmax(0.0, problem.r_min_bps - min_cap_trs)
+        if problem.r_min_bps > 0:
+            viol_cap = viol_cap / problem.r_min_bps
+        viol_lat = np.fmax(0.0, latency - problem.latency_max_s)
+        if math.isfinite(problem.latency_max_s):
+            viol_lat = viol_lat / problem.latency_max_s
+    feasible[linked] = (viol_cap == 0.0) & (viol_lat == 0.0)
+    return objective, feasible
 
 
 def _reflect(value: float, lo: float, hi: float) -> float:
@@ -379,8 +426,8 @@ def optimize_sa(
     Moves perturb one uniformly chosen node's power with a Gaussian step of
     sigma = 5% of the box width, reflected at the bounds. Infeasible
     candidates are penalized, not rejected, so the chain can cross infeasible
-    valleys. Returns the best feasible allocation encountered; deterministic
-    for a given seed.
+    valleys. Returns the best feasible allocation with a finite objective
+    encountered; deterministic for a given seed.
     """
     if schedule is None:
         schedule = SaSchedule()
@@ -394,7 +441,9 @@ def optimize_sa(
     powers = rng.uniform(lo, hi, size=n)
     caps = evaluator.capacities(powers)
     objective, feasible, penalized = evaluator.assess(powers, caps)
-    best = (objective, tuple(powers)) if feasible else None
+    # Only a finite objective can be reported; a point whose energy or
+    # latency overflows is never the best.
+    best = (objective, tuple(powers)) if feasible and math.isfinite(objective) else None
     if schedule.t_initial is not None:
         temperature = schedule.t_initial
     else:
@@ -406,7 +455,7 @@ def optimize_sa(
         candidate[j] = _reflect(candidate[j] + rng.normal(0.0, sigma), lo, hi)
         cand_caps = evaluator.capacities(candidate, caps, j)
         cand_obj, cand_feasible, cand_pen = evaluator.assess(candidate, cand_caps)
-        if cand_feasible and (best is None or cand_obj < best[0]):
+        if cand_feasible and cand_obj < (math.inf if best is None else best[0]):
             best = (cand_obj, tuple(candidate))
         delta = cand_pen - penalized
         u = rng.random()
@@ -415,7 +464,7 @@ def optimize_sa(
         temperature *= schedule.cooling
 
     if best is None:
-        raise NoFeasiblePointError("no feasible allocation encountered")
+        raise NoFeasiblePointError("no feasible allocation with a finite objective encountered")
     return _result(evaluator, best[1], schedule.iterations + 1, Solver.SIMULATED_ANNEALING)
 
 

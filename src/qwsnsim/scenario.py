@@ -29,10 +29,11 @@ A scenario is a YAML/JSON document::
                                               #     n_samples: N, seed: S}
     output: {path: report.csv, format: csv}   # optional, default stdout/csv
 
-Unknown keys are rejected so typos never silently fall back to defaults.
-Every Monte-Carlo stream is derived from (seed, link index), so adding a link
-never perturbs the draws of existing links, and a fixed seed fully determines
-every output byte regardless of thread count.
+Unknown keys are rejected so typos never silently fall back to defaults; a
+null value means the default, as an omitted key does. Every Monte-Carlo
+stream is derived from (seed, link index), so adding a link never perturbs
+the draws of existing links, and a fixed seed fully determines every output
+byte.
 """
 
 from __future__ import annotations
@@ -41,13 +42,14 @@ import dataclasses
 import json
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import yaml
 
 from .channel import (
+    TRS_OFF,
     FadingKind,
     FadingSpec,
     LinkBudget,
@@ -107,12 +109,14 @@ _ScenarioLoader.add_implicit_resolver(
 
 @dataclass(frozen=True)
 class OptimizerSection:
+    """A PowerProblem without its topology, plus the annealing schedule."""
+
     p_min_w: float
     p_max_w: float
-    r_min_bps: float = 0.0
-    latency_max_s: float = math.inf
-    alpha: float = 1.0
-    beta: float = 0.0
+    r_min_bps: float = PowerProblem.r_min_bps
+    latency_max_s: float = PowerProblem.latency_max_s
+    alpha: float = PowerProblem.alpha
+    beta: float = PowerProblem.beta
     schedule: SaSchedule = dataclasses.field(default_factory=SaSchedule)
     fading: FadingTreatment = dataclasses.field(default_factory=Deterministic)
 
@@ -228,58 +232,77 @@ class RunReport:
 # --------------------------------------------------------------------------
 
 
-def _require_mapping(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ScenarioValidationError(path, f"expected a mapping, got {type(value).__name__}")
-    return value
+@dataclass(frozen=True)
+class _Table:
+    """The keys of one document mapping and the factory that builds it.
+
+    A field's type is ``float``, ``int`` or ``str``, a tuple of the allowed
+    strings, a nested ``_Table``, or a one-element list holding the table of
+    every list entry. The factory receives only the keys that are present and
+    not null, so an omitted or null key takes its default from the
+    dataclass being built.
+    """
+
+    factory: Callable
+    fields: dict
+    required: tuple = ()
 
 
-def _check_keys(mapping: dict, allowed: set[str], required: set[str], path: str) -> None:
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ScenarioValidationError(
-            f"{path}.{sorted(unknown)[0]}", "unknown key (strict mode)"
-        )
-    missing = required - set(mapping)
-    if missing:
-        raise ScenarioValidationError(f"{path}.{sorted(missing)[0]}", "required key missing")
+def _read(value, kind, path: str):
+    """``value`` read as ``kind`` (see ``_Table``); errors name ``path``,
+    which is empty for the document root."""
+    if isinstance(kind, _Table):
+        if not isinstance(value, dict):
+            raise ScenarioValidationError(
+                path or "<root>", f"expected a mapping, got {type(value).__name__}"
+            )
+        prefix = f"{path}." if path else ""
+        unknown = [key for key in value if key not in kind.fields]
+        if unknown:
+            raise ScenarioValidationError(
+                f"{prefix}{min(unknown, key=str)}", "unknown key (strict mode)"
+            )
+        kwargs = {}
+        for key, field in kind.fields.items():
+            item = value.get(key)
+            if type(item) is field:  # a scalar of its field's type, as most are
+                kwargs[key] = item
+            elif item is not None:
+                kwargs[key] = _read(item, field, prefix + key)
+            elif key in kind.required:
+                problem = "required value missing" if key in value else "required key missing"
+                raise ScenarioValidationError(prefix + key, problem)
+        return _build(path or "<root>", kind.factory, kwargs)
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ScenarioValidationError(path, f"expected a list, got {type(value).__name__}")
+        return tuple(_read(item, kind[0], f"{path}[{i}]") for i, item in enumerate(value))
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ScenarioValidationError(path, f"expected one of {'/'.join(kind)}, got {value!r}")
+        return value
+    if kind is str:
+        if not isinstance(value, str):
+            raise ScenarioValidationError(path, f"expected a string, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
+        expected = "a number" if kind is float else "an integer"
+        raise ScenarioValidationError(path, f"expected {expected}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ScenarioValidationError(path, "integer too large for a float") from None
 
 
-_REQUIRED = object()
-
-
-def _number(mapping: dict, key: str, path: str, default=_REQUIRED) -> float:
-    # An explicit null means "use the default", same as omitting the key.
-    value = mapping.get(key)
-    if value is None:
-        if default is _REQUIRED:
-            raise ScenarioValidationError(f"{path}.{key}", "required value missing")
-        return default
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioValidationError(f"{path}.{key}", f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _integer(mapping: dict, key: str, path: str, default=_REQUIRED) -> int:
-    value = mapping.get(key)
-    if value is None:
-        if default is _REQUIRED:
-            raise ScenarioValidationError(f"{path}.{key}", "required value missing")
-        return default
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioValidationError(f"{path}.{key}", f"expected an integer, got {value!r}")
-    return value
-
-
-def _string(mapping: dict, key: str, path: str, default=_REQUIRED):
-    value = mapping.get(key)
-    if value is None:
-        if default is _REQUIRED:
-            raise ScenarioValidationError(f"{path}.{key}", "required value missing")
-        return default
-    if not isinstance(value, str):
-        raise ScenarioValidationError(f"{path}.{key}", f"expected a string, got {value!r}")
-    return value
+def _build(path: str, factory, kwargs: dict):
+    """``factory(**kwargs)``, with a ValueError from its range rules
+    reported at ``path``."""
+    try:
+        return factory(**kwargs)
+    except ScenarioValidationError:
+        raise
+    except ValueError as exc:
+        raise ScenarioValidationError(path, str(exc)) from None
 
 
 def _check_seed(seed: int, path: str) -> None:
@@ -287,175 +310,107 @@ def _check_seed(seed: int, path: str) -> None:
         raise ScenarioValidationError(path, f"must fit in 64 unsigned bits, got {seed}")
 
 
-def _parse_fading(raw, path: str) -> FadingSpec:
-    if raw is None:
-        return FadingSpec.awgn()
-    mapping = _require_mapping(raw, path)
-    _check_keys(mapping, {"kind", "mean_power", "k_factor"}, {"kind"}, path)
-    kind = _string(mapping, "kind", path)
-    try:
-        fading_kind = FadingKind(kind)
-    except ValueError:
-        raise ScenarioValidationError(
-            f"{path}.kind", f"expected one of awgn/rayleigh/rician, got {kind!r}"
-        ) from None
-    mean_power = _number(mapping, "mean_power", path, default=1.0)
-    k_factor = _number(mapping, "k_factor", path, default=None)
-    try:
-        return FadingSpec(fading_kind, mean_power=mean_power, k_factor=k_factor)
-    except ValueError as exc:
-        raise ScenarioValidationError(path, str(exc)) from None
+def _link(src, dst, fading=FadingSpec.awgn(), gamma=TRS_OFF.gamma, **budget) -> Link:
+    return Link(src=src, dst=dst, budget=LinkBudget(**budget), fading=fading, gain=TrsGain(gamma))
 
 
-def _parse_topology(raw, path: str) -> Topology:
-    mapping = _require_mapping(raw, path)
-    _check_keys(mapping, {"kind", "nodes", "links"}, {"kind", "nodes"}, path)
-    kind_name = _string(mapping, "kind", path)
-    try:
-        kind = TopologyKind(kind_name)
-    except ValueError:
-        raise ScenarioValidationError(
-            f"{path}.kind", f"expected one of chain/star/mesh, got {kind_name!r}"
-        ) from None
-
-    raw_nodes = mapping["nodes"]
-    if not isinstance(raw_nodes, list) or not raw_nodes:
-        raise ScenarioValidationError(f"{path}.nodes", "expected a non-empty list")
-    nodes = []
-    for i, raw_node in enumerate(raw_nodes):
-        node_path = f"{path}.nodes[{i}]"
-        node_map = _require_mapping(raw_node, node_path)
-        _check_keys(
-            node_map,
-            {"id", "tx_power_w", "packet_length_bits"},
-            {"id", "tx_power_w", "packet_length_bits"},
-            node_path,
-        )
-        try:
-            nodes.append(
-                Node(
-                    id=_string(node_map, "id", node_path),
-                    tx_power_w=_number(node_map, "tx_power_w", node_path),
-                    packet_length_bits=_number(node_map, "packet_length_bits", node_path),
-                )
-            )
-        except ValueError as exc:
-            raise ScenarioValidationError(node_path, str(exc)) from None
-    node_ids = {n.id for n in nodes}
-
-    links = []
-    raw_links = mapping.get("links", [])
-    if not isinstance(raw_links, list):
-        raise ScenarioValidationError(f"{path}.links", "expected a list")
-    for i, raw_link in enumerate(raw_links):
-        link_path = f"{path}.links[{i}]"
-        link_map = _require_mapping(raw_link, link_path)
-        _check_keys(
-            link_map,
-            {
-                "src",
-                "dst",
-                "bandwidth_hz",
-                "signal_power_w",
-                "noise_power_w",
-                "interference_power_w",
-                "fading",
-                "gamma",
-            },
-            {"src", "dst", "bandwidth_hz", "signal_power_w", "noise_power_w"},
-            link_path,
-        )
-        src = _string(link_map, "src", link_path)
-        dst = _string(link_map, "dst", link_path)
-        for key, endpoint in (("src", src), ("dst", dst)):
-            if endpoint not in node_ids:
+def _topology(kind, nodes, links=()):
+    if not nodes:
+        raise ScenarioValidationError("topology.nodes", "expected a non-empty list")
+    ids = {n.id for n in nodes}
+    for i, link in enumerate(links):
+        for key, endpoint in (("src", link.src), ("dst", link.dst)):
+            if endpoint not in ids:
                 raise ScenarioValidationError(
-                    f"{link_path}.{key}", f"references undeclared node {endpoint!r}"
+                    f"topology.links[{i}].{key}", f"references undeclared node {endpoint!r}"
                 )
-        try:
-            budget = LinkBudget(
-                bandwidth_hz=_number(link_map, "bandwidth_hz", link_path),
-                signal_power_w=_number(link_map, "signal_power_w", link_path),
-                noise_power_w=_number(link_map, "noise_power_w", link_path),
-                interference_power_w=_number(
-                    link_map, "interference_power_w", link_path, default=0.0
-                ),
-            )
-            gain = TrsGain(_number(link_map, "gamma", link_path, default=1.0))
-            fading = _parse_fading(link_map.get("fading"), f"{link_path}.fading")
-            links.append(Link(src=src, dst=dst, budget=budget, fading=fading, gain=gain))
-        except ScenarioValidationError:
-            raise
-        except ValueError as exc:
-            raise ScenarioValidationError(link_path, str(exc)) from None
-
-    try:
-        return Topology(kind=kind, nodes=tuple(nodes), links=tuple(links))
-    except ValueError as exc:
-        raise ScenarioValidationError(path, str(exc)) from None
+    return Topology(kind=TopologyKind(kind), nodes=nodes, links=links)
 
 
-def _parse_optimizer(raw, path: str) -> OptimizerSection:
-    mapping = _require_mapping(raw, path)
-    _check_keys(
-        mapping,
-        {"p_min_w", "p_max_w", "r_min_bps", "latency_max_s", "weights", "schedule", "fading"},
-        {"p_min_w", "p_max_w"},
-        path,
-    )
-    alpha, beta = 1.0, 0.0
-    if "weights" in mapping:
-        weights = _require_mapping(mapping["weights"], f"{path}.weights")
-        _check_keys(weights, {"alpha", "beta"}, set(), f"{path}.weights")
-        alpha = _number(weights, "alpha", f"{path}.weights", default=1.0)
-        beta = _number(weights, "beta", f"{path}.weights", default=0.0)
-    schedule = SaSchedule()
-    if "schedule" in mapping:
-        sched = _require_mapping(mapping["schedule"], f"{path}.schedule")
-        _check_keys(sched, {"t_initial", "cooling", "iterations"}, set(), f"{path}.schedule")
-        try:
-            schedule = SaSchedule(
-                t_initial=_number(sched, "t_initial", f"{path}.schedule", default=None),
-                cooling=_number(sched, "cooling", f"{path}.schedule", default=0.95),
-                iterations=_integer(sched, "iterations", f"{path}.schedule", default=10_000),
-            )
-        except ValueError as exc:
-            raise ScenarioValidationError(f"{path}.schedule", str(exc)) from None
-    fading: FadingTreatment = Deterministic()
-    if "fading" in mapping:
-        fmap = _require_mapping(mapping["fading"], f"{path}.fading")
-        _check_keys(fmap, {"treatment", "n_samples", "seed"}, {"treatment"}, f"{path}.fading")
-        treatment = _string(fmap, "treatment", f"{path}.fading")
-        if treatment == "deterministic":
-            pass
-        elif treatment == "ergodic":
-            seed = _integer(fmap, "seed", f"{path}.fading", default=0)
-            _check_seed(seed, f"{path}.fading.seed")
-            try:
-                fading = ErgodicMean(
-                    n_samples=_integer(fmap, "n_samples", f"{path}.fading", default=1000),
-                    seed=seed,
-                )
-            except ValueError as exc:
-                raise ScenarioValidationError(f"{path}.fading", str(exc)) from None
-        else:
-            raise ScenarioValidationError(
-                f"{path}.fading.treatment",
-                f"expected deterministic or ergodic, got {treatment!r}",
-            )
-    try:
-        return OptimizerSection(
-            p_min_w=_number(mapping, "p_min_w", path),
-            p_max_w=_number(mapping, "p_max_w", path),
-            r_min_bps=_number(mapping, "r_min_bps", path, default=0.0),
-            latency_max_s=_number(mapping, "latency_max_s", path, default=math.inf),
-            alpha=alpha,
-            beta=beta,
-            schedule=schedule,
-            fading=fading,
+def _treatment(treatment, **ergodic) -> FadingTreatment:
+    if treatment == "deterministic":
+        return Deterministic()
+    fading = ErgodicMean(**ergodic)
+    _check_seed(fading.seed, "optimizer.fading.seed")
+    return fading
+
+
+def _optimizer(weights={}, **fields) -> OptimizerSection:
+    return OptimizerSection(**fields, **weights)
+
+
+def _config(monte_carlo={}, output={}, **sections) -> ScenarioConfig:
+    # `topology` and `optimizer` are ScenarioConfig fields of the same name.
+    config = ScenarioConfig(**sections, **monte_carlo, **output)
+    if config.n_samples < 1:
+        raise ScenarioValidationError(
+            "monte_carlo.n_samples", f"must be >= 1, got {config.n_samples}"
         )
-    except ValueError as exc:
-        raise ScenarioValidationError(path, str(exc)) from None
+    _check_seed(config.seed, "monte_carlo.seed")
+    if config.optimizer is not None:
+        _build("optimizer", config.optimizer.to_problem, {"topology": config.topology})
+    return config
+
+
+_FADING = _Table(
+    lambda kind, **fields: FadingSpec(FadingKind(kind), **fields),
+    {"kind": tuple(k.value for k in FadingKind), "mean_power": float, "k_factor": float},
+    required=("kind",),
+)
+_NODE = _Table(
+    Node,
+    {"id": str, "tx_power_w": float, "packet_length_bits": float},
+    required=("id", "tx_power_w", "packet_length_bits"),
+)
+_LINK = _Table(
+    _link,
+    {
+        "src": str,
+        "dst": str,
+        "bandwidth_hz": float,
+        "signal_power_w": float,
+        "noise_power_w": float,
+        "interference_power_w": float,
+        "fading": _FADING,
+        "gamma": float,
+    },
+    required=("src", "dst", "bandwidth_hz", "signal_power_w", "noise_power_w"),
+)
+_TOPOLOGY = _Table(
+    _topology,
+    {"kind": tuple(k.value for k in TopologyKind), "nodes": [_NODE], "links": [_LINK]},
+    required=("kind", "nodes"),
+)
+_OPTIMIZER = _Table(
+    _optimizer,
+    {
+        "p_min_w": float,
+        "p_max_w": float,
+        "r_min_bps": float,
+        "latency_max_s": float,
+        "weights": _Table(dict, {"alpha": float, "beta": float}),
+        "schedule": _Table(SaSchedule, {"t_initial": float, "cooling": float, "iterations": int}),
+        "fading": _Table(
+            _treatment,
+            {"treatment": ("deterministic", "ergodic"), "n_samples": int, "seed": int},
+            required=("treatment",),
+        ),
+    },
+    required=("p_min_w", "p_max_w"),
+)
+_SCENARIO = _Table(
+    _config,
+    {
+        "topology": _TOPOLOGY,
+        "monte_carlo": _Table(dict, {"n_samples": int, "seed": int}),
+        "optimizer": _OPTIMIZER,
+        "output": _Table(
+            lambda **fields: {f"output_{key}": value for key, value in fields.items()},
+            {"path": str, "format": ("csv", "json")},
+        ),
+    },
+    required=("topology",),
+)
 
 
 def load_scenario(text: str) -> ScenarioConfig:
@@ -471,48 +426,7 @@ def load_scenario(text: str) -> ScenarioConfig:
         raise ScenarioParseError(f"malformed scenario document: {exc}") from None
     if raw is None:
         raise ScenarioParseError("empty scenario document")
-    mapping = _require_mapping(raw, "<root>")
-    _check_keys(mapping, {"topology", "monte_carlo", "optimizer", "output"}, {"topology"}, "<root>")
-
-    topology = _parse_topology(mapping["topology"], "topology")
-
-    n_samples, seed = 1, 0
-    if "monte_carlo" in mapping:
-        mc = _require_mapping(mapping["monte_carlo"], "monte_carlo")
-        _check_keys(mc, {"n_samples", "seed"}, set(), "monte_carlo")
-        n_samples = _integer(mc, "n_samples", "monte_carlo", default=1)
-        seed = _integer(mc, "seed", "monte_carlo", default=0)
-        if n_samples < 1:
-            raise ScenarioValidationError("monte_carlo.n_samples", f"must be >= 1, got {n_samples}")
-        _check_seed(seed, "monte_carlo.seed")
-
-    optimizer = None
-    if "optimizer" in mapping and mapping["optimizer"] is not None:
-        optimizer = _parse_optimizer(mapping["optimizer"], "optimizer")
-        try:
-            optimizer.to_problem(topology)
-        except ValueError as exc:
-            raise ScenarioValidationError("optimizer", str(exc)) from None
-
-    output_path, output_format = None, "csv"
-    if "output" in mapping:
-        out = _require_mapping(mapping["output"], "output")
-        _check_keys(out, {"path", "format"}, set(), "output")
-        output_path = _string(out, "path", "output", default=None)
-        output_format = _string(out, "format", "output", default="csv")
-        if output_format not in ("csv", "json"):
-            raise ScenarioValidationError(
-                "output.format", f"expected csv or json, got {output_format!r}"
-            )
-
-    return ScenarioConfig(
-        topology=topology,
-        n_samples=n_samples,
-        seed=seed,
-        optimizer=optimizer,
-        output_path=output_path,
-        output_format=output_format,
-    )
+    return _read(raw, _SCENARIO, "")
 
 
 # --------------------------------------------------------------------------
@@ -538,27 +452,29 @@ def simulate_link(node: Node, link: Link, h_squared: np.ndarray) -> tuple[LinkMe
     """
     h2 = np.asarray(h_squared, dtype=float)
     gamma = link.gain.gamma
-    caps = faded_capacity_samples(link.budget, h2)
+    # Overflow and 0/0 are expected here: they mark outages, or a non-finite
+    # mean that run_scenario rejects with the link's path.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        caps = faded_capacity_samples(link.budget, h2)
         tx_times = node.packet_length_bits / caps
         energies = node.tx_power_w * tx_times
-    # A zero capacity gives an infinite (or 0/0) time, and an infinite time an
-    # infinite (or 0*inf) energy, so a finite energy marks a usable draw.
-    usable = np.isfinite(energies)
-    used = int(np.count_nonzero(usable))
-    outages = h2.size - used
-    if used == 0:
-        raise AllSamplesOutageError(link.id)
-    if outages:
-        caps, tx_times, energies = caps[usable], tx_times[usable], energies[usable]
-    # One scratch buffer takes every TRS-scaled array and every residual.
-    scratch = np.empty_like(caps)
-    mean_cap = stable_mean(caps, scratch)
-    mean_cap_trs = stable_mean(np.multiply(caps, gamma, out=scratch), scratch)
-    mean_tx = stable_mean(tx_times, scratch)
-    mean_tx_trs = stable_mean(np.divide(tx_times, gamma, out=scratch), scratch)
-    mean_energy = stable_mean(energies, scratch)
-    mean_energy_trs = stable_mean(np.divide(energies, gamma, out=scratch), scratch)
+        # A zero capacity gives an infinite (or 0/0) time, and an infinite time
+        # an infinite (or 0*inf) energy, so a finite energy marks a usable draw.
+        usable = np.isfinite(energies)
+        used = int(np.count_nonzero(usable))
+        outages = h2.size - used
+        if used == 0:
+            raise AllSamplesOutageError(link.id)
+        if outages:
+            caps, tx_times, energies = caps[usable], tx_times[usable], energies[usable]
+        # One scratch buffer takes every TRS-scaled array and every residual.
+        scratch = np.empty_like(caps)
+        mean_cap = stable_mean(caps, scratch)
+        mean_cap_trs = stable_mean(np.multiply(caps, gamma, out=scratch), scratch)
+        mean_tx = stable_mean(tx_times, scratch)
+        mean_tx_trs = stable_mean(np.divide(tx_times, gamma, out=scratch), scratch)
+        mean_energy = stable_mean(energies, scratch)
+        mean_energy_trs = stable_mean(np.divide(energies, gamma, out=scratch), scratch)
     metrics = LinkMetrics(
         capacity_bps=mean_cap,
         capacity_trs_bps=mean_cap_trs,
@@ -572,13 +488,13 @@ def simulate_link(node: Node, link: Link, h_squared: np.ndarray) -> tuple[LinkMe
     return metrics, outages
 
 
-def run_scenario(config: ScenarioConfig, threads: int = 1) -> RunReport:
+def run_scenario(config: ScenarioConfig) -> RunReport:
     """Execute the Monte-Carlo scenario.
 
     Per link: draw fading from the link's private seeded stream, average the
     derived metrics over non-outage draws, then aggregate network totals. If
     an optimizer section is present, the annealing solver runs on a reserved
-    sub-stream of the same seed. Output is identical for any thread count.
+    sub-stream of the same seed.
     """
     topology = config.topology
     links = topology.links
@@ -586,26 +502,25 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> RunReport:
         raise ScenarioValidationError("topology.links", "scenario needs at least one link")
     nodes = {n.id: n for n in topology.nodes}
 
-    def worker(index: int) -> tuple[LinkMetrics, int]:
-        link = links[index]
-        rng = _link_rng(config.seed, index)
-        h2 = sample_h_squared(link.fading, rng, size=config.n_samples)
-        return simulate_link(nodes[link.src], link, h2)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(worker, range(len(links))))
-    else:
-        results = [worker(i) for i in range(len(links))]
-
     summaries = []
-    for i, (link, (metrics, outages)) in enumerate(zip(links, results)):
+    for i, link in enumerate(links):
+        h2 = sample_h_squared(link.fading, _link_rng(config.seed, i), size=config.n_samples)
+        metrics, outages = simulate_link(nodes[link.src], link, h2)
         # B log2(1 + SNR), or gamma times it, overflowed (an inf draw leaves
         # inf - inf = NaN in the mean); the ratios below would divide 0 by 0.
         if not math.isfinite(metrics.capacity_trs_bps):
             raise ScenarioValidationError(
                 f"topology.links[{i}]",
                 f"capacity overflows: mean TRS capacity is {metrics.capacity_trs_bps} bit/s",
+            )
+        # A zero transmit power, or packet times that underflow, leave 0/0 in
+        # a ratio below; a sum of huge draws can overflow a mean.
+        means = (metrics.tx_time_s, metrics.tx_time_trs_s, metrics.energy_j, metrics.energy_trs_j)
+        if not all(0.0 < mean < math.inf for mean in means):
+            raise ScenarioValidationError(
+                f"topology.links[{i}]",
+                "TRS ratios undefined: mean times and energies must be finite and > 0, "
+                "got {} s, TRS {} s, {} J, TRS {} J".format(*means),
             )
         summaries.append(
             LinkSummary(
@@ -621,6 +536,12 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> RunReport:
                 },
             )
         )
+
+    # The report's totals (the CSV TOTALS row and the network totals) are
+    # left-to-right sums over the links.
+    for name in _METRIC_FIELDS:
+        if not math.isfinite(sum(getattr(s.metrics, name) for s in summaries)):
+            raise ScenarioValidationError("topology.links", f"the total of {name} overflows")
 
     bottleneck = None
     if topology.kind is TopologyKind.CHAIN:
@@ -646,9 +567,7 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> RunReport:
     )
 
 
-def gamma_sweep(
-    config: ScenarioConfig, gammas: list[float], threads: int = 1
-) -> list[tuple[float, RunReport]]:
+def gamma_sweep(config: ScenarioConfig, gammas: list[float]) -> list[tuple[float, RunReport]]:
     """Run the scenario once per gain value with every link's gamma replaced.
 
     The seed is reused for each entry, so the fading draws are identical
@@ -663,7 +582,7 @@ def gamma_sweep(
         links = tuple(dataclasses.replace(link, gain=gain) for link in config.topology.links)
         topology = Topology(kind=config.topology.kind, nodes=config.topology.nodes, links=links)
         swept = dataclasses.replace(config, topology=topology)
-        out.append((gamma, run_scenario(swept, threads=threads)))
+        out.append((gamma, run_scenario(swept)))
     return out
 
 

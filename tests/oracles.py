@@ -2,10 +2,12 @@
 
 These deliberately avoid the code paths they check: capacity via
 extended-precision decimal arithmetic, ergodic capacity via Gauss-Laguerre
-quadrature, log-det via eigenvalues, distributions via analytic CDFs, and the
-SA objective's totals via a plain Python loop.
+quadrature, log-det via eigenvalues, distributions via analytic CDFs, the
+SA objective's totals via a plain Python loop, and the grid optimum via one
+assessment per grid point.
 """
 
+import itertools
 import math
 from decimal import Decimal, localcontext
 
@@ -64,6 +66,29 @@ def running_totals(links, caps, powers):
         if denom < min_cap_trs:
             min_cap_trs = denom
     return energy, latency, min_cap_trs
+
+
+def grid_argmin(assess, axis, n_nodes):
+    """Best feasible point of the grid ``axis``^``n_nodes``, one point at a
+    time in ``itertools.product`` order: the least objective, then the least
+    total power, then the first visited. None when no point is feasible.
+
+    ``assess(powers)`` returns ``(objective, feasible, penalized)``.
+    """
+    best = None
+    for idx in itertools.product(range(len(axis)), repeat=n_nodes):
+        powers = tuple(float(axis[k]) for k in idx)
+        objective, feasible, _penalized = assess(powers)
+        if not feasible:
+            continue
+        total_power = sum(powers)
+        if (
+            best is None
+            or objective < best[0]
+            or (objective == best[0] and total_power < best[1])
+        ):
+            best = (objective, total_power, powers)
+    return None if best is None else best[2]
 
 
 def ks_statistic_exponential(samples, mean) -> float:

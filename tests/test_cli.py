@@ -1,9 +1,14 @@
+import copy
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qwsnsim.cli import main
 from qwsnsim.scenario import load_scenario
@@ -245,6 +250,28 @@ class TestNonFiniteInputs:
         assert main(["simulate", "--config", cfg]) == 1
         assert f"error: {path}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old,new,path",
+        [
+            # Unused by any link, so only the config echo would carry it.
+            pytest.param(
+                "{id: b, tx_power_w: 1.0", "{id: b, tx_power_w: .inf", "topology.nodes[1]",
+                id="tx_power_w",
+            ),
+            pytest.param("p_max_w: 3.0", "p_max_w: .inf", "optimizer", id="p_max_w"),
+            pytest.param("alpha: 1.0", "alpha: .inf", "optimizer", id="alpha"),
+            pytest.param(
+                "{iterations: 300}", "{iterations: 300, t_initial: .inf}", "optimizer.schedule",
+                id="t_initial",
+            ),
+        ],
+    )
+    def test_infinite_field_exits_1_with_path(self, config_file, capsys, old, new, path):
+        assert old in OPTIMIZABLE
+        cfg = config_file(OPTIMIZABLE.replace(old, new))
+        assert main(["simulate", "--config", cfg, "--format", "json"]) == 1
+        assert f"error: {path}:" in capsys.readouterr().err
+
     def test_underflowing_capacity_is_an_outage(self, config_file, capsys):
         # The signal survives h2 * S > 0, but B * log2(1 + S h2 / N) is
         # subnormal and the packet time overflows to inf.
@@ -258,6 +285,7 @@ class TestNonFiniteInputs:
         assert captured.out == ""
         assert "all samples were outages" in captured.err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_capacity_exits_1_with_path(self, config_file, capsys):
         # B log2(1 + S/N) overflows to inf, so the tx times are 0 and the
         # time reduction ratio would be 0/0.
@@ -268,6 +296,42 @@ class TestNonFiniteInputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: topology.links[0]: capacity overflows" in captured.err
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            # Every energy is 0, so the energy ratio would be 0/0.
+            pytest.param("{id: a, tx_power_w: 1.0", "{id: a, tx_power_w: 0.0", id="zero-power"),
+            # Every packet time underflows to 0 once divided by gamma.
+            pytest.param(
+                "{id: a, tx_power_w: 1.0, packet_length_bits: 100}",
+                "{id: a, tx_power_w: 1.0, packet_length_bits: 5.0e-324}",
+                id="underflowing-time",
+            ),
+        ],
+    )
+    def test_zero_trs_time_or_energy_exits_1_with_path(self, config_file, capsys, old, new):
+        text = GOOD.replace(old, new).replace("gamma: 2.0", "gamma: 8")
+        assert text.count("gamma: 8") == 1 and new in text
+        assert main(["simulate", "--config", config_file(text)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: topology.links[0]: TRS ratios undefined" in captured.err
+
+    def test_overflowing_total_exits_1_with_path(self, config_file, capsys):
+        # Each link's energy is 1e308 J; their sum overflows.
+        node = "tx_power_w: 1.0, packet_length_bits: 100"
+        back = "{src: b, dst: a, bandwidth_hz: 1.0, signal_power_w: 1.0, noise_power_w: 1.0}"
+        text = (
+            OPTIMIZABLE.split("optimizer:")[0]
+            .replace(node, "tx_power_w: 1.0e300, packet_length_bits: 1.0e8")
+            .replace("gamma: 2.0}", f"gamma: 1.0}}\n    - {back}")
+        )
+        assert text.count("1.0e300") == 2 and "src: b" in text
+        assert main(["simulate", "--config", config_file(text)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: topology.links: the total of energy_j overflows" in captured.err
 
 
 def _reject_constant(token):
@@ -310,3 +374,113 @@ class TestSeedRange:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: optimizer.fading.seed: must fit in 64 unsigned bits" in captured.err
+
+
+# A document that simulates in milliseconds with every section present.
+MUTABLE = {
+    "topology": {
+        "kind": "mesh",
+        "nodes": [
+            {"id": "a", "tx_power_w": 1.0, "packet_length_bits": 100},
+            {"id": "b", "tx_power_w": 2.0, "packet_length_bits": 300.0},
+        ],
+        "links": [
+            {
+                "src": "a",
+                "dst": "b",
+                "bandwidth_hz": 1.0e3,
+                "signal_power_w": 2.0,
+                "noise_power_w": 1.0,
+                "interference_power_w": 0.1,
+                "fading": {"kind": "rician", "mean_power": 1.0, "k_factor": 2.0},
+                "gamma": 2.0,
+            },
+            {
+                "src": "b",
+                "dst": "a",
+                "bandwidth_hz": 1.0e3,
+                "signal_power_w": 2.0,
+                "noise_power_w": 1.0,
+                "fading": {"kind": "rayleigh"},
+            },
+        ],
+    },
+    "monte_carlo": {"n_samples": 20, "seed": 3},
+    "optimizer": {
+        "p_min_w": 0.1,
+        "p_max_w": 2.0,
+        "r_min_bps": 1.0,
+        "latency_max_s": 100.0,
+        "weights": {"alpha": 1.0, "beta": 0.5},
+        "schedule": {"t_initial": 1.0, "cooling": 0.9, "iterations": 20},
+        "fading": {"treatment": "ergodic", "n_samples": 10, "seed": 4},
+    },
+    "output": {"format": "json"},
+}
+
+_VALUES = st.sampled_from(
+    [None, True, "x", "a", "rayleigh", "ergodic", "chain", "star", [], {}, {"zz": 1}, [{}],
+     -1, 0, 1, 3, 0.0, -0.0, 0.5, 2.0, 5e-324, 1e-300, 1e300, 1e308,
+     math.nan, math.inf, -math.inf, 2**64, 10**400]
+)
+# Sample and iteration counts set the work a run does, so they only take
+# small values: a count in the billions is a long run, not a malformed
+# document.
+_SIZES = st.sampled_from([None, True, "x", 1.5, -1, 0, 1, 2, 7])
+_SIZE_KEYS = {"n_samples", "iterations"}
+
+
+def _places(tree, path=()):
+    """Every (container, key) of the tree, outermost first."""
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree)
+    for key, value in items:
+        yield tree, key, path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _places(value, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = copy.deepcopy(MUTABLE)
+    for _ in range(draw(st.integers(1, 3))):
+        places = list(_places(doc))
+        if not places:
+            break
+        container, key, _path = draw(st.sampled_from(places))
+        action = draw(st.sampled_from(("replace", "delete", "add")))
+        if action == "delete":
+            del container[key]
+        elif action == "add" and isinstance(container[key], dict):
+            container[key][draw(st.sampled_from(("zz", 1)))] = "y"
+        else:
+            # A copy: a later mutation must not change the shared sample.
+            container[key] = copy.deepcopy(draw(_SIZES if key in _SIZE_KEYS else _VALUES))
+    return doc
+
+
+def _finite_numbers(tree) -> bool:
+    if isinstance(tree, dict):
+        return all(_finite_numbers(v) for v in tree.values())
+    if isinstance(tree, list):
+        return all(_finite_numbers(v) for v in tree)
+    return not isinstance(tree, float) or math.isfinite(tree)
+
+
+class TestMutatedDocuments:
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(mutated_documents())
+    def test_simulate_ends_in_one_of_three_ways(self, config_file, capsys, doc):
+        cfg = config_file(yaml.safe_dump(doc))
+        code = main(["simulate", "--config", cfg, "--format", "json"])
+        captured = capsys.readouterr()
+        if code == 0:
+            tree = json.loads(captured.out, parse_constant=_reject_constant)
+            assert _finite_numbers(tree)
+        elif code == 1:
+            assert captured.out == ""
+            path = r"(<root>|topology|monte_carlo|optimizer|output|zz|1)[\w.\[\]]*"
+            assert re.match(f"error: {path}: ", captured.err), captured.err
+        else:
+            assert code == 2 and captured.err.startswith("error: ")

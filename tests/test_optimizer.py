@@ -16,6 +16,7 @@ from qwsnsim.optimizer import (
     PowerProblem,
     SaSchedule,
     Solver,
+    _batch_assess,
     _Evaluator,
     check_feasibility,
     energy_objective,
@@ -25,7 +26,7 @@ from qwsnsim.optimizer import (
     weighted_objective,
 )
 
-from oracles import ZeroCapacity, running_totals
+from oracles import ZeroCapacity, grid_argmin, running_totals
 
 
 def single_link_problem(
@@ -571,3 +572,65 @@ class TestProblemValidation:
                 PowerProblem(topo, 0.1, 1.0, **{field: math.nan})
         with pytest.raises(ValueError):
             ErgodicMean(n_samples=0, seed=1)
+
+
+class TestGridOracleBatches:
+    """The batched grid oracle against one ``assess`` per grid point."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(delta_cases(n_nodes=(2, 3), n_links=(0, 6)), st.integers(2, 9))
+    def test_equals_per_point_loop(self, case, points):
+        # p_min = 0 gives zero-capacity (infeasible) rows; the sampled rate
+        # floors, latency caps and alpha = 0 give all-infeasible grids and ties.
+        problem, _powers, _moves = case
+        axis = np.linspace(problem.p_min_w, problem.p_max_w, points)
+        expected = grid_argmin(_Evaluator(problem).assess, axis, problem.n_nodes)
+        if expected is None:
+            with pytest.raises(NoFeasiblePointError):
+                grid_search_oracle(problem, points)
+        else:
+            assert grid_search_oracle(problem, points).allocation.powers_w == expected
+
+    @pytest.mark.parametrize(
+        "length,p_max,alpha",
+        [
+            # The energy overflows everywhere and alpha = 0: every objective
+            # is 0 * inf = NaN, and the first feasible point stands.
+            pytest.param(1e300, 1e301, 0.0, id="all-nan"),
+            # Each batch runs from finite objectives into NaN ones.
+            pytest.param(1e300, 1e9, 0.0, id="finite-then-nan"),
+            # Every latency overflows; inf - inf against the unlimited cap is
+            # NaN, which max(0.0, .) and fmax(0.0, .) both count as no violation.
+            pytest.param(1e308, 1e-3, 1.0, id="latency-overflows"),
+        ],
+    )
+    def test_non_finite_objectives(self, length, p_max, alpha):
+        # One link, from the last node: every batch sees the same objectives.
+        nodes = (Node("a", 1.0, 1.0), Node("b", 1.0, length))
+        link = Link("b", "a", LinkBudget(1.0, 1.0, 1.0), FadingSpec.awgn(), TrsGain(1.0))
+        topology = Topology(TopologyKind.MESH, nodes, (link,))
+        problem = PowerProblem(topology, p_max / 1e4, p_max, alpha=alpha, beta=1.0)
+        axis = np.linspace(problem.p_min_w, problem.p_max_w, 7)
+        expected = grid_argmin(_Evaluator(problem).assess, axis, 2)
+        assert expected is not None
+        assert grid_search_oracle(problem, 7).allocation.powers_w == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(delta_cases(n_nodes=(2, 4), n_links=(1, 8)), st.integers(1, 4), st.data())
+    def test_batch_assess_equals_assess_per_row(self, case, rows, data):
+        # Capacities the channel never yields (NaN, inf, zero, negative) and
+        # powers up to overflow.
+        problem, _powers, _moves = case
+        n_links, n_nodes = len(problem.topology.links), problem.n_nodes
+        def matrix(element, width):
+            row = st.lists(element, min_size=width, max_size=width)
+            return np.array(data.draw(st.lists(row, min_size=rows, max_size=rows)))
+
+        caps = matrix(_ANY_CAP, n_links)
+        powers = matrix(st.floats(0.0, 1e308), n_nodes)
+        evaluator = _Evaluator(problem)
+        objective, feasible = _batch_assess(evaluator, powers, caps)
+        for i in range(rows):
+            expected_objective, expected_feasible, _penalized = evaluator.assess(powers[i], caps[i])
+            assert _same([objective[i]], [expected_objective])
+            assert feasible[i] == expected_feasible

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -90,6 +91,73 @@ optimizer:
   schedule: {iterations: 500}
 """
 
+# A document that sets every key, and the keys it may leave out.
+EVERY_KEY = {
+    "topology": {
+        "kind": "mesh",
+        "nodes": [
+            {"id": "a", "tx_power_w": 1.0, "packet_length_bits": 100},
+            {"id": "b", "tx_power_w": 1.0, "packet_length_bits": 100},
+        ],
+        "links": [
+            {
+                "src": "a",
+                "dst": "b",
+                "bandwidth_hz": 1.0,
+                "signal_power_w": 1.0,
+                "noise_power_w": 1.0,
+                "interference_power_w": 0.5,
+                "fading": {"kind": "rician", "mean_power": 2.0, "k_factor": 3.0},
+                "gamma": 2.0,
+            }
+        ],
+    },
+    "monte_carlo": {"n_samples": 10, "seed": 5},
+    "optimizer": {
+        "p_min_w": 0.2,
+        "p_max_w": 3.0,
+        "r_min_bps": 0.1,
+        "latency_max_s": 100.0,
+        "weights": {"alpha": 0.5, "beta": 1.0},
+        "schedule": {"t_initial": 1.0, "cooling": 0.9, "iterations": 500},
+        "fading": {"treatment": "ergodic", "n_samples": 20, "seed": 3},
+    },
+    "output": {"path": "report.json", "format": "json"},
+}
+
+OPTIONAL_KEYS = [
+    ("topology", "links"),
+    ("topology", "links", 0, "interference_power_w"),
+    ("topology", "links", 0, "fading"),
+    ("topology", "links", 0, "fading", "mean_power"),
+    ("topology", "links", 0, "gamma"),
+    ("monte_carlo",),
+    ("monte_carlo", "n_samples"),
+    ("monte_carlo", "seed"),
+    ("optimizer",),
+    ("optimizer", "r_min_bps"),
+    ("optimizer", "latency_max_s"),
+    ("optimizer", "weights"),
+    ("optimizer", "weights", "alpha"),
+    ("optimizer", "weights", "beta"),
+    ("optimizer", "schedule"),
+    ("optimizer", "schedule", "t_initial"),
+    ("optimizer", "schedule", "cooling"),
+    ("optimizer", "schedule", "iterations"),
+    ("optimizer", "fading"),
+    ("optimizer", "fading", "n_samples"),
+    ("optimizer", "fading", "seed"),
+    ("output",),
+    ("output", "path"),
+    ("output", "format"),
+]
+
+
+def _item(tree, path):
+    for key in path:
+        tree = tree[key]
+    return tree
+
 
 class TestLoadScenario:
     def test_minimal_config_gets_defaults(self):
@@ -171,6 +239,26 @@ class TestLoadScenario:
             load_scenario(bad)
         assert "bandwidth_hz" in str(err.value)
 
+    def test_integer_too_big_for_a_float_names_its_path(self):
+        bad = MINIMAL.replace("bandwidth_hz: 1.0", "bandwidth_hz: 1" + "0" * 400)
+        with pytest.raises(ScenarioValidationError) as err:
+            load_scenario(bad)
+        assert err.value.path == "topology.links[0].bandwidth_hz"
+
+    def test_unknown_keys_of_mixed_types(self):
+        with pytest.raises(ScenarioValidationError) as err:
+            load_scenario(MINIMAL + "monte_carlo: {1: x, zz: y}\n")
+        assert err.value.path == "monte_carlo.1"
+        assert "unknown key" in str(err.value)
+
+    @pytest.mark.parametrize("path", OPTIONAL_KEYS, ids=lambda path: ".".join(map(str, path)))
+    def test_null_means_the_default(self, path):
+        nulled, omitted = copy.deepcopy(EVERY_KEY), copy.deepcopy(EVERY_KEY)
+        *parents, key = path
+        _item(nulled, parents)[key] = None
+        del _item(omitted, parents)[key]
+        assert load_scenario(json.dumps(nulled)) == load_scenario(json.dumps(omitted))
+
     def test_bad_optimizer_bounds_rejected_at_load(self):
         bad = WITH_OPTIMIZER.replace("p_max_w: 3.0", "p_max_w: 0.1")
         with pytest.raises(ScenarioValidationError) as err:
@@ -193,12 +281,6 @@ class TestRunScenario:
         a = emit_report(run_scenario(config), "json")
         b = emit_report(run_scenario(config), "json")
         assert a == b
-
-    def test_thread_count_does_not_change_output(self):
-        config = load_scenario(TWO_LINK_MESH)
-        assert emit_report(run_scenario(config, threads=1), "json") == emit_report(
-            run_scenario(config, threads=4), "json"
-        )
 
     def test_rayleigh_mean_capacity_matches_quadrature_oracle(self):
         config = load_scenario(RAYLEIGH)
