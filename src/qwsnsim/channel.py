@@ -17,6 +17,11 @@ from .numeric import stable_mean
 
 _LN2 = math.log(2.0)
 
+# Fading draws per link that a scenario may ask for. A float64 array of this
+# many takes 80 MB and a link holds a few at once; a larger count is a typo,
+# not a simulation.
+MAX_SAMPLES = 10**7
+
 
 class FadingKind(Enum):
     AWGN = "awgn"

@@ -3,7 +3,7 @@
 Subcommands:
   simulate  run the Monte-Carlo scenario and emit a CSV/JSON report
   optimize  solve the scenario's power-allocation problem
-  sweep     rerun the scenario for several gamma values with shared draws
+  sweep     rerun the scenario for several gamma values on identical seeded draws
 
 Exit codes: 0 success, 1 validation/parse error, 2 runtime infeasibility
 (no feasible allocation, or a link where every draw was an outage).
@@ -17,6 +17,7 @@ import json
 import sys
 from pathlib import Path
 
+from .channel import MAX_SAMPLES
 from .errors import (
     AllSamplesOutageError,
     NoFeasiblePointError,
@@ -66,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common_flags(optimize, with_output=False)
     optimize.set_defaults(func=_cmd_optimize)
 
-    sweep = sub.add_parser("sweep", help="gamma sweep with shared fading draws")
+    sweep = sub.add_parser("sweep", help="gamma sweep over identical seeded fading draws")
     _add_common_flags(sweep)
     sweep.add_argument("--gamma", required=True, help="comma-separated gains, e.g. 1,2,4")
     sweep.set_defaults(func=_cmd_sweep)
@@ -83,8 +84,11 @@ def _load_config(args) -> ScenarioConfig:
             )
         overrides["seed"] = args.seed
     if getattr(args, "samples", None) is not None:
-        if args.samples < 1:
-            raise ScenarioValidationError("--samples", f"must be >= 1, got {args.samples}")
+        if not 1 <= args.samples <= MAX_SAMPLES:
+            raise ScenarioValidationError(
+                "monte_carlo.n_samples",
+                f"--samples must be between 1 and {MAX_SAMPLES}, got {args.samples}",
+            )
         overrides["n_samples"] = args.samples
     if getattr(args, "out", None) is not None:
         overrides["output_path"] = args.out

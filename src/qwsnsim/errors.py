@@ -6,7 +6,7 @@ class NotHermitianError(ValueError):
 
 
 class NotPositiveDefiniteError(ValueError):
-    """Factorization hit a non-positive pivot: matrix is not positive definite."""
+    """Cholesky factorization failed: the matrix is not positive definite."""
 
 
 class EmptyUserSetError(ValueError):

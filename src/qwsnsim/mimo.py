@@ -24,6 +24,8 @@ HERMITIAN_ATOL = 1e-10
 # Desk-scale simulator with dense factorization; anything larger is a mistake.
 MAX_DIM = 64
 
+_LN2 = math.log(2.0)
+
 
 @dataclass(frozen=True)
 class MimoChannel:
@@ -56,9 +58,12 @@ class MimoChannel:
 def hermitian_logdet(m: np.ndarray) -> float:
     """log2(det(M)) of a Hermitian positive-definite matrix.
 
-    Uses an in-place Cholesky factorization and accumulates log2 of the
-    (necessarily positive) pivots, so the determinant never overflows.
-    Raises NotHermitianError / NotPositiveDefiniteError otherwise.
+    LAPACK's Cholesky (``np.linalg.cholesky``) decides definiteness and LU
+    ``np.linalg.slogdet`` gives the value as a sum of logs, so the
+    determinant never overflows. The value is not read off the Cholesky
+    diagonal: its square roots round, so log2 det(2*I_2) would come out one
+    ulp above 2. Raises ValueError for a matrix that is not square, too
+    large or not finite, then NotHermitianError / NotPositiveDefiniteError.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -66,25 +71,20 @@ def hermitian_logdet(m: np.ndarray) -> float:
     n = a.shape[0]
     if n > MAX_DIM:
         raise ValueError(f"matrix dimension exceeds {MAX_DIM}: {n}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    asym = np.max(np.abs(a - a.conj().T)) if n else 0.0
-    if asym > HERMITIAN_ATOL:
+    # LAPACK reads one triangle only, so the asymmetry is checked here. Any
+    # non-finite entry makes it inf or NaN, which routes the finiteness check
+    # off the common path; inf - inf would warn, hence the errstate.
+    with np.errstate(invalid="ignore"):
+        asym = abs(a - a.conj().T).max() if n else 0.0
+    if not asym <= HERMITIAN_ATOL:
+        if not np.isfinite(a).all():
+            raise ValueError("matrix entries must be finite")
         raise NotHermitianError(f"max asymmetry {asym:.3e} exceeds {HERMITIAN_ATOL:.0e}")
-
-    lower = np.zeros((n, n), dtype=complex)
-    log2det = 0.0
-    for j in range(n):
-        pivot = a[j, j].real - np.vdot(lower[j, :j], lower[j, :j]).real
-        if not pivot > 0:
-            raise NotPositiveDefiniteError(f"pivot {pivot:.3e} at column {j}")
-        log2det += math.log2(pivot)
-        lower[j, j] = math.sqrt(pivot)
-        if j + 1 < n:
-            lower[j + 1 :, j] = (
-                a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j].conj()
-            ) / lower[j, j]
-    return log2det
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError("matrix is not positive definite") from exc
+    return float(np.linalg.slogdet(a)[1]) / _LN2
 
 
 def mimo_capacity(ch: MimoChannel) -> float:

@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import FadingKind, sample_h_squared
+from .channel import MAX_SAMPLES, FadingKind, sample_h_squared
 from .errors import InfeasibleLinkError, NoFeasiblePointError
 from .network import Topology
 from .numeric import stable_mean
@@ -52,8 +52,10 @@ class ErgodicMean:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+        if not 1 <= self.n_samples <= MAX_SAMPLES:
+            raise ValueError(
+                f"n_samples must be between 1 and {MAX_SAMPLES}, got {self.n_samples}"
+            )
 
 
 FadingTreatment = Deterministic | ErgodicMean

@@ -49,6 +49,7 @@ import numpy as np
 import yaml
 
 from .channel import (
+    MAX_SAMPLES,
     TRS_OFF,
     FadingKind,
     FadingSpec,
@@ -342,9 +343,10 @@ def _optimizer(weights={}, **fields) -> OptimizerSection:
 def _config(monte_carlo={}, output={}, **sections) -> ScenarioConfig:
     # `topology` and `optimizer` are ScenarioConfig fields of the same name.
     config = ScenarioConfig(**sections, **monte_carlo, **output)
-    if config.n_samples < 1:
+    if not 1 <= config.n_samples <= MAX_SAMPLES:
         raise ScenarioValidationError(
-            "monte_carlo.n_samples", f"must be >= 1, got {config.n_samples}"
+            "monte_carlo.n_samples",
+            f"must be between 1 and {MAX_SAMPLES}, got {config.n_samples}",
         )
     _check_seed(config.seed, "monte_carlo.seed")
     if config.optimizer is not None:

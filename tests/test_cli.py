@@ -10,6 +10,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qwsnsim.channel import MAX_SAMPLES
 from qwsnsim.cli import main
 from qwsnsim.scenario import load_scenario
 
@@ -376,6 +377,45 @@ class TestSeedRange:
         assert "error: optimizer.fading.seed: must fit in 64 unsigned bits" in captured.err
 
 
+def _ergodic_optimizer(n_samples) -> str:
+    return (
+        "optimizer:\n  p_min_w: 0.2\n  p_max_w: 3.0\n"
+        f"  fading: {{treatment: ergodic, n_samples: {n_samples}}}\n"
+    )
+
+
+class TestSampleCeiling:
+    @pytest.mark.parametrize(
+        "count", [2**64, 10**400, MAX_SAMPLES + 1], ids=["2**64", "10**400", "ceiling+1"]
+    )
+    @pytest.mark.parametrize(
+        "place, error",
+        [
+            ("monte_carlo", "monte_carlo.n_samples: must be between 1 and"),
+            ("flag", "monte_carlo.n_samples: --samples must be between 1 and"),
+            ("optimizer", "optimizer.fading: n_samples must be between 1 and"),
+        ],
+    )
+    def test_count_above_ceiling_exits_1(self, config_file, capsys, place, error, count):
+        text, flags = GOOD, []
+        if place == "monte_carlo":
+            text = GOOD.replace("n_samples: 200", f"n_samples: {count}")
+        elif place == "flag":
+            flags = ["--samples", str(count)]
+        else:
+            text = GOOD + _ergodic_optimizer(count)
+        assert main(["simulate", "--config", config_file(text), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {error} {MAX_SAMPLES}, got {count}")
+
+    def test_ceiling_itself_loads(self):
+        text = GOOD.replace("n_samples: 200", f"n_samples: {MAX_SAMPLES}")
+        text += _ergodic_optimizer(MAX_SAMPLES)
+        config = load_scenario(text)
+        assert config.n_samples == config.optimizer.fading.n_samples == MAX_SAMPLES
+
+
 # A document that simulates in milliseconds with every section present.
 MUTABLE = {
     "topology": {
@@ -424,10 +464,13 @@ _VALUES = st.sampled_from(
      math.nan, math.inf, -math.inf, 2**64, 10**400]
 )
 # Sample and iteration counts set the work a run does, so they only take
-# small values: a count in the billions is a long run, not a malformed
-# document.
-_SIZES = st.sampled_from([None, True, "x", 1.5, -1, 0, 1, 2, 7])
-_SIZE_KEYS = {"n_samples", "iterations"}
+# small values: a count in the millions is a long run, not a malformed
+# document. Sample counts above their ceiling must exit 1.
+_SIZES = [None, True, "x", 1.5, -1, 0, 1, 2, 7]
+_COUNTS = {
+    "n_samples": st.sampled_from(_SIZES + [MAX_SAMPLES + 1, 2**64, 10**400]),
+    "iterations": st.sampled_from(_SIZES),
+}
 
 
 def _places(tree, path=()):
@@ -454,7 +497,7 @@ def mutated_documents(draw):
             container[key][draw(st.sampled_from(("zz", 1)))] = "y"
         else:
             # A copy: a later mutation must not change the shared sample.
-            container[key] = copy.deepcopy(draw(_SIZES if key in _SIZE_KEYS else _VALUES))
+            container[key] = copy.deepcopy(draw(_COUNTS.get(key, _VALUES)))
     return doc
 
 

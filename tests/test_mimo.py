@@ -50,6 +50,50 @@ class TestHermitianLogdet:
         with pytest.raises(ValueError):
             hermitian_logdet(np.eye(65))
 
+    def test_rejects_indefinite_with_off_diagonal_mass(self):
+        # Positive diagonal, eigenvalues 3 and -1: only the factorization sees it.
+        with pytest.raises(NotPositiveDefiniteError):
+            hermitian_logdet(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.diag([1.0, np.nan]),
+            np.array([[1.0, np.inf], [0.0, 1.0]]),
+            np.array([[complex(np.inf, np.nan)]]),
+        ],
+        ids=["nan-diagonal", "inf-off-diagonal", "complex-inf-nan"],
+    )
+    def test_non_finite_entries_are_value_errors(self, a):
+        with pytest.raises(ValueError, match="finite") as excinfo:
+            hermitian_logdet(a)
+        assert not isinstance(excinfo.value, NotHermitianError)
+
+    def test_empty_matrix(self):
+        result = hermitian_logdet(np.zeros((0, 0)))
+        assert result == 0.0 and type(result) is float
+
+    def test_asymmetry_within_tolerance(self):
+        rng = np.random.default_rng(37)
+        a = random_hermitian_pd(rng, 4)
+        perturbed = a.copy()
+        perturbed[0, 1] += 1e-11
+        assert hermitian_logdet(perturbed) == pytest.approx(eigen_log2det(a), rel=1e-9)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_every_size_and_extreme_scales_match_oracle(self, scale):
+        rng = np.random.default_rng(41)
+        for n in range(1, 65):
+            a = random_hermitian_pd(rng, n)
+            # Exactly Hermitian, so the absolute asymmetry stays 0 at any scale.
+            a = scale * ((a + a.conj().T) / 2)
+            assert hermitian_logdet(a) == pytest.approx(eigen_log2det(a), rel=1e-9)
+
+    def test_scaled_identity_of_size_eight(self):
+        assert hermitian_logdet(4.0 * np.eye(8)) == 16.0
+
 
 class TestMimoCapacity:
     def test_siso_unit(self):
