@@ -17,9 +17,9 @@ from .numeric import stable_mean
 
 _LN2 = math.log(2.0)
 
-# Fading draws per link that a scenario may ask for. A float64 array of this
-# many takes 80 MB and a link holds a few at once; a larger count is a typo,
-# not a simulation.
+# Fading draws per link that a scenario may ask for. A run works in one
+# float64 workspace of 4 rows of this many (320 MB at the ceiling); a larger
+# count is a typo, not a simulation.
 MAX_SAMPLES = 10**7
 
 
@@ -150,10 +150,14 @@ def faded_capacity(link: LinkBudget, draw: FadingDraw) -> float:
     )
 
 
-def faded_capacity_samples(link: LinkBudget, h_squared: np.ndarray) -> np.ndarray:
-    """Vectorized faded capacity over an array of |h|^2 draws."""
+def faded_capacity_samples(link: LinkBudget, h_squared: np.ndarray, out=None) -> np.ndarray:
+    """Vectorized faded capacity over an array of |h|^2 draws.
+
+    ``out``, a float array of the draws' shape (it may be ``h_squared``
+    itself), receives the capacities instead of a fresh array.
+    """
     # _capacity's operations in its order, applied in place on one array.
-    caps = link.signal_power_w * np.asarray(h_squared, dtype=float)
+    caps = np.multiply(link.signal_power_w, np.asarray(h_squared, dtype=float), out=out)
     caps /= link.noise_power_w + link.interference_power_w
     np.log1p(caps, out=caps)
     caps *= link.bandwidth_hz
@@ -168,7 +172,7 @@ def apply_trs(capacity_bps: float, gain: TrsGain) -> float:
     return gain.gamma * capacity_bps
 
 
-def sample_h_squared(spec: FadingSpec, rng: np.random.Generator, size=None):
+def sample_h_squared(spec: FadingSpec, rng: np.random.Generator, size=None, out=None):
     """Draw |h|^2 value(s) from the fading distribution.
 
     Returns a float when ``size`` is None, otherwise an ndarray. AWGN is the
@@ -176,20 +180,41 @@ def sample_h_squared(spec: FadingSpec, rng: np.random.Generator, size=None):
     exponential with mean ``mean_power``. Rician h is built as a real LOS
     component sqrt(K*omega/(K+1)) plus circular complex Gaussian scatter of
     total variance omega/(K+1), so E[|h|^2] = omega for every K.
+
+    ``out``, a C-contiguous float64 array of shape ``(2, size)``, receives
+    the draws in ``out[0]``, which is returned, instead of fresh arrays;
+    ``out[1]`` is overwritten (the Rician quadrature component). The values
+    are those of the allocating call bit for bit.
     """
+    if out is not None and out.shape != (2, size):
+        raise ValueError(f"out must have shape (2, {size}), got {out.shape}")
+    h2, scratch = (None, None) if out is None else out
     if spec.kind is FadingKind.AWGN:
-        return 1.0 if size is None else np.ones(size)
+        if size is None:
+            return 1.0
+        if h2 is None:
+            return np.ones(size)
+        h2.fill(1.0)
+        return h2
+    # In place, the operations of rng.exponential(mean_power, size) and of
+    # los + sigma * N, sigma * N' and re * re + im * im, in that order.
     if spec.kind is FadingKind.RAYLEIGH:
-        out = rng.exponential(spec.mean_power, size=size)
-        return float(out) if size is None else out
+        h2 = rng.standard_exponential(size, out=h2)
+        h2 *= spec.mean_power
+        return h2
     k = spec.k_factor
     omega = spec.mean_power
     los = math.sqrt(k * omega / (k + 1.0))
     sigma = math.sqrt(omega / (2.0 * (k + 1.0)))
-    re = los + sigma * rng.standard_normal(size)
-    im = sigma * rng.standard_normal(size)
-    out = re * re + im * im
-    return float(out) if size is None else out
+    re = rng.standard_normal(size, out=h2)
+    re *= sigma
+    re += los
+    im = rng.standard_normal(size, out=scratch)
+    im *= sigma
+    re *= re
+    im *= im
+    re += im
+    return re
 
 
 def sample_fading(spec: FadingSpec, rng: np.random.Generator) -> FadingDraw:

@@ -34,6 +34,10 @@ _LN2 = math.log(2.0)
 # dominate any sane objective, finite so the chain can cross infeasible valleys.
 PENALTY_WEIGHT = 1e6
 
+# Annealing iterations a schedule may ask for. 10**7 moves take minutes on a
+# large mesh; a larger count is a typo, not a schedule.
+MAX_ITERATIONS = 10**7
+
 
 @dataclass(frozen=True)
 class Deterministic:
@@ -144,8 +148,10 @@ class SaSchedule:
     def __post_init__(self):
         if not 0.0 < self.cooling < 1.0:
             raise ValueError(f"cooling must be in (0, 1), got {self.cooling}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        if not 1 <= self.iterations <= MAX_ITERATIONS:
+            raise ValueError(
+                f"iterations must be between 1 and {MAX_ITERATIONS}, got {self.iterations}"
+            )
         if self.t_initial is not None and not 0 < self.t_initial < math.inf:
             raise ValueError(f"t_initial must be finite and > 0, got {self.t_initial}")
 

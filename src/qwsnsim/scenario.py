@@ -445,21 +445,32 @@ def sa_rng(seed: int) -> np.random.Generator:
     return _link_rng(seed, _SA_STREAM)
 
 
-def simulate_link(node: Node, link: Link, h_squared: np.ndarray) -> tuple[LinkMetrics, int]:
+def simulate_link(
+    node: Node, link: Link, h_squared: np.ndarray, work: np.ndarray | None = None
+) -> tuple[LinkMetrics, int]:
     """Average one link's metrics over an array of fading draws.
 
     A draw whose capacity is zero, or so small that its time or energy is not
     finite, is counted as an outage and excluded from the means. Raises
     AllSamplesOutageError when nothing is left to average.
+
+    ``work``, a float64 array of shape ``(4,) + h_squared.shape``, holds the
+    capacities, times, energies and residuals instead of fresh arrays; its
+    contents are overwritten. ``h_squared`` may be one of its rows: the draws
+    are read once, into the capacities, before any row is written.
     """
     h2 = np.asarray(h_squared, dtype=float)
+    if work is None:
+        work = np.empty((4,) + h2.shape)
+    elif work.shape != (4,) + h2.shape:
+        raise ValueError(f"work must have shape {(4,) + h2.shape}, got {work.shape}")
     gamma = link.gain.gamma
     # Overflow and 0/0 are expected here: they mark outages, or a non-finite
     # mean that run_scenario rejects with the link's path.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        caps = faded_capacity_samples(link.budget, h2)
-        tx_times = node.packet_length_bits / caps
-        energies = node.tx_power_w * tx_times
+        caps = faded_capacity_samples(link.budget, h2, out=work[0])
+        tx_times = np.divide(node.packet_length_bits, caps, out=work[1])
+        energies = np.multiply(node.tx_power_w, tx_times, out=work[2])
         # A zero capacity gives an infinite (or 0/0) time, and an infinite time
         # an infinite (or 0*inf) energy, so a finite energy marks a usable draw.
         usable = np.isfinite(energies)
@@ -467,10 +478,11 @@ def simulate_link(node: Node, link: Link, h_squared: np.ndarray) -> tuple[LinkMe
         outages = h2.size - used
         if used == 0:
             raise AllSamplesOutageError(link.id)
+        # One scratch row takes every TRS-scaled array and every residual.
+        scratch = work[3]
         if outages:
             caps, tx_times, energies = caps[usable], tx_times[usable], energies[usable]
-        # One scratch buffer takes every TRS-scaled array and every residual.
-        scratch = np.empty_like(caps)
+            scratch = scratch[:used]
         mean_cap = stable_mean(caps, scratch)
         mean_cap_trs = stable_mean(np.multiply(caps, gamma, out=scratch), scratch)
         mean_tx = stable_mean(tx_times, scratch)
@@ -504,10 +516,17 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
         raise ScenarioValidationError("topology.links", "scenario needs at least one link")
     nodes = {n.id: n for n in topology.nodes}
 
+    # Every link draws and reduces in the same rows, so no per-link array is
+    # fresh memory whose pages fault in on first touch. The draws land in row
+    # 0 (row 1 is the Rician scratch), and simulate_link reads them into its
+    # capacities in that row before it writes the others.
+    work = np.empty((4, config.n_samples))
     summaries = []
     for i, link in enumerate(links):
-        h2 = sample_h_squared(link.fading, _link_rng(config.seed, i), size=config.n_samples)
-        metrics, outages = simulate_link(nodes[link.src], link, h2)
+        h2 = sample_h_squared(
+            link.fading, _link_rng(config.seed, i), size=config.n_samples, out=work[:2]
+        )
+        metrics, outages = simulate_link(nodes[link.src], link, h2, work=work)
         # B log2(1 + SNR), or gamma times it, overflowed (an inf draw leaves
         # inf - inf = NaN in the mean); the ratios below would divide 0 by 0.
         if not math.isfinite(metrics.capacity_trs_bps):

@@ -85,6 +85,16 @@ class TestShannonCapacity:
 
 
 class TestFadedCapacity:
+    def test_out_matches_a_fresh_array_bit_for_bit(self):
+        link = LinkBudget(2e6, 1e-6, 4e-9, 1e-9)
+        h2 = np.concatenate(([0.0, 1.0], np.random.default_rng(4).exponential(1.0, size=500)))
+        fresh = faded_capacity_samples(link, h2)
+        out = np.empty_like(h2)
+        assert faded_capacity_samples(link, h2, out=out) is out
+        assert out.tobytes() == fresh.tobytes()
+        assert faded_capacity_samples(link, h2, out=h2) is h2
+        assert h2.tobytes() == fresh.tobytes()
+
     def test_zero_draw_kills_the_link(self):
         link = LinkBudget(3.0, 2.0, 1.0, 0.5)
         assert faded_capacity(link, FadingDraw(0.0)) == 0.0
@@ -200,6 +210,82 @@ class TestSampleFading:
         scalar_a = [sample_fading(spec, np.random.default_rng(7)).h_squared for _ in range(10)]
         scalar_b = [sample_fading(spec, np.random.default_rng(7)).h_squared for _ in range(10)]
         assert scalar_a == scalar_b
+
+
+def _reference_h_squared(spec: FadingSpec, rng: np.random.Generator, size=None):
+    """The draws from the out-of-place expressions, a fresh array per step."""
+    if spec.kind is FadingKind.AWGN:
+        return 1.0 if size is None else np.ones(size)
+    if spec.kind is FadingKind.RAYLEIGH:
+        out = rng.exponential(spec.mean_power, size=size)
+        return float(out) if size is None else out
+    k, omega = spec.k_factor, spec.mean_power
+    los = math.sqrt(k * omega / (k + 1.0))
+    sigma = math.sqrt(omega / (2.0 * (k + 1.0)))
+    re = los + sigma * rng.standard_normal(size)
+    im = sigma * rng.standard_normal(size)
+    out = re * re + im * im
+    return float(out) if size is None else out
+
+
+SPECS = [
+    FadingSpec.awgn(),
+    FadingSpec.rayleigh(),
+    FadingSpec.rayleigh(0.37),
+    FadingSpec.rician(0.0, 1.0),
+    FadingSpec.rician(2.5, 1.3),
+    FadingSpec.rician(1e6, 2.0),
+]
+
+
+class TestSampleInPlace:
+    @pytest.mark.parametrize("size", [1, 2, 1000, 80_000])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: f"{spec.kind.value}-{spec.k_factor}")
+    def test_out_matches_the_allocating_call_bit_for_bit(self, spec, size):
+        reference = _reference_h_squared(spec, np.random.default_rng(size), size)
+        fresh = sample_h_squared(spec, np.random.default_rng(size), size)
+        out = np.full((2, size), np.nan)
+        placed = sample_h_squared(spec, np.random.default_rng(size), size, out=out)
+        assert np.shares_memory(placed, out[0]) and placed.shape == (size,)
+        assert fresh.tobytes() == reference.tobytes()
+        assert placed.tobytes() == reference.tobytes()
+
+    def test_out_rows_can_be_reused(self):
+        spec = FadingSpec.rician(2.5, 1.3)
+        out = np.empty((2, 100))
+        for seed in range(5):
+            placed = sample_h_squared(spec, np.random.default_rng(seed), 100, out=out)
+            assert placed.tobytes() == _reference_h_squared(
+                spec, np.random.default_rng(seed), 100
+            ).tobytes()
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: f"{spec.kind.value}-{spec.k_factor}")
+    def test_scalar_draws_are_unchanged(self, spec):
+        rng, reference_rng = np.random.default_rng(17), np.random.default_rng(17)
+        for _ in range(50):
+            draw = sample_h_squared(spec, rng)
+            assert type(draw) is float
+            assert draw == _reference_h_squared(spec, reference_rng)
+
+    @pytest.mark.parametrize("shape", [(10,), (1, 10), (2, 9), (3, 10)])
+    def test_out_of_the_wrong_shape_rejected(self, shape):
+        for spec in (FadingSpec.awgn(), FadingSpec.rayleigh()):
+            with pytest.raises(ValueError, match="out must have shape"):
+                sample_h_squared(spec, np.random.default_rng(0), 10, out=np.empty(shape))
+        with pytest.raises(ValueError, match="out must have shape"):
+            sample_h_squared(FadingSpec.rayleigh(), np.random.default_rng(0), out=np.empty((2, 1)))
+
+    def test_exponential_is_scale_times_standard_exponential(self):
+        # Rayleigh draws scale rng.standard_exponential in place; a numpy
+        # release whose rng.exponential does otherwise must fail here, not
+        # shift every Rayleigh draw silently.
+        scales = [1.0, 0.37, 2.0, 1e-300, 5e-324, 1e300, math.pi, 0.1]
+        for seed in range(60):
+            n = 1 + seed * 37
+            for scale in scales:
+                expected = scale * np.random.default_rng(seed).standard_exponential(n)
+                got = np.random.default_rng(seed).exponential(scale, n)
+                assert got.tobytes() == expected.tobytes(), (seed, scale)
 
 
 class TestErgodicCapacity:

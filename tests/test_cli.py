@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qwsnsim.channel import MAX_SAMPLES
 from qwsnsim.cli import main
+from qwsnsim.optimizer import MAX_ITERATIONS
 from qwsnsim.scenario import load_scenario
 
 GOOD = """
@@ -416,6 +417,26 @@ class TestSampleCeiling:
         assert config.n_samples == config.optimizer.fading.n_samples == MAX_SAMPLES
 
 
+class TestIterationCeiling:
+    @pytest.mark.parametrize(
+        "count", [2**64, 10**400, MAX_ITERATIONS + 1], ids=["2**64", "10**400", "ceiling+1"]
+    )
+    @pytest.mark.parametrize("command", ["simulate", "optimize"])
+    def test_count_above_ceiling_exits_1(self, config_file, capsys, command, count):
+        text = OPTIMIZABLE.replace("iterations: 300", f"iterations: {count}")
+        assert main([command, "--config", config_file(text)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: optimizer.schedule: iterations must be between 1 and {MAX_ITERATIONS}, "
+            f"got {count}"
+        )
+
+    def test_ceiling_itself_loads(self):
+        text = OPTIMIZABLE.replace("iterations: 300", f"iterations: {MAX_ITERATIONS}")
+        assert load_scenario(text).optimizer.schedule.iterations == MAX_ITERATIONS
+
+
 # A document that simulates in milliseconds with every section present.
 MUTABLE = {
     "topology": {
@@ -464,12 +485,12 @@ _VALUES = st.sampled_from(
      math.nan, math.inf, -math.inf, 2**64, 10**400]
 )
 # Sample and iteration counts set the work a run does, so they only take
-# small values: a count in the millions is a long run, not a malformed
-# document. Sample counts above their ceiling must exit 1.
-_SIZES = [None, True, "x", 1.5, -1, 0, 1, 2, 7]
+# small values or values above their ceiling: a count in the millions is a
+# long run, not a malformed document, and one above the ceiling must exit 1.
+_SIZES = [None, True, "x", 1.5, -1, 0, 1, 2, 7, 2**64, 10**400]
 _COUNTS = {
-    "n_samples": st.sampled_from(_SIZES + [MAX_SAMPLES + 1, 2**64, 10**400]),
-    "iterations": st.sampled_from(_SIZES),
+    "n_samples": st.sampled_from(_SIZES + [MAX_SAMPLES + 1]),
+    "iterations": st.sampled_from(_SIZES + [MAX_ITERATIONS + 1]),
 }
 
 

@@ -1,16 +1,23 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qwsnsim.channel import FadingKind
+import qwsnsim
+from qwsnsim.channel import FadingKind, FadingSpec, LinkBudget, TrsGain, sample_h_squared
 from qwsnsim.errors import (
     AllSamplesOutageError,
     ScenarioParseError,
     ScenarioValidationError,
 )
+from qwsnsim.network import Link, Node
+from qwsnsim.numeric import stable_mean
 from qwsnsim.scenario import (
     CSV_HEADER,
     emit_report,
@@ -365,6 +372,125 @@ class TestSimulateLink:
         metrics, outages = simulate_link(node, link, np.array([1.0, 1e300]))
         assert outages == 1
         assert all(math.isfinite(getattr(metrics, f)) for f in ("tx_time_s", "energy_trs_j"))
+
+
+def _reference_link(node, link, h2):
+    """simulate_link's means and outages in its order of operations, with a
+    fresh array for every step."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        snr = link.budget.signal_power_w * h2
+        snr /= link.budget.noise_power_w + link.budget.interference_power_w
+        caps = np.log1p(snr) * link.budget.bandwidth_hz / math.log(2.0)
+        tx_times = node.packet_length_bits / caps
+        energies = node.tx_power_w * tx_times
+        usable = np.isfinite(energies)
+        caps, tx_times, energies = caps[usable], tx_times[usable], energies[usable]
+        gamma = link.gain.gamma
+        scaled = (caps * gamma, tx_times / gamma, energies / gamma)
+        means = [stable_mean(x) for pair in zip((caps, tx_times, energies), scaled) for x in pair]
+    return means, h2.size - caps.size
+
+
+def _means(metrics):
+    names = ("capacity_bps", "capacity_trs_bps", "tx_time_s", "tx_time_trs_s", "energy_j",
+             "energy_trs_j")
+    return [getattr(metrics, name) for name in names]
+
+
+WORKSPACE_LINKS = [
+    Link("a", "b", LinkBudget(2e6, 1e-6, 4e-9, 1e-9), FadingSpec.rayleigh(), TrsGain(2.0)),
+    Link("a", "b", LinkBudget(1e3, 2.0, 1.0, 0.1), FadingSpec.rician(3.0, 1.5), TrsGain(3.7)),
+]
+
+
+class TestSimulateLinkWorkspace:
+    NODE = Node("a", 0.7, 1000.0)
+
+    @pytest.mark.parametrize("size", [1, 2, 1000, 80_000])
+    @pytest.mark.parametrize("link", WORKSPACE_LINKS, ids=["rayleigh", "rician"])
+    def test_work_matches_fresh_arrays_bit_for_bit(self, link, size):
+        h2 = sample_h_squared(link.fading, np.random.default_rng(size), size)
+        expected = _reference_link(self.NODE, link, h2)
+        metrics, outages = simulate_link(self.NODE, link, h2)
+        assert (_means(metrics), outages) == expected
+        work = np.full((4, size), np.nan)
+        assert simulate_link(self.NODE, link, h2, work=work) == (metrics, outages)
+
+    @pytest.mark.parametrize("row", range(4))
+    def test_draws_may_alias_any_row(self, row):
+        link = WORKSPACE_LINKS[1]
+        h2 = sample_h_squared(link.fading, np.random.default_rng(8), 5000)
+        expected = simulate_link(self.NODE, link, h2)
+        work = np.full((4, h2.size), np.nan)
+        work[row] = h2
+        assert simulate_link(self.NODE, link, work[row], work=work) == expected
+
+    def test_outage_path_in_the_workspace(self):
+        # A zero draw has zero capacity, hence an infinite time: an outage,
+        # dropped from every mean through the compressed arrays.
+        link = WORKSPACE_LINKS[0]
+        h2 = sample_h_squared(link.fading, np.random.default_rng(9), 3000)
+        h2[::7] = 0.0
+        expected = _reference_link(self.NODE, link, h2)
+        assert expected[1] == 429
+        for row in (None, 0, 3):
+            work = np.full((4, h2.size), np.nan)
+            draws = h2
+            if row is not None:
+                work[row] = h2
+                draws = work[row]
+            metrics, outages = simulate_link(self.NODE, link, draws, work=work)
+            assert (_means(metrics), outages) == expected
+
+    def test_work_of_the_wrong_shape_rejected(self):
+        link = WORKSPACE_LINKS[0]
+        for shape in ((4, 9), (3, 10), (4, 10, 1)):
+            with pytest.raises(ValueError, match="work must have shape"):
+                simulate_link(self.NODE, link, np.ones(10), work=np.empty(shape))
+
+
+_FAULTS_SCRIPT = """
+import json, resource
+from qwsnsim.scenario import load_scenario, run_scenario
+
+def chain(links):
+    fading = ({"kind": "rician", "k_factor": 3.0}, {"kind": "rayleigh"})
+    nodes = [{"id": f"n{i}", "tx_power_w": 1.0, "packet_length_bits": 1000} for i in range(links + 1)]
+    edges = [
+        {"src": f"n{i}", "dst": f"n{i + 1}", "bandwidth_hz": 1e6, "signal_power_w": 1e-6,
+         "noise_power_w": 1e-9, "gamma": 2.0, "fading": fading[i % 2]}
+        for i in range(links)
+    ]
+    return load_scenario(json.dumps({
+        "topology": {"kind": "chain", "nodes": nodes, "links": edges},
+        "monte_carlo": {"n_samples": 80000, "seed": 5},
+    }))
+
+def faults(config):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_scenario(config)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+short, long = chain(2), chain(16)
+for _ in range(2):
+    run_scenario(short)
+    run_scenario(long)
+print(faults(short), faults(long))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")
+def test_links_reuse_the_workspace_pages():
+    # A fresh process, so the allocator's thresholds are not those left by
+    # earlier tests. Fresh per-link arrays fault in about 600 pages a link
+    # at 80k samples; reused rows fault in none.
+    env = {**os.environ, "PYTHONPATH": str(Path(qwsnsim.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", _FAULTS_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    short, long = map(int, done.stdout.split())
+    assert (long - short) / 14 < 16, (short, long)
 
 
 class TestGammaSweep:
