@@ -99,7 +99,7 @@ class FadingDraw:
     h_squared: float
 
     def __post_init__(self):
-        if self.h_squared < 0:
+        if not self.h_squared >= 0:
             raise ValueError(f"h_squared must be >= 0, got {self.h_squared}")
 
 
@@ -120,43 +120,32 @@ class TrsGain:
 TRS_OFF = TrsGain(1.0)
 
 
-def _capacity(bandwidth_hz, signal_w, noise_w, interference_w):
-    # log1p keeps full precision for tiny SNR (sweeps routinely hit SNR < 1e-8).
-    snr = signal_w / (noise_w + interference_w)
-    return bandwidth_hz * np.log1p(snr) / _LN2
+def link_rng(seed: int, link_index: int) -> np.random.Generator:
+    """The generator of link ``link_index``'s fading draws under ``seed``:
+    PCG64 on ``SeedSequence(seed, spawn_key=(link_index,))``."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(link_index,))))
 
 
 def shannon_capacity(link: LinkBudget) -> float:
     """Capacity B * log2(1 + S / (N + I)) of a link, in bit/s."""
-    return float(
-        _capacity(
-            link.bandwidth_hz,
-            link.signal_power_w,
-            link.noise_power_w,
-            link.interference_power_w,
-        )
-    )
+    return float(faded_capacity_samples(link, np.ones(1))[0])
 
 
 def faded_capacity(link: LinkBudget, draw: FadingDraw) -> float:
     """Capacity of the link with its signal power scaled by the fading draw."""
-    return float(
-        _capacity(
-            link.bandwidth_hz,
-            link.signal_power_w * draw.h_squared,
-            link.noise_power_w,
-            link.interference_power_w,
-        )
-    )
+    return float(faded_capacity_samples(link, [draw.h_squared])[0])
 
 
 def faded_capacity_samples(link: LinkBudget, h_squared: np.ndarray, out=None) -> np.ndarray:
-    """Vectorized faded capacity over an array of |h|^2 draws.
+    """Faded capacity B * log2(1 + |h|^2 S / (N + I)) over an array of |h|^2
+    draws: the one implementation of the capacity formula.
 
     ``out``, a float array of the draws' shape (it may be ``h_squared``
     itself), receives the capacities instead of a fresh array.
     """
-    # _capacity's operations in its order, applied in place on one array.
+    # S * |h|^2, then / (N + I), log1p, * B and / ln 2, in place on one
+    # array. log1p keeps full precision for tiny SNR (sweeps routinely hit
+    # SNR < 1e-8).
     caps = np.multiply(link.signal_power_w, np.asarray(h_squared, dtype=float), out=out)
     caps /= link.noise_power_w + link.interference_power_w
     np.log1p(caps, out=caps)
@@ -167,7 +156,7 @@ def faded_capacity_samples(link: LinkBudget, h_squared: np.ndarray, out=None) ->
 
 def apply_trs(capacity_bps: float, gain: TrsGain) -> float:
     """Scale a capacity by the TRS gain: C_trs = gamma * C."""
-    if capacity_bps < 0:
+    if not capacity_bps >= 0:
         raise ValueError(f"capacity must be >= 0, got {capacity_bps}")
     return gain.gamma * capacity_bps
 
@@ -226,13 +215,6 @@ def ergodic_capacity(
     link: LinkBudget, spec: FadingSpec, n_samples: int, rng: np.random.Generator
 ) -> float:
     """Monte-Carlo mean of the faded capacity over ``n_samples`` draws."""
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    h2 = sample_h_squared(spec, rng, size=n_samples)
-    caps = _capacity(
-        link.bandwidth_hz,
-        link.signal_power_w * h2,
-        link.noise_power_w,
-        link.interference_power_w,
-    )
-    return stable_mean(caps)
+    if not 1 <= n_samples <= MAX_SAMPLES:
+        raise ValueError(f"n_samples must be between 1 and {MAX_SAMPLES}, got {n_samples}")
+    return stable_mean(faded_capacity_samples(link, sample_h_squared(spec, rng, size=n_samples)))

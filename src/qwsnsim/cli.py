@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .channel import MAX_SAMPLES
+from .channel import MAX_SAMPLES, TrsGain
 from .errors import (
     AllSamplesOutageError,
     NoFeasiblePointError,
@@ -129,6 +129,11 @@ def _cmd_sweep(args) -> int:
         raise ScenarioValidationError("--gamma", f"expected comma-separated numbers, got {args.gamma!r}")
     if not gammas:
         raise ScenarioValidationError("--gamma", "expected at least one value")
+    for gamma in gammas:
+        try:
+            TrsGain(gamma)
+        except ValueError as exc:
+            raise ScenarioValidationError("--gamma", str(exc)) from None
     results = gamma_sweep(config, gammas)
     if config.output_format == "json":
         tree = [{"gamma": g, "report": report_tree(r)} for g, r in results]

@@ -42,7 +42,7 @@ class MimoChannel:
             raise ValueError(f"channel matrix dimension exceeds {MAX_DIM}: {h.shape}")
         if not np.all(np.isfinite(h)):
             raise ValueError("channel matrix entries must be finite")
-        if self.total_power_w < 0:
+        if not self.total_power_w >= 0:
             raise ValueError(f"total_power_w must be >= 0, got {self.total_power_w}")
         object.__setattr__(self, "h", h)
 

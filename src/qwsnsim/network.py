@@ -163,7 +163,7 @@ def transmission_time(packet_length_bits: float, capacity_bps: float) -> float:
     """Time to push one packet through the link: L / C."""
     if not packet_length_bits > 0:
         raise ValueError(f"packet_length_bits must be > 0, got {packet_length_bits}")
-    if capacity_bps < 0:
+    if not capacity_bps >= 0:
         raise ValueError(f"capacity must be >= 0, got {capacity_bps}")
     if capacity_bps == 0:
         raise ZeroCapacityError("zero-capacity link cannot carry traffic (outage)")
@@ -172,7 +172,7 @@ def transmission_time(packet_length_bits: float, capacity_bps: float) -> float:
 
 def node_energy(tx_power_w: float, tx_time_s: float) -> float:
     """Energy spent transmitting: P * T."""
-    if tx_power_w < 0 or tx_time_s < 0:
+    if not (tx_power_w >= 0 and tx_time_s >= 0):
         raise ValueError("power and time must both be >= 0")
     return tx_power_w * tx_time_s
 
@@ -210,7 +210,7 @@ def path_capacity(hop_capacities: Sequence[float]) -> float:
     """End-to-end capacity of a multi-hop route: the weakest hop."""
     if len(hop_capacities) == 0:
         raise EmptyPathError("path has no hops")
-    if any(c < 0 for c in hop_capacities):
+    if not all(c >= 0 for c in hop_capacities):
         raise ValueError("hop capacities must be >= 0")
     return min(hop_capacities)
 
@@ -249,7 +249,7 @@ def network_totals(
 
 def hybrid_total_capacity(classical_bps: float, quantum_bps: float, gain: TrsGain) -> float:
     """Hybrid classical+quantum capacity: gamma * (C_classical + C_quantum)."""
-    if classical_bps < 0 or quantum_bps < 0:
+    if not (classical_bps >= 0 and quantum_bps >= 0):
         raise ValueError("capacities must be >= 0")
     return gain.gamma * (classical_bps + quantum_bps)
 
@@ -258,6 +258,6 @@ def multiuser_total_capacity(user_capacities: Sequence[float], gain: TrsGain) ->
     """Multi-user total: gamma * sum of per-user capacities."""
     if len(user_capacities) == 0:
         raise EmptyUserSetError("multi-user total requires at least one user")
-    if any(c < 0 for c in user_capacities):
+    if not all(c >= 0 for c in user_capacities):
         raise ValueError("capacities must be >= 0")
     return gain.gamma * sum(user_capacities)

@@ -38,11 +38,11 @@ class QkdLinkSpec:
     distance_km: float
 
     def __post_init__(self):
-        if self.tx_power_w < 0:
+        if not self.tx_power_w >= 0:
             raise ValueError(f"tx_power_w must be >= 0, got {self.tx_power_w}")
-        if self.loss_coeff_per_km < 0:
+        if not self.loss_coeff_per_km >= 0:
             raise ValueError(f"loss_coeff_per_km must be >= 0, got {self.loss_coeff_per_km}")
-        if self.distance_km < 0:
+        if not self.distance_km >= 0:
             raise ValueError(f"distance_km must be >= 0, got {self.distance_km}")
 
 

@@ -56,6 +56,7 @@ from .channel import (
     LinkBudget,
     TrsGain,
     faded_capacity_samples,
+    link_rng,
     sample_h_squared,
 )
 from .errors import AllSamplesOutageError, ScenarioParseError, ScenarioValidationError
@@ -436,13 +437,9 @@ def load_scenario(text: str) -> ScenarioConfig:
 # --------------------------------------------------------------------------
 
 
-def _link_rng(seed: int, link_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(link_index,))))
-
-
 def sa_rng(seed: int) -> np.random.Generator:
     """The annealing chain's generator: the scenario seed's reserved sub-stream."""
-    return _link_rng(seed, _SA_STREAM)
+    return link_rng(seed, _SA_STREAM)
 
 
 def simulate_link(
@@ -524,7 +521,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
     summaries = []
     for i, link in enumerate(links):
         h2 = sample_h_squared(
-            link.fading, _link_rng(config.seed, i), size=config.n_samples, out=work[:2]
+            link.fading, link_rng(config.seed, i), size=config.n_samples, out=work[:2]
         )
         metrics, outages = simulate_link(nodes[link.src], link, h2, work=work)
         # B log2(1 + SNR), or gamma times it, overflowed (an inf draw leaves
@@ -611,11 +608,6 @@ def gamma_sweep(config: ScenarioConfig, gammas: list[float]) -> list[tuple[float
 # Report emission
 # --------------------------------------------------------------------------
 
-CSV_HEADER = (
-    "link_id,capacity_bps,capacity_trs_bps,tx_time_s,tx_time_trs_s,"
-    "energy_j,energy_trs_j,latency_s,latency_trs_s,outages"
-)
-
 _METRIC_FIELDS = (
     "capacity_bps",
     "capacity_trs_bps",
@@ -626,6 +618,8 @@ _METRIC_FIELDS = (
     "latency_s",
     "latency_trs_s",
 )
+
+CSV_HEADER = ",".join(("link_id",) + _METRIC_FIELDS + ("outages",))
 
 
 def _fmt(value: float) -> str:

@@ -4,7 +4,8 @@ These deliberately avoid the code paths they check: capacity via
 extended-precision decimal arithmetic, ergodic capacity via Gauss-Laguerre
 quadrature, log-det via eigenvalues, distributions via analytic CDFs, the
 SA objective's totals via a plain Python loop, and the grid optimum via one
-assessment per grid point.
+assessment per grid point. The capacity expressions the package spelled out
+before it had one kernel are kept as references for its bit-exact pins.
 """
 
 import itertools
@@ -12,6 +13,8 @@ import math
 from decimal import Decimal, localcontext
 
 import numpy as np
+
+from qwsnsim.numeric import stable_mean
 
 # Asymptotic Kolmogorov critical value at the 1% level: D_crit = 1.6276 / sqrt(n).
 KS_CRIT_1PCT = 1.6276
@@ -23,6 +26,23 @@ def decimal_capacity(bandwidth, signal, noise, interference, prec=60) -> float:
         ctx.prec = prec
         snr = Decimal(signal) / (Decimal(noise) + Decimal(interference))
         return float(Decimal(bandwidth) * (1 + snr).ln() / Decimal(2).ln())
+
+
+def capacity_reference(bandwidth_hz, signal_w, noise_w, interference_w):
+    """B * log1p(S / (N + I)) / ln 2, the scalar expression behind
+    ``shannon_capacity``, ``faded_capacity`` and ``ergodic_capacity`` (with
+    the faded signal S * |h|^2) before ``faded_capacity_samples`` served all
+    three."""
+    snr = signal_w / (noise_w + interference_w)
+    return bandwidth_hz * np.log1p(snr) / math.log(2.0)
+
+
+def annealer_faded_reference(bandwidth_hz, noise_w, interference_w, power_w, h2) -> float:
+    """The annealer's former faded capacity at transmit power ``power_w``:
+    the stable mean of B * log1p(p * |h|^2 / (N + I)) / ln 2 over the frozen
+    draws ``h2``."""
+    denom = noise_w + interference_w
+    return stable_mean(bandwidth_hz * np.log1p(power_w * h2 / denom) / math.log(2.0))
 
 
 def decimal_received_power(tx_power, loss_coeff, distance, prec=60) -> float:

@@ -21,6 +21,7 @@ from qwsnsim.numeric import stable_mean
 
 from oracles import (
     KS_CRIT_1PCT,
+    capacity_reference,
     decimal_capacity,
     gauss_laguerre_ergodic,
     ks_statistic_exponential,
@@ -118,6 +119,81 @@ class TestFadedCapacity:
         assert caps.tobytes() == np.array(
             [faded_capacity(link, FadingDraw(float(x))) for x in h2]
         ).tobytes()
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+# (B, S, N, I) of budgets at the edges of the kernel: zero signal, a
+# subnormal and an underflowing product, and an SNR that overflows to inf.
+_EDGE_BUDGETS = [
+    (5e6, 0.0, 1e-9, 0.0),
+    (1.0, 1.0, 1.0, 0.0),
+    (2e6, 1e-6, 4e-9, 1e-9),
+    (3.0, 5e-324, 1.0, 0.5),
+    (1e9, 1e-300, 1e10, 0.0),
+    (1.0, 1e300, 1e-10, 0.0),
+    (1e300, 1e300, 1e-300, 1e-300),
+]
+_EDGE_DRAWS = [0.0, 5e-324, 1e-310, 1e-20, 1.0, 3.5, 1e300, 1.7e308]
+
+
+def _random_budgets(n=400):
+    # SNRs spread over [e^-3, e^3], where numpy's log1p and math.log1p
+    # round differently for some arguments.
+    rng = np.random.default_rng(10)
+    return [
+        (float(b), float(s), 1.0, float(i))
+        for b, s, i in zip(
+            10.0 ** rng.uniform(0, 9, n), np.exp(rng.uniform(-3, 3, n)), rng.uniform(0, 0.2, n)
+        )
+    ]
+
+
+class TestOneKernel:
+    """The scalar functions are the kernel at n = 1 and keep the values of
+    the scalar expression they used before, bit for bit."""
+
+    @pytest.mark.parametrize("budget", _EDGE_BUDGETS)
+    def test_shannon_capacity_matches_the_reference(self, budget):
+        with np.errstate(over="ignore"):
+            got = shannon_capacity(LinkBudget(*budget))
+            assert _bits(got) == _bits(capacity_reference(*budget))
+
+    def test_random_budgets_match_the_reference(self):
+        rng = np.random.default_rng(12)
+        for b, s, n, i in _random_budgets():
+            link = LinkBudget(b, s, n, i)
+            h2 = float(rng.exponential())
+            assert _bits(shannon_capacity(link)) == _bits(capacity_reference(b, s, n, i))
+            got = faded_capacity(link, FadingDraw(h2))
+            assert _bits(got) == _bits(capacity_reference(b, s * h2, n, i))
+
+    @pytest.mark.parametrize("budget", _EDGE_BUDGETS)
+    def test_faded_capacity_matches_the_reference(self, budget):
+        b, s, n, i = budget
+        link = LinkBudget(*budget)
+        with np.errstate(over="ignore"):
+            for h2 in _EDGE_DRAWS:
+                got = faded_capacity(link, FadingDraw(h2))
+                assert _bits(got) == _bits(capacity_reference(b, s * h2, n, i)), h2
+            caps = faded_capacity_samples(link, np.array(_EDGE_DRAWS))
+            want = [capacity_reference(b, s * h2, n, i) for h2 in _EDGE_DRAWS]
+            assert _bits(caps) == _bits(want)
+
+    @pytest.mark.parametrize("budget", _EDGE_BUDGETS)
+    @pytest.mark.parametrize(
+        "spec", [FadingSpec.awgn(), FadingSpec.rayleigh(2.0), FadingSpec.rician(3.0, 1e-300)]
+    )
+    @pytest.mark.parametrize("n", [1, 2, 999])
+    def test_ergodic_capacity_matches_the_reference(self, budget, spec, n):
+        b, s, noise, i = budget
+        h2 = sample_h_squared(spec, np.random.default_rng(n), size=n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = ergodic_capacity(LinkBudget(*budget), spec, n, np.random.default_rng(n))
+            want = stable_mean(capacity_reference(b, s * h2, noise, i))
+        assert _bits(got) == _bits(want)
 
 
 class TestStableMean:

@@ -179,6 +179,13 @@ class TestSweep:
         assert main(["sweep", "--config", config_file(GOOD), "--gamma", "0.5"]) == 1
         assert main(["sweep", "--config", config_file(GOOD), "--gamma", ","]) == 1
 
+    @pytest.mark.parametrize("value", ["0.5", "nan", "inf"])
+    def test_out_of_range_gamma_names_the_flag(self, config_file, capsys, value):
+        assert main(["sweep", "--config", config_file(GOOD), "--gamma", f"1,{value}"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --gamma: gamma must be >= 1 and finite, got {float(value)}\n"
+        )
+
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from qwsnsim.channel import (
+    MAX_SAMPLES,
     FadingDraw,
     FadingSpec,
     LinkBudget,
     TrsGain,
+    apply_trs,
+    ergodic_capacity,
     faded_capacity,
     sample_fading,
 )
@@ -32,6 +35,8 @@ from qwsnsim.network import (
     path_latency,
     transmission_time,
 )
+from qwsnsim.mimo import MimoChannel
+from qwsnsim.quantum_link import QkdLinkSpec
 
 
 def awgn_link(src="a", dst="b", b=1.0, s=1.0, n=1.0, i=0.0, gamma=1.0):
@@ -232,6 +237,46 @@ class TestCompositeCapacities:
     def test_empty_users_rejected(self):
         with pytest.raises(EmptyUserSetError):
             multiuser_total_capacity([], TrsGain(1.0))
+
+
+NAN = math.nan
+_RAYLEIGH_CAPACITY = (LinkBudget(1.0, 1.0, 1.0), FadingSpec.rayleigh())
+
+
+# A `x < 0` check is false for NaN; each of these must still refuse it, and
+# a sample count must be bounded before numpy sizes an array with it.
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: path_capacity([NAN, 1.0]), id="path_capacity-first"),
+        pytest.param(lambda: path_capacity([1.0, NAN]), id="path_capacity-last"),
+        pytest.param(lambda: FadingDraw(NAN), id="FadingDraw"),
+        pytest.param(lambda: apply_trs(NAN, TrsGain(2.0)), id="apply_trs"),
+        pytest.param(lambda: transmission_time(100.0, NAN), id="transmission_time"),
+        pytest.param(lambda: node_energy(NAN, 1.0), id="node_energy-power"),
+        pytest.param(lambda: node_energy(1.0, NAN), id="node_energy-time"),
+        pytest.param(lambda: hybrid_total_capacity(NAN, 1.0, TrsGain(1.0)), id="hybrid-classical"),
+        pytest.param(lambda: hybrid_total_capacity(1.0, NAN, TrsGain(1.0)), id="hybrid-quantum"),
+        pytest.param(lambda: multiuser_total_capacity([1.0, NAN], TrsGain(1.0)), id="multiuser"),
+        pytest.param(lambda: QkdLinkSpec(NAN, 0.2, 1.0), id="QkdLinkSpec-power"),
+        pytest.param(lambda: QkdLinkSpec(1.0, NAN, 1.0), id="QkdLinkSpec-loss"),
+        pytest.param(lambda: QkdLinkSpec(1.0, 0.2, NAN), id="QkdLinkSpec-distance"),
+        pytest.param(lambda: MimoChannel(np.eye(2), NAN), id="MimoChannel"),
+        pytest.param(
+            lambda: ergodic_capacity(*_RAYLEIGH_CAPACITY, 2**64, np.random.default_rng(0)),
+            id="ergodic_capacity-2**64",
+        ),
+        pytest.param(
+            lambda: ergodic_capacity(
+                *_RAYLEIGH_CAPACITY, MAX_SAMPLES + 1, np.random.default_rng(0)
+            ),
+            id="ergodic_capacity-ceiling+1",
+        ),
+    ],
+)
+def test_library_rejects_nan_and_oversized_counts(call):
+    with pytest.raises(ValueError, match=r">= 0|n_samples must be between 1 and 10000000"):
+        call()
 
 
 def _nodes(*ids):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwsnsim.channel import FadingSpec, LinkBudget, TrsGain
+from qwsnsim.channel import FadingSpec, LinkBudget, TrsGain, sample_h_squared
 from qwsnsim.errors import InfeasibleLinkError, NoFeasiblePointError
 from qwsnsim.network import Link, Node, Topology, TopologyKind
 from qwsnsim.optimizer import (
@@ -26,7 +26,7 @@ from qwsnsim.optimizer import (
     weighted_objective,
 )
 
-from oracles import ZeroCapacity, grid_argmin, running_totals
+from oracles import ZeroCapacity, annealer_faded_reference, grid_argmin, running_totals
 
 
 def single_link_problem(
@@ -43,12 +43,13 @@ def single_link_problem(
     latency_max=math.inf,
     fading=None,
     fading_spec=None,
+    signal=1.0,
 ):
     nodes = (Node("a", 1.0, packet_bits), Node("b", 1.0, 1.0))
     link = Link(
         "a",
         "b",
-        LinkBudget(bandwidth, 1.0, noise, interference),
+        LinkBudget(bandwidth, signal, noise, interference),
         fading_spec or FadingSpec.awgn(),
         TrsGain(gamma),
     )
@@ -305,6 +306,36 @@ class TestErgodicTreatment:
         )
         flat = single_link_problem(fading_spec=FadingSpec.rayleigh())
         assert weighted_objective(alloc, ergodic) != weighted_objective(alloc, flat)
+
+    # Zero, subnormal, below p_min (kkt_residual's finite differences step
+    # there) and negative enough that some draws leave log1p's domain.
+    @pytest.mark.parametrize("p", [0.0, 5e-324, 1e-310, 1.3, -1e-3, -0.25, -2.0])
+    @pytest.mark.parametrize("spec", [FadingSpec.rayleigh(0.5), FadingSpec.rician(2.0)])
+    def test_faded_capacity_matches_the_former_expression(self, p, spec):
+        problem = single_link_problem(
+            bandwidth=3.0,
+            noise=0.7,
+            interference=0.2,
+            # The node's power is the signal power; the link's own is unused.
+            signal=7.5,
+            fading=ErgodicMean(n_samples=300, seed=4),
+            fading_spec=spec,
+        )
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(4, spawn_key=(0,))))
+        h2 = sample_h_squared(spec, rng, size=300)
+        with np.errstate(invalid="ignore"):
+            got = _Evaluator(problem).capacities([p, 1.0])[0]
+            want = annealer_faded_reference(3.0, 0.7, 0.2, p, h2)
+        assert _bits(got) == _bits(want)
+
+    def test_deterministic_capacity_is_the_scalar_expression(self):
+        # math.log1p, not the capacity kernel's np.log1p: the two differ in
+        # the last ulp for some of these arguments.
+        problem = single_link_problem(noise=1e-4, interference=1e-4, p_min=1e-5, p_max=5e-3)
+        evaluator = _Evaluator(problem)
+        powers = np.linspace(1e-5, 5e-3, 2000).tolist()
+        got = [evaluator.capacities([p, 1.0])[0] for p in powers]
+        assert _bits(got) == _bits([math.log1p(p / 2e-4) / math.log(2.0) for p in powers])
 
     def test_awgn_links_ignore_the_treatment(self):
         alloc = Allocation((1.3, 1.0))

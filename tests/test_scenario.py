@@ -330,6 +330,42 @@ topology:
         with pytest.raises(ScenarioValidationError):
             run_scenario(config)
 
+    def test_link_draws_are_the_annealers_frozen_draws(self, monkeypatch):
+        # Link i draws from PCG64(SeedSequence(seed, spawn_key=(i,))), in the
+        # simulation and in the annealer's frozen ergodic draws alike.
+        config = load_scenario(
+            TWO_LINK_MESH
+            + """
+optimizer:
+  p_min_w: 1.0e-7
+  p_max_w: 1.0e-5
+  schedule: {iterations: 3}
+  fading: {treatment: ergodic, n_samples: 2000, seed: 99}
+"""
+        )
+        draws = {"scenario": [], "optimizer": []}
+        for module in draws:
+            target = getattr(qwsnsim, module)
+            original = target.sample_h_squared
+
+            def record(*args, _original=original, _into=draws[module], **kwargs):
+                result = _original(*args, **kwargs)
+                _into.append(np.array(result))
+                return result
+
+            monkeypatch.setattr(target, "sample_h_squared", record)
+        run_scenario(config)
+        expected = [
+            sample_h_squared(
+                link.fading,
+                np.random.Generator(np.random.PCG64(np.random.SeedSequence(99, spawn_key=(i,)))),
+                size=2000,
+            ).tobytes()
+            for i, link in enumerate(config.topology.links)
+        ]
+        assert [d.tobytes() for d in draws["scenario"]] == expected
+        assert [d.tobytes() for d in draws["optimizer"]] == expected
+
     def test_optimizer_section_attaches_result(self):
         report = run_scenario(load_scenario(WITH_OPTIMIZER))
         assert report.optimization is not None
