@@ -42,8 +42,8 @@ class MimoChannel:
             raise ValueError(f"channel matrix dimension exceeds {MAX_DIM}: {h.shape}")
         if not np.all(np.isfinite(h)):
             raise ValueError("channel matrix entries must be finite")
-        if not self.total_power_w >= 0:
-            raise ValueError(f"total_power_w must be >= 0, got {self.total_power_w}")
+        if not 0 <= self.total_power_w < math.inf:
+            raise ValueError(f"total_power_w must be >= 0 and finite, got {self.total_power_w}")
         object.__setattr__(self, "h", h)
 
     @property

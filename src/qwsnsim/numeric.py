@@ -19,4 +19,7 @@ def stable_mean(values: np.ndarray, scratch: np.ndarray | None = None) -> float:
     if arr.size == 0:
         raise ValueError("mean of empty array")
     pivot = float(arr.flat[0])
-    return pivot + float(np.sum(np.subtract(arr, pivot, out=scratch))) / arr.size
+    # np.add.reduce over every axis is the sum np.sum computes, without its
+    # Python-level wrapper.
+    residuals = np.subtract(arr, pivot, out=scratch)
+    return pivot + float(np.add.reduce(residuals, axis=None)) / arr.size

@@ -38,12 +38,10 @@ class QkdLinkSpec:
     distance_km: float
 
     def __post_init__(self):
-        if not self.tx_power_w >= 0:
-            raise ValueError(f"tx_power_w must be >= 0, got {self.tx_power_w}")
-        if not self.loss_coeff_per_km >= 0:
-            raise ValueError(f"loss_coeff_per_km must be >= 0, got {self.loss_coeff_per_km}")
-        if not self.distance_km >= 0:
-            raise ValueError(f"distance_km must be >= 0, got {self.distance_km}")
+        for name in ("tx_power_w", "loss_coeff_per_km", "distance_km"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, got {value}")
 
 
 def qber(counts: QberCount) -> float:

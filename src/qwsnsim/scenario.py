@@ -39,6 +39,7 @@ byte.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import math
 import re
@@ -70,7 +71,6 @@ from .network import (
     network_totals,
     path_capacity,
 )
-from .numeric import stable_mean
 from .optimizer import (
     Deterministic,
     ErgodicMean,
@@ -423,10 +423,17 @@ def load_scenario(text: str) -> ScenarioConfig:
     ScenarioValidationError (with the offending field path) for constraint
     violations.
     """
+    # The parse allocates some 20 objects per link, none in a cycle, so the
+    # cyclic collector's passes over the growing heap are wasted work.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         raw = yaml.load(text, Loader=_ScenarioLoader)
     except yaml.YAMLError as exc:
         raise ScenarioParseError(f"malformed scenario document: {exc}") from None
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     if raw is None:
         raise ScenarioParseError("empty scenario document")
     return _read(raw, _SCENARIO, "")
@@ -451,16 +458,25 @@ def simulate_link(
     finite, is counted as an outage and excluded from the means. Raises
     AllSamplesOutageError when nothing is left to average.
 
-    ``work``, a float64 array of shape ``(4,) + h_squared.shape``, holds the
-    capacities, times, energies and residuals instead of fresh arrays; its
-    contents are overwritten. ``h_squared`` may be one of its rows: the draws
-    are read once, into the capacities, before any row is written.
+    The six means are reduced as one stack: capacities, times and energies,
+    then the capacities times gamma and the times and energies over gamma.
+    Each row's mean is its first element plus the mean of its residuals,
+    bit for bit what ``stable_mean`` gives on that row alone.
+
+    ``work``, a C-contiguous float64 array of shape ``(6,) + h_squared.shape``,
+    holds that stack instead of a fresh array; its contents are overwritten.
+    ``h_squared`` may be one of its rows: the draws are read once, into the
+    capacities, before any row is written.
     """
     h2 = np.asarray(h_squared, dtype=float)
     if work is None:
-        work = np.empty((4,) + h2.shape)
-    elif work.shape != (4,) + h2.shape:
-        raise ValueError(f"work must have shape {(4,) + h2.shape}, got {work.shape}")
+        work = np.empty((6,) + h2.shape)
+    elif work.shape != (6,) + h2.shape or not work.flags.c_contiguous:
+        # Along a row of any other layout numpy may not sum pairwise, as
+        # stable_mean's 1-D sum does.
+        raise ValueError(
+            f"work must have shape {(6,) + h2.shape} and be C-contiguous, got {work.shape}"
+        )
     gamma = link.gain.gamma
     # Overflow and 0/0 are expected here: they mark outages, or a non-finite
     # mean that run_scenario rejects with the link's path.
@@ -475,17 +491,17 @@ def simulate_link(
         outages = h2.size - used
         if used == 0:
             raise AllSamplesOutageError(link.id)
-        # One scratch row takes every TRS-scaled array and every residual.
-        scratch = work[3]
+        rows = work.reshape(6, -1)
         if outages:
-            caps, tx_times, energies = caps[usable], tx_times[usable], energies[usable]
-            scratch = scratch[:used]
-        mean_cap = stable_mean(caps, scratch)
-        mean_cap_trs = stable_mean(np.multiply(caps, gamma, out=scratch), scratch)
-        mean_tx = stable_mean(tx_times, scratch)
-        mean_tx_trs = stable_mean(np.divide(tx_times, gamma, out=scratch), scratch)
-        mean_energy = stable_mean(energies, scratch)
-        mean_energy_trs = stable_mean(np.divide(energies, gamma, out=scratch), scratch)
+            compressed = np.empty((6, used))
+            np.compress(usable.ravel(), rows[:3], axis=1, out=compressed[:3])
+            rows = compressed
+        np.multiply(rows[0], gamma, out=rows[3])
+        np.divide(rows[1:3], gamma, out=rows[4:])
+        pivots = rows[:, 0].copy()
+        rows -= pivots[:, None]
+        means = (pivots + np.add.reduce(rows, axis=1) / used).tolist()
+    mean_cap, mean_tx, mean_energy, mean_cap_trs, mean_tx_trs, mean_energy_trs = means
     metrics = LinkMetrics(
         capacity_bps=mean_cap,
         capacity_trs_bps=mean_cap_trs,
@@ -517,7 +533,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
     # fresh memory whose pages fault in on first touch. The draws land in row
     # 0 (row 1 is the Rician scratch), and simulate_link reads them into its
     # capacities in that row before it writes the others.
-    work = np.empty((4, config.n_samples))
+    work = np.empty((6, config.n_samples))
     summaries = []
     for i, link in enumerate(links):
         h2 = sample_h_squared(

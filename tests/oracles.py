@@ -3,9 +3,10 @@
 These deliberately avoid the code paths they check: capacity via
 extended-precision decimal arithmetic, ergodic capacity via Gauss-Laguerre
 quadrature, log-det via eigenvalues, distributions via analytic CDFs, the
-SA objective's totals via a plain Python loop, and the grid optimum via one
-assessment per grid point. The capacity expressions the package spelled out
-before it had one kernel are kept as references for its bit-exact pins.
+SA objective's totals via a plain Python loop, the grid optimum via one
+assessment per grid point, and the pivoted Monte-Carlo mean via a one-line
+1-D sum. The capacity expressions the package spelled out before it had one
+kernel are kept as references for its bit-exact pins.
 """
 
 import itertools
@@ -13,8 +14,6 @@ import math
 from decimal import Decimal, localcontext
 
 import numpy as np
-
-from qwsnsim.numeric import stable_mean
 
 # Asymptotic Kolmogorov critical value at the 1% level: D_crit = 1.6276 / sqrt(n).
 KS_CRIT_1PCT = 1.6276
@@ -42,7 +41,14 @@ def annealer_faded_reference(bandwidth_hz, noise_w, interference_w, power_w, h2)
     the stable mean of B * log1p(p * |h|^2 / (N + I)) / ln 2 over the frozen
     draws ``h2``."""
     denom = noise_w + interference_w
-    return stable_mean(bandwidth_hz * np.log1p(power_w * h2 / denom) / math.log(2.0))
+    return pivoted_mean(bandwidth_hz * np.log1p(power_w * h2 / denom) / math.log(2.0))
+
+
+def pivoted_mean(x) -> float:
+    """x[0] + sum(x - x[0]) / n over a 1-D array: the mean the simulator
+    reports, centred on the first element, with numpy's 1-D sum."""
+    x = np.asarray(x, dtype=float)
+    return float(x[0] + np.sum(x - x[0]) / x.size)
 
 
 def decimal_received_power(tx_power, loss_coeff, distance, prec=60) -> float:

@@ -25,6 +25,7 @@ from oracles import (
     decimal_capacity,
     gauss_laguerre_ergodic,
     ks_statistic_exponential,
+    pivoted_mean,
 )
 
 
@@ -192,11 +193,19 @@ class TestOneKernel:
         h2 = sample_h_squared(spec, np.random.default_rng(n), size=n)
         with np.errstate(over="ignore", invalid="ignore"):
             got = ergodic_capacity(LinkBudget(*budget), spec, n, np.random.default_rng(n))
-            want = stable_mean(capacity_reference(b, s * h2, noise, i))
+            want = pivoted_mean(capacity_reference(b, s * h2, noise, i))
         assert _bits(got) == _bits(want)
 
 
 class TestStableMean:
+    @pytest.mark.parametrize("n", [1, 2, 9, 8193, 100_003])
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    def test_matches_the_pivoted_mean_oracle(self, n, scale):
+        values = np.random.default_rng(n).standard_normal(n) * scale
+        assert _bits(stable_mean(values)) == _bits(pivoted_mean(values))
+        # Every element is reduced, whatever the array's shape.
+        assert _bits(stable_mean(values[None, :])) == _bits(stable_mean(values))
+
     def test_scratch_and_aliased_scratch_match_fresh(self):
         values = np.random.default_rng(6).exponential(3.0, size=1000)
         fresh = stable_mean(values)

@@ -162,6 +162,12 @@ class TestMimoCapacity:
         with pytest.raises(ValueError):
             MimoChannel(np.array([[np.nan]]), 1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_power_is_named(self):
+        # It used to fail inside hermitian_logdet, after a numpy warning.
+        with pytest.raises(ValueError, match="^total_power_w must be >= 0 and finite"):
+            mimo_capacity(MimoChannel(np.eye(2), np.inf))
+
 
 class TestMultiuser:
     def test_single_user(self):

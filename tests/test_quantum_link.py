@@ -109,6 +109,18 @@ class TestQkdReceivedPower:
         with pytest.raises(ValueError):
             QkdLinkSpec(1.0, 0.1, -1.0)
 
+    @pytest.mark.parametrize("name", ["tx_power_w", "loss_coeff_per_km", "distance_km"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_field_is_named(self, name, value):
+        fields = {"tx_power_w": 1.0, "loss_coeff_per_km": 0.0, "distance_km": 1.0, name: value}
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 0 and finite"):
+            QkdLinkSpec(**fields)
+
+    def test_lossless_link_at_infinite_distance_is_refused(self):
+        # 0 * inf in the exponent used to make the received power nan.
+        with pytest.raises(ValueError, match="distance_km"):
+            qkd_received_power(QkdLinkSpec(1.0, 0.0, math.inf))
+
 
 class TestQkdReceivedPowerTrs:
     def test_identity_gain(self):

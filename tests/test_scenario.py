@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import math
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import qwsnsim
 from qwsnsim.channel import FadingKind, FadingSpec, LinkBudget, TrsGain, sample_h_squared
@@ -17,7 +19,6 @@ from qwsnsim.errors import (
     ScenarioValidationError,
 )
 from qwsnsim.network import Link, Node
-from qwsnsim.numeric import stable_mean
 from qwsnsim.scenario import (
     CSV_HEADER,
     emit_report,
@@ -28,7 +29,7 @@ from qwsnsim.scenario import (
     simulate_link,
 )
 
-from oracles import gauss_laguerre_ergodic
+from oracles import gauss_laguerre_ergodic, pivoted_mean
 
 MINIMAL = """
 topology:
@@ -273,6 +274,47 @@ class TestLoadScenario:
         assert "optimizer" in str(err.value)
 
 
+@pytest.fixture
+def gc_state():
+    """Puts the cyclic collector back as it was before the test."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestLoadPausesTheCollector:
+    CASES = [
+        pytest.param(MINIMAL, None, id="loaded"),
+        pytest.param("topology: [unclosed", ScenarioParseError, id="malformed"),
+        pytest.param(
+            MINIMAL.replace("src: a", "src: ghost"), ScenarioValidationError, id="invalid"
+        ),
+    ]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("text, error", CASES)
+    def test_collector_left_as_found(self, gc_state, monkeypatch, enabled, text, error):
+        (gc.enable if enabled else gc.disable)()
+        during = []
+        load = yaml.load
+
+        def recording_load(*args, **kwargs):
+            during.append(gc.isenabled())
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr("qwsnsim.scenario.yaml.load", recording_load)
+        if error is None:
+            load_scenario(text)
+        else:
+            with pytest.raises(error):
+                load_scenario(text)
+        assert during == [False]
+        assert gc.isenabled() is enabled
+
+
 class TestRunScenario:
     def test_awgn_reports_are_independent_of_sample_count(self):
         config = load_scenario(MINIMAL)
@@ -423,7 +465,7 @@ def _reference_link(node, link, h2):
         caps, tx_times, energies = caps[usable], tx_times[usable], energies[usable]
         gamma = link.gain.gamma
         scaled = (caps * gamma, tx_times / gamma, energies / gamma)
-        means = [stable_mean(x) for pair in zip((caps, tx_times, energies), scaled) for x in pair]
+        means = [pivoted_mean(x) for pair in zip((caps, tx_times, energies), scaled) for x in pair]
     return means, h2.size - caps.size
 
 
@@ -449,28 +491,28 @@ class TestSimulateLinkWorkspace:
         expected = _reference_link(self.NODE, link, h2)
         metrics, outages = simulate_link(self.NODE, link, h2)
         assert (_means(metrics), outages) == expected
-        work = np.full((4, size), np.nan)
+        work = np.full((6, size), np.nan)
         assert simulate_link(self.NODE, link, h2, work=work) == (metrics, outages)
 
-    @pytest.mark.parametrize("row", range(4))
+    @pytest.mark.parametrize("row", range(6))
     def test_draws_may_alias_any_row(self, row):
         link = WORKSPACE_LINKS[1]
         h2 = sample_h_squared(link.fading, np.random.default_rng(8), 5000)
         expected = simulate_link(self.NODE, link, h2)
-        work = np.full((4, h2.size), np.nan)
+        work = np.full((6, h2.size), np.nan)
         work[row] = h2
         assert simulate_link(self.NODE, link, work[row], work=work) == expected
 
     def test_outage_path_in_the_workspace(self):
         # A zero draw has zero capacity, hence an infinite time: an outage,
-        # dropped from every mean through the compressed arrays.
+        # dropped from every mean through the compressed rows.
         link = WORKSPACE_LINKS[0]
         h2 = sample_h_squared(link.fading, np.random.default_rng(9), 3000)
         h2[::7] = 0.0
         expected = _reference_link(self.NODE, link, h2)
         assert expected[1] == 429
-        for row in (None, 0, 3):
-            work = np.full((4, h2.size), np.nan)
+        for row in (None, 0, 3, 5):
+            work = np.full((6, h2.size), np.nan)
             draws = h2
             if row is not None:
                 work[row] = h2
@@ -480,9 +522,34 @@ class TestSimulateLinkWorkspace:
 
     def test_work_of_the_wrong_shape_rejected(self):
         link = WORKSPACE_LINKS[0]
-        for shape in ((4, 9), (3, 10), (4, 10, 1)):
+        for shape in ((4, 10), (6, 9), (3, 10), (6, 10, 1)):
             with pytest.raises(ValueError, match="work must have shape"):
                 simulate_link(self.NODE, link, np.ones(10), work=np.empty(shape))
+        for work in (np.empty((6, 10), order="F"), np.empty((6, 20))[:, ::2]):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                simulate_link(self.NODE, link, np.ones(10), work=work)
+
+
+# Row lengths around numpy's 8192-element buffer, its 128-element pairwise
+# blocks and its 8-way unrolling, and magnitudes from near the bottom to near
+# the top of the float range.
+_ROW_SIZES = [1, 2, 7, 8, 9, 127, 128, 129, 1000, 8191, 8192, 8193, 16385, 80_000, 100_003]
+_ROW_SCALES = [1e-300, 1e-10, 1.0, 1e10, 1e300]
+
+
+@pytest.mark.parametrize("n", _ROW_SIZES)
+def test_stacked_row_sums_equal_one_dimensional_sums(n):
+    # simulate_link reduces its six rows in one np.add.reduce along axis 1;
+    # its means equal stable_mean's only while that sums every row as the
+    # 1-D np.sum does, which depends on numpy's reduction loops.
+    rng = np.random.default_rng(n)
+    for scale in _ROW_SCALES:
+        rows = rng.standard_normal((6, n)) * scale
+        rows[3:] = rng.exponential(scale, (3, n))
+        assert rows.flags.c_contiguous
+        stacked = np.add.reduce(rows, axis=1)
+        for row, total in zip(rows, stacked):
+            assert np.sum(row).tobytes() == total.tobytes(), (n, scale)
 
 
 _FAULTS_SCRIPT = """
