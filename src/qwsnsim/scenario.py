@@ -43,11 +43,14 @@ import gc
 import json
 import math
 import re
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 import yaml
+from yaml.constructor import ConstructorError, SafeConstructor
+from yaml.nodes import MappingNode, ScalarNode
 
 from .channel import (
     MAX_SAMPLES,
@@ -86,13 +89,90 @@ from .optimizer import (
 _SA_STREAM = 2**32 - 1
 
 
+# The tags of a plain document: strings, lists and mappings, plus the scalars
+# PyYAML's own converters turn into numbers, booleans and nulls.
+_YAML = "tag:yaml.org,2002:"
+_STR, _SEQ, _MAP = _YAML + "str", _YAML + "seq", _YAML + "map"
+_CONVERTED = frozenset(_YAML + name for name in ("int", "float", "bool", "null"))
+# Keys that make PyYAML flatten a mapping before building it.
+_FLATTEN = frozenset((_YAML + "merge", _YAML + "value"))
+
+
+class _TaggedNode(Exception):
+    """A node outside the plain subset that ``_ScenarioLoader`` builds itself."""
+
+
 class _ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """SafeLoader that also accepts unsigned exponents like 2.0e6.
+    """SafeLoader that also accepts unsigned exponents like 2.0e6, and builds
+    plain documents itself.
 
     Stock YAML 1.1 resolution insists on a signed exponent and would hand
     such scalars back as strings. The libyaml parser is used when PyYAML was
     built with it; implicit resolvers run in Python either way.
+
+    PyYAML's generic constructor costs about as much as composing the node
+    graph: bookkeeping on every node and a generator for every mapping and
+    list. A scenario needs only strings, numbers, booleans, nulls, lists and
+    mappings, so ``construct_document`` builds those itself, in one
+    breadth-first pass without recursion (a list nested 20000 deep loads).
+    It fills containers in the order PyYAML's state generators do, so the
+    first error is the same, and aliases, recursive ones included, share one
+    object as they do there. A document with any other tag (``!!set``,
+    ``!!binary``, a timestamp, ``!local``, ...) goes whole to PyYAML's
+    constructor.
     """
+
+    def construct_document(self, root):
+        built = {}  # container node -> its object, so aliases share it
+        queue = deque()
+        convert = self.yaml_constructors
+
+        # Not recursive on purpose: a closure that calls itself is a
+        # reference cycle, which keeps the whole node graph alive until the
+        # cyclic collector runs.
+        def build(node):
+            cls, tag = node.__class__, node.tag
+            if cls is ScalarNode:
+                if tag == _STR:
+                    return node.value
+                if tag in _CONVERTED:
+                    return convert[tag](self, node)
+            elif node in built:
+                return built[node]
+            elif tag == (_MAP if cls is MappingNode else _SEQ):
+                data = built[node] = {} if cls is MappingNode else []
+                queue.append(node)
+                return data
+            raise _TaggedNode
+
+        try:
+            document = build(root)
+            while queue:
+                node = queue.popleft()
+                data = built[node]
+                if data.__class__ is list:
+                    data.extend([build(item) for item in node.value])
+                    continue
+                if any(key.tag in _FLATTEN for key, _ in node.value):
+                    self.flatten_mapping(node)
+                for key_node, value_node in node.value:
+                    if key_node.tag == _STR and key_node.__class__ is ScalarNode:
+                        key = key_node.value  # most keys; skips the call
+                    else:
+                        key = build(key_node)
+                        if key_node.__class__ is not ScalarNode:
+                            raise ConstructorError(
+                                "while constructing a mapping",
+                                node.start_mark,
+                                "found unhashable key",
+                                key_node.start_mark,
+                            )
+                    data[key] = build(value_node)
+        except _TaggedNode:
+            pass
+        else:
+            return document
+        return SafeConstructor.construct_document(self, root)
 
 
 _ScenarioLoader.add_implicit_resolver(

@@ -187,6 +187,72 @@ class TestSweep:
         )
 
 
+# One chain written out in full, and the same chain through anchors, aliases
+# and merge keys.
+EXPANDED = """
+topology:
+  kind: chain
+  nodes:
+    - {id: a, tx_power_w: 1.0, packet_length_bits: 100}
+    - {id: b, tx_power_w: 1.0, packet_length_bits: 100}
+    - {id: c, tx_power_w: 2.0, packet_length_bits: 100}
+    - {id: d, tx_power_w: 1.0, packet_length_bits: 300}
+  links:
+    - {src: a, dst: b, bandwidth_hz: 1.0e3, signal_power_w: 2.0, noise_power_w: 1.0,
+       fading: {kind: rician, k_factor: 2.0}, gamma: 2.0}
+    - {src: b, dst: c, bandwidth_hz: 1.0e3, signal_power_w: 2.0, noise_power_w: 1.0,
+       fading: {kind: rician, k_factor: 2.0}, gamma: 4.0}
+    - {src: c, dst: d, bandwidth_hz: 2.0e3, signal_power_w: 1.0, noise_power_w: 1.0,
+       fading: {kind: rician, k_factor: 2.0}}
+monte_carlo: {n_samples: 200, seed: 1}
+"""
+
+ANCHORED = """
+topology:
+  kind: chain
+  nodes:
+    - &n {id: a, tx_power_w: 1.0, packet_length_bits: 100}
+    - {<<: *n, id: b}
+    - {<<: *n, id: c, tx_power_w: 2.0}
+    - {<<: *n, id: d, packet_length_bits: 300}
+  links:
+    - &l
+      src: a
+      dst: b
+      bandwidth_hz: 1.0e3
+      signal_power_w: 2.0
+      noise_power_w: 1.0
+      fading: &f {kind: rician, k_factor: 2.0}
+      gamma: 2.0
+    - {<<: *l, src: b, dst: c, gamma: 4.0}
+    - {src: c, dst: d, bandwidth_hz: 2.0e3, signal_power_w: 1.0, noise_power_w: 1.0, fading: *f}
+monte_carlo: {n_samples: 200, seed: 1}
+"""
+
+
+class TestYamlFeatures:
+    def test_anchors_and_merge_keys_give_the_expanded_report(self, config_file, capsys):
+        reports = []
+        for text in (EXPANDED, ANCHORED):
+            assert main(["simulate", "--config", config_file(text), "--format", "json"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert len(json.loads(reports[0])["links"]) == 3
+
+    def test_recursive_alias_names_the_unknown_key(self, config_file, capsys):
+        assert main(["simulate", "--config", config_file("&a {topology: *a}\n")]) == 1
+        assert capsys.readouterr().err == "error: topology.topology: unknown key (strict mode)\n"
+
+    @pytest.mark.skipif(
+        not yaml.__with_libyaml__,
+        reason="without libyaml, PyYAML composes one Python frame per nesting level",
+    )
+    def test_list_nested_20000_deep_names_its_path(self, config_file, capsys):
+        text = "topology: " + "[" * 20000 + "]" * 20000 + "\n"
+        assert main(["simulate", "--config", config_file(text)]) == 1
+        assert capsys.readouterr().err == "error: topology: expected a mapping, got list\n"
+
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # SHA-256 of the CLI's stdout on the example configs, recorded before the SA

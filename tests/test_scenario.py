@@ -10,6 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from yaml.constructor import SafeConstructor
 
 import qwsnsim
 from qwsnsim.channel import FadingKind, FadingSpec, LinkBudget, TrsGain, sample_h_squared
@@ -21,6 +24,7 @@ from qwsnsim.errors import (
 from qwsnsim.network import Link, Node
 from qwsnsim.scenario import (
     CSV_HEADER,
+    _ScenarioLoader,
     emit_report,
     gamma_sweep,
     load_scenario,
@@ -313,6 +317,178 @@ class TestLoadPausesTheCollector:
                 load_scenario(text)
         assert during == [False]
         assert gc.isenabled() is enabled
+
+
+class _PyYamlBuilt(_ScenarioLoader):
+    """The scenario loader with PyYAML's own document constructor."""
+
+    construct_document = SafeConstructor.construct_document
+
+
+def _shape(data):
+    """``data`` as a flat token list. Unlike ``repr`` it records which
+    containers are shared, and it walks any depth without recursion."""
+    seen, tokens, stack = {}, [], [data]
+    while stack:
+        item = stack.pop()
+        if not isinstance(item, (dict, list, tuple)):
+            tokens.append((type(item).__name__, repr(item)))
+        elif id(item) in seen:
+            tokens.append(("alias", seen[id(item)]))
+        else:
+            seen[id(item)] = len(seen)
+            tokens.append((type(item).__name__, len(item)))
+            if isinstance(item, dict):
+                item = [x for pair in item.items() for x in pair]
+            stack.extend(reversed(item))
+    return tokens
+
+
+def _outcome(loader, text):
+    try:
+        return _shape(yaml.load(text, Loader=loader))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# Plain nodes, which the scenario loader builds itself (``!!int x`` and
+# ``!!bool maybe`` raise in PyYAML's converters), and tagged ones, which send
+# the whole document to PyYAML's constructor. One draw in ten is tagged.
+_SCALARS = [
+    "1", "-2", "0x1f", "017", "1_000", "190:20:30", "1.5", "2.0e6", "-.inf", ".nan",
+    "true", "no", "null", "~", "abc", '"q"', "''", "!!str 1", "!!int 7", "!!float 1",
+    "!!bool yes", "!!null ''", "!!int x", "!!int y", "!!bool maybe",
+]
+_TAGGED_SCALARS = [
+    "=", "<<", "2001-12-14", "2001-12-14t21:59:43.10-05:00", "!!binary aGVsbG8=", "!foo bar"
+]
+_KEYS = ["a", "b", "1", "1.0", "true", "null", "=", "!!str <<"]
+_TAGS = {"seq": ["", "!!seq "], "map": ["", "!!map "]}
+_OTHER_TAGS = ["!!set ", "!!omap ", "!!str ", "!foo "]
+
+
+@st.composite
+def yaml_documents(draw, depth=3):
+    """Flow-style YAML with anchors, aliases (recursive ones too), merge
+    keys, explicit tags and container keys."""
+    anchors = []
+
+    def pick(plain, tagged):
+        return draw(st.sampled_from(tagged if draw(st.integers(0, 9)) == 0 else plain))
+
+    def node(depth):
+        kind = draw(st.sampled_from(["scalar", "alias", "seq", "map"][: 4 if depth else 2]))
+        if kind == "alias" and anchors:
+            return f"*{draw(st.sampled_from(anchors))} "  # a colon may follow
+        if kind in ("scalar", "alias"):
+            return pick(_SCALARS, _TAGGED_SCALARS)
+        prefix = pick(_TAGS[kind], _OTHER_TAGS)
+        if draw(st.booleans()):
+            anchors.append(f"a{len(anchors)}")  # before the children: they may refer to it
+            prefix += f"&{anchors[-1]} "
+        items = []
+        for _ in range(draw(st.integers(0, 3))):
+            if kind == "seq":
+                items.append(node(depth - 1))
+            elif draw(st.integers(0, 5)) == 0:
+                merged = [node(depth - 1) for _ in range(draw(st.integers(1, 2)))]
+                items.append("<<: " + (merged[0] if len(merged) == 1 else f"[{', '.join(merged)}]"))
+            else:
+                if draw(st.integers(0, 5)):
+                    key = draw(st.sampled_from(_KEYS))
+                else:
+                    key = node(depth - 1)  # a list or mapping here is unhashable
+                items.append(f"{key}: {node(depth - 1)}")
+        brackets = "[]" if kind == "seq" else "{}"
+        return f"{prefix}{brackets[0]}{', '.join(items)}{brackets[1]}"
+
+    return node(depth)
+
+
+_PYTHON_COMPOSER_RECURSES = "without libyaml, PyYAML composes one Python frame per nesting level"
+
+
+class TestDocumentConstruction:
+    """``_ScenarioLoader.construct_document`` against PyYAML's own."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(yaml_documents())
+    def test_same_document_or_error_as_pyyaml(self, text):
+        assert _outcome(_ScenarioLoader, text) == _outcome(_PyYamlBuilt, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "&a [*a]",
+            "&a {x: *a}",
+            "{a: &x [1], b: *x, c: *x}",
+            "{<<: {a: 1, b: 2}, b: 3}",
+            "{<<: [{a: 1}, {a: 2, c: 3}], =: 4}",
+            "{<<: 1}",
+            "{[1]: 2, <<: 1}",
+            "{{a: 1}: 2}",
+            "{a: 1, a: 2}",
+            "[!!int x, !!bool maybe]",
+            "{a: [!!int x], b: !!set {c}}",
+            "[[!!int x], [[!!int y]]]",
+            "!!str {=: x}",
+        ],
+    )
+    def test_edge_cases_match_pyyaml(self, text):
+        assert _outcome(_ScenarioLoader, text) == _outcome(_PyYamlBuilt, text)
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason=_PYTHON_COMPOSER_RECURSES)
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 20000 + "]" * 20000, "{a: " * 2000 + "1" + "}" * 2000],
+        ids=["list-20000", "map-2000"],
+    )
+    def test_nesting_deeper_than_the_recursion_limit(self, text):
+        built = _outcome(_ScenarioLoader, text)
+        assert isinstance(built, list)
+        assert built == _outcome(_PyYamlBuilt, text)
+
+    def test_aliases_share_one_object(self):
+        doc = yaml.load("{a: &x {k: [1]}, b: *x, c: &y [*y]}", Loader=_ScenarioLoader)
+        assert doc["a"] is doc["b"]
+        assert doc["c"][0] is doc["c"]
+
+    def test_only_tagged_documents_reach_pyyaml(self, monkeypatch):
+        calls = []
+        build = SafeConstructor.construct_document
+
+        def recording(self, root):
+            calls.append(root.tag)
+            return build(self, root)
+
+        monkeypatch.setattr(SafeConstructor, "construct_document", recording)
+        explicit = RAYLEIGH.replace("seed: 314", "seed: !!int 314")
+        assert load_scenario(explicit) == load_scenario(RAYLEIGH)
+        assert calls == []
+        assert yaml.load("{a: [!!set {b}]}", Loader=_ScenarioLoader) == {"a": [{"b"}]}
+        assert calls == ["tag:yaml.org,2002:map"]
+
+
+def _mesh_text(n_links):
+    nodes = "".join(
+        f"    - {{id: n{i}, tx_power_w: 1.5, packet_length_bits: 1000}}\n" for i in range(n_links)
+    )
+    links = "".join(
+        f"    - {{src: n{i}, dst: n{(i + 1) % n_links}, bandwidth_hz: 1.0e6,"
+        f" signal_power_w: 1.0e-6, noise_power_w: 1.0e-9, fading: {{kind: rayleigh}}}}\n"
+        for i in range(n_links)
+    )
+    return f"topology:\n  kind: mesh\n  nodes:\n{nodes}  links:\n{links}"
+
+
+def test_load_leaves_no_cyclic_garbage(gc_state):
+    # Garbage in a cycle would keep the node graph alive until the next
+    # collection and slow down everything allocated after the load.
+    gc.disable()
+    gc.collect()
+    config = load_scenario(_mesh_text(250))
+    assert len(config.topology.links) == 250
+    assert gc.collect() == 0
 
 
 class TestRunScenario:
