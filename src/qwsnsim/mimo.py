@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +41,7 @@ class MimoChannel:
             raise ValueError(f"channel matrix must be 2-D and non-empty, got shape {h.shape}")
         if max(h.shape) > MAX_DIM:
             raise ValueError(f"channel matrix dimension exceeds {MAX_DIM}: {h.shape}")
-        if not np.all(np.isfinite(h)):
+        if not np.isfinite(h).all():
             raise ValueError("channel matrix entries must be finite")
         if not 0 <= self.total_power_w < math.inf:
             raise ValueError(f"total_power_w must be >= 0 and finite, got {self.total_power_w}")
@@ -87,6 +88,14 @@ def hermitian_logdet(m: np.ndarray) -> float:
     return float(np.linalg.slogdet(a)[1]) / _LN2
 
 
+@lru_cache(maxsize=MAX_DIM)
+def _identity(n: int) -> np.ndarray:
+    """The n x n complex identity, shared by every capacity call, read-only."""
+    eye = np.eye(n, dtype=complex)
+    eye.flags.writeable = False
+    return eye
+
+
 def mimo_capacity(ch: MimoChannel) -> float:
     """log2 det(I + (P / n_tx) * H * H^H), in bit/s/Hz."""
     return mimo_capacity_trs(ch, TrsGain(1.0))
@@ -98,9 +107,20 @@ def mimo_capacity_trs(ch: MimoChannel, gain: TrsGain) -> float:
     Unlike the scalar links (where the gain multiplies the capacity itself),
     the MIMO form places gamma on the signal term: log2 det(I + gamma*(P/n_tx)*H*H^H).
     """
-    gram = ch.h @ ch.h.conj().T
-    scale = gain.gamma * (ch.total_power_w / ch.n_tx)
-    return hermitian_logdet(np.eye(ch.n_rx, dtype=complex) + scale * gram)
+    h = ch.h
+    n_rx, n_tx = h.shape
+    scale = gain.gamma * (ch.total_power_w / n_tx)
+    if not scale < math.inf:
+        raise ValueError(
+            f"gamma * (total_power_w / n_tx) overflows: "
+            f"{gain.gamma} * ({ch.total_power_w} / {n_tx})"
+        )
+    # The same IEEE operations as eye + scale * gram, in the one fresh array:
+    # addition commutes bit for bit, so the bytes match.
+    gram = h @ h.conj().T
+    gram *= scale
+    gram += _identity(n_rx)
+    return hermitian_logdet(gram)
 
 
 def multiuser_mimo_total(channels: Sequence[MimoChannel], gain: TrsGain) -> float:

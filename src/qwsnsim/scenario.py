@@ -98,8 +98,19 @@ _CONVERTED = frozenset(_YAML + name for name in ("int", "float", "bool", "null")
 _FLATTEN = frozenset((_YAML + "merge", _YAML + "value"))
 
 
+# What PyYAML's scalar converters raise on a value they cannot read, e.g.
+# KeyError for ``!!bool maybe``, IndexError for ``!!int ''``, ValueError for
+# ``!!int x`` and AttributeError for ``!!timestamp x``.
+_CONVERTER_ERRORS = (LookupError, ValueError, AttributeError)
+
+
 class _TaggedNode(Exception):
     """A node outside the plain subset that ``_ScenarioLoader`` builds itself."""
+
+
+def _malformed(node) -> ConstructorError:
+    tag = node.tag.replace(_YAML, "!!", 1)
+    return ConstructorError(None, None, f"cannot read {node.value!r} as {tag}", node.start_mark)
 
 
 class _ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
@@ -136,7 +147,10 @@ class _ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
                 if tag == _STR:
                     return node.value
                 if tag in _CONVERTED:
-                    return convert[tag](self, node)
+                    try:
+                        return convert[tag](self, node)
+                    except _CONVERTER_ERRORS:
+                        raise _malformed(node) from None
             elif node in built:
                 return built[node]
             elif tag == (_MAP if cls is MappingNode else _SEQ):
@@ -173,6 +187,15 @@ class _ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
         else:
             return document
         return SafeConstructor.construct_document(self, root)
+
+    def construct_object(self, node, deep=False):
+        # Reached only from PyYAML's constructor, on a tagged document. Only
+        # scalar converters raise these: a container's children are built by
+        # calls of their own.
+        try:
+            return SafeConstructor.construct_object(self, node, deep)
+        except _CONVERTER_ERRORS:
+            raise _malformed(node) from None
 
 
 _ScenarioLoader.add_implicit_resolver(

@@ -253,6 +253,44 @@ class TestYamlFeatures:
         assert capsys.readouterr().err == "error: topology: expected a mapping, got list\n"
 
 
+# Each raised a bare KeyError, IndexError, AttributeError or ValueError out of
+# PyYAML's scalar converters.
+_UNREADABLE_SCALARS = ["!!bool maybe", "!!float ''", "!!int ''", "!!timestamp x", "!!int x"]
+_SCALAR_TAGS = ["bool", "int", "float", "null", "timestamp", "binary", "str", "set", "omap"]
+
+
+class TestMalformedScalars:
+    @pytest.mark.parametrize("value", _UNREADABLE_SCALARS)
+    def test_converter_error_exits_1_with_its_mark(self, config_file, capsys, value):
+        assert main(["simulate", "--config", config_file(f"topology: {value}\n")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed scenario document: cannot read "), err
+        assert err.endswith("line 1, column 11\n"), err
+
+    @pytest.mark.parametrize("value", _UNREADABLE_SCALARS)
+    def test_tagged_document_names_the_same_mark(self, config_file, capsys, value):
+        # The timestamp sends the whole document to PyYAML's constructor.
+        text = f"created: 2001-12-14\ntopology: {value}\n"
+        assert main(["simulate", "--config", config_file(text)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed scenario document: cannot read "), err
+        assert err.endswith("line 2, column 11\n"), err
+
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        st.sampled_from(_SCALAR_TAGS),
+        st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E) | st.just("\t"), max_size=12),
+    )
+    def test_any_tagged_scalar_exits_1_with_an_error_line(self, config_file, capsys, tag, text):
+        # A traceback would escape main() and fail the test.
+        code = main(["simulate", "--config", config_file(f"topology: !!{tag} {text}\n")])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # SHA-256 of the CLI's stdout on the example configs, recorded before the SA

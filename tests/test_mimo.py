@@ -1,9 +1,16 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qwsnsim import mimo
 from qwsnsim.channel import TrsGain
 from qwsnsim.errors import EmptyUserSetError, NotHermitianError, NotPositiveDefiniteError
 from qwsnsim.mimo import (
+    HERMITIAN_ATOL,
     MimoChannel,
     hermitian_logdet,
     mimo_capacity,
@@ -167,6 +174,94 @@ class TestMimoCapacity:
         # It used to fail inside hermitian_logdet, after a numpy warning.
         with pytest.raises(ValueError, match="^total_power_w must be >= 0 and finite"):
             mimo_capacity(MimoChannel(np.eye(2), np.inf))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_scale_is_named(self):
+        with pytest.raises(ValueError, match=r"^gamma \* \(total_power_w / n_tx\) overflows"):
+            mimo_capacity_trs(MimoChannel(np.eye(2), 1e308), TrsGain(4.0))
+
+
+class TestSharedBuffers:
+    """The capacity writes only into its own fresh Gram matrix."""
+
+    def test_channel_matrix_is_left_unchanged(self):
+        rng = np.random.default_rng(43)
+        h = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        before = h.copy()
+        ch = MimoChannel(h, 2.0)
+        assert ch.h is h  # a complex array is kept, not copied
+        mimo_capacity_trs(ch, TrsGain(2.0))
+        multiuser_mimo_total([ch, ch], TrsGain(3.0))
+        assert h.tobytes() == before.tobytes()
+
+    def test_shared_identity_is_not_written(self):
+        rng = np.random.default_rng(47)
+        for n_rx in range(1, 9):
+            for n_tx in range(1, 9):
+                h = rng.standard_normal((n_rx, n_tx)) + 1j * rng.standard_normal((n_rx, n_tx))
+                mimo_capacity_trs(MimoChannel(h, 3.0), TrsGain(2.0))
+        for n in range(1, 9):
+            assert mimo_capacity(MimoChannel(np.zeros((n, n)), 1.0)) == 0.0
+
+    def test_cached_identity_is_read_only(self):
+        for n in (1, 4, 8, mimo.MAX_DIM):
+            eye = mimo._identity(n)
+            assert not eye.flags.writeable
+            with pytest.raises(ValueError):
+                eye[0, 0] = 2.0
+            assert eye.tobytes() == np.eye(n, dtype=complex).tobytes()
+
+
+_ENTRIES = st.floats(-4.0, 4.0, allow_nan=False)
+# Log-uniform over [1e-3, 1e6], hypothesis's own floats there, and zero.
+_POWERS = st.floats(-3.0, 6.0).map(lambda e: 10.0**e) | st.floats(1e-3, 1e6) | st.just(0.0)
+
+
+@st.composite
+def mimo_users(draw):
+    n_rx = draw(st.integers(1, 8))
+    n_tx = n_rx if draw(st.booleans()) else draw(st.integers(1, 8))
+    parts = draw(st.lists(_ENTRIES, min_size=2 * n_rx * n_tx, max_size=2 * n_rx * n_tx))
+    h = np.array(parts[::2]) + 1j * np.array(parts[1::2])
+    return h.reshape(n_rx, n_tx), draw(_POWERS)
+
+
+class TestParentExpression:
+    """Bit for bit the expression the capacity was first written as."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(mimo_users(), min_size=1, max_size=4), st.floats(1.0, 8.0))
+    def test_capacity_and_total_equal_the_expression(self, users, gamma):
+        gain = TrsGain(gamma)
+        channels, values = [], []
+        for h, p in users:
+            n_rx, n_tx = h.shape
+            arg = np.eye(n_rx, dtype=complex) + gamma * (p / n_tx) * (h @ h.conj().T)
+            ch = MimoChannel(h, p)
+            channels.append(ch)
+            with mock.patch.object(mimo, "hermitian_logdet", wraps=hermitian_logdet) as spy:
+                if abs(arg - arg.conj().T).max() > HERMITIAN_ATOL:
+                    # A large scale magnifies the Gram product's rounding
+                    # asymmetry past the tolerance.
+                    with pytest.raises(NotHermitianError):
+                        mimo_capacity_trs(ch, gain)
+                    values = None
+                else:
+                    value = mimo_capacity_trs(ch, gain)
+                    expected = float(np.linalg.slogdet(arg)[1]) / math.log(2)
+                    assert value == expected
+                    if values is not None:
+                        values.append(expected)
+            (seen,), _ = spy.call_args
+            assert seen.dtype == arg.dtype and seen.tobytes() == arg.tobytes()
+        if values is None:
+            with pytest.raises(NotHermitianError):
+                multiuser_mimo_total(channels, gain)
+            return
+        total = 0
+        for value in values:
+            total += value
+        assert multiuser_mimo_total(channels, gain) == total
 
 
 class TestMultiuser:

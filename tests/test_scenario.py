@@ -320,7 +320,9 @@ class TestLoadPausesTheCollector:
 
 
 class _PyYamlBuilt(_ScenarioLoader):
-    """The scenario loader with PyYAML's own document constructor."""
+    """The scenario loader with PyYAML's own document constructor. It keeps
+    the loader's ``construct_object``, so a scalar a converter cannot read is
+    the same ``ConstructorError``, at the same mark, on both sides."""
 
     construct_document = SafeConstructor.construct_document
 
