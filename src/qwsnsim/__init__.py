@@ -39,13 +39,10 @@ from .network import (
     Topology,
     TopologyKind,
     hybrid_total_capacity,
-    link_metrics,
     multiuser_total_capacity,
     network_totals,
-    node_energy,
     path_capacity,
     path_latency,
-    transmission_time,
 )
 from .optimizer import (
     Allocation,
@@ -77,6 +74,7 @@ from .scenario import (
     ScenarioConfig,
     emit_report,
     gamma_sweep,
+    link_metrics,
     load_scenario,
     run_scenario,
 )

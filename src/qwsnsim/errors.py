@@ -21,14 +21,6 @@ class EmptyNetworkError(ValueError):
     """A network aggregate was requested for zero links."""
 
 
-class ZeroCapacityError(ValueError):
-    """Transmission over a zero-capacity link: time/energy are undefined."""
-
-
-class LinkOutageError(RuntimeError):
-    """A fading draw left the link with zero capacity (outage)."""
-
-
 class InfeasibleLinkError(ValueError):
     """Some link has zero capacity at the candidate power allocation."""
 

@@ -18,8 +18,9 @@ import numpy as np
 from .channel import TrsGain
 from .errors import EmptyUserSetError, NotHermitianError, NotPositiveDefiniteError
 
-# Max elementwise asymmetry tolerated before a matrix is declared non-Hermitian;
-# guards against silently factoring a non-Hermitian product.
+# Max elementwise asymmetry tolerated before a matrix is declared non-Hermitian,
+# absolute or relative to the largest |entry|; guards against silently
+# factoring a non-Hermitian product.
 HERMITIAN_ATOL = 1e-10
 
 # Desk-scale simulator with dense factorization; anything larger is a mistake.
@@ -74,13 +75,20 @@ def hermitian_logdet(m: np.ndarray) -> float:
         raise ValueError(f"matrix dimension exceeds {MAX_DIM}: {n}")
     # LAPACK reads one triangle only, so the asymmetry is checked here. Any
     # non-finite entry makes it inf or NaN, which routes the finiteness check
-    # off the common path; inf - inf would warn, hence the errstate.
+    # off the common path; inf - inf would warn, hence the errstate. A Gram
+    # product's rounding asymmetry grows with its entries, so a large matrix
+    # is held to the tolerance relative to its largest |entry| instead.
     with np.errstate(invalid="ignore"):
         asym = abs(a - a.conj().T).max() if n else 0.0
     if not asym <= HERMITIAN_ATOL:
         if not np.isfinite(a).all():
             raise ValueError("matrix entries must be finite")
-        raise NotHermitianError(f"max asymmetry {asym:.3e} exceeds {HERMITIAN_ATOL:.0e}")
+        peak = abs(a).max()
+        if not asym <= HERMITIAN_ATOL * peak:
+            raise NotHermitianError(
+                f"max asymmetry {asym:.3e} exceeds {HERMITIAN_ATOL:.0e}, "
+                f"absolute and relative to the largest |entry| {peak:.3e}"
+            )
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:

@@ -1,6 +1,8 @@
-"""Topologies, per-link metrics, and network aggregation.
+"""Topologies, the per-link metric record, and network aggregation.
 
-Links are directed; bidirectional traffic is two links. Latency here is
+The metrics themselves come from one kernel, ``scenario.simulate_link``;
+``scenario.link_metrics`` is that kernel on one fading draw. Links are
+directed; bidirectional traffic is two links. Latency here is
 transmission time L/C only (no queueing or propagation terms), and every
 TRS variant of a metric is the base value scaled by the link's gain:
 capacity goes up by gamma, time/energy/latency come down by gamma.
@@ -13,14 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .channel import FadingDraw, FadingSpec, LinkBudget, TrsGain, apply_trs, faded_capacity
-from .errors import (
-    EmptyNetworkError,
-    EmptyPathError,
-    EmptyUserSetError,
-    LinkOutageError,
-    ZeroCapacityError,
-)
+from .channel import FadingSpec, LinkBudget, TrsGain
+from .errors import EmptyNetworkError, EmptyPathError, EmptyUserSetError
 
 
 @dataclass(frozen=True)
@@ -150,60 +146,12 @@ class LinkMetrics:
 
 @dataclass(frozen=True)
 class NetworkReport:
-    """Network-wide totals of the TRS metrics plus the per-link breakdown."""
+    """Network-wide totals of the TRS metrics."""
 
     total_throughput_bps: float
     total_energy_j: float
     total_latency_s: float
-    per_link: tuple[tuple[str, LinkMetrics], ...]
     bottleneck_capacity_bps: float | None = None
-
-
-def transmission_time(packet_length_bits: float, capacity_bps: float) -> float:
-    """Time to push one packet through the link: L / C."""
-    if not packet_length_bits > 0:
-        raise ValueError(f"packet_length_bits must be > 0, got {packet_length_bits}")
-    if not capacity_bps >= 0:
-        raise ValueError(f"capacity must be >= 0, got {capacity_bps}")
-    if capacity_bps == 0:
-        raise ZeroCapacityError("zero-capacity link cannot carry traffic (outage)")
-    return packet_length_bits / capacity_bps
-
-
-def node_energy(tx_power_w: float, tx_time_s: float) -> float:
-    """Energy spent transmitting: P * T."""
-    if not (tx_power_w >= 0 and tx_time_s >= 0):
-        raise ValueError("power and time must both be >= 0")
-    return tx_power_w * tx_time_s
-
-
-def link_metrics(node: Node, link: Link, draw: FadingDraw) -> LinkMetrics:
-    """Evaluate one link under one fading draw.
-
-    ``node`` is the transmitting (source) node; its power and packet length
-    drive the energy and time figures. The TRS fields are the base fields
-    scaled by the link gain, division/multiplication applied directly so the
-    gamma laws hold to machine precision.
-    """
-    if node.id != link.src:
-        raise ValueError(f"node {node.id!r} is not the source of link {link.id}")
-    capacity = faded_capacity(link.budget, draw)
-    if capacity == 0.0:
-        raise LinkOutageError(f"fading draw produced zero capacity on {link.id}")
-    gamma = link.gain.gamma
-    tx_time = transmission_time(node.packet_length_bits, capacity)
-    energy = node_energy(node.tx_power_w, tx_time)
-    latency = tx_time
-    return LinkMetrics(
-        capacity_bps=capacity,
-        capacity_trs_bps=apply_trs(capacity, link.gain),
-        tx_time_s=tx_time,
-        tx_time_trs_s=tx_time / gamma,
-        energy_j=energy,
-        energy_trs_j=energy / gamma,
-        latency_s=latency,
-        latency_trs_s=latency / gamma,
-    )
 
 
 def path_capacity(hop_capacities: Sequence[float]) -> float:
@@ -223,9 +171,7 @@ def path_latency(hop_latencies: Sequence[float]) -> float:
 
 
 def network_totals(
-    per_link: Sequence[LinkMetrics],
-    link_ids: Sequence[str] | None = None,
-    bottleneck_capacity_bps: float | None = None,
+    per_link: Sequence[LinkMetrics], bottleneck_capacity_bps: float | None = None
 ) -> NetworkReport:
     """Aggregate TRS metrics: throughput, energy, and latency sums.
 
@@ -234,15 +180,10 @@ def network_totals(
     """
     if len(per_link) == 0:
         raise EmptyNetworkError("network has no links")
-    if link_ids is None:
-        link_ids = [f"link{i}" for i in range(len(per_link))]
-    if len(link_ids) != len(per_link):
-        raise ValueError("link_ids and per_link lengths differ")
     return NetworkReport(
         total_throughput_bps=sum(m.capacity_trs_bps for m in per_link),
         total_energy_j=sum(m.energy_trs_j for m in per_link),
         total_latency_s=sum(m.latency_trs_s for m in per_link),
-        per_link=tuple(zip(link_ids, per_link)),
         bottleneck_capacity_bps=bottleneck_capacity_bps,
     )
 

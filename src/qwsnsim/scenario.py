@@ -55,6 +55,7 @@ from yaml.nodes import MappingNode, ScalarNode
 from .channel import (
     MAX_SAMPLES,
     TRS_OFF,
+    FadingDraw,
     FadingKind,
     FadingSpec,
     LinkBudget,
@@ -557,9 +558,11 @@ def simulate_link(
 ) -> tuple[LinkMetrics, int]:
     """Average one link's metrics over an array of fading draws.
 
-    A draw whose capacity is zero, or so small that its time or energy is not
-    finite, is counted as an outage and excluded from the means. Raises
-    AllSamplesOutageError when nothing is left to average.
+    This is the one place a link's capacity becomes its time L / C, energy
+    P * T and TRS metrics. A draw whose capacity is zero, or so small that its
+    time or energy is not finite, is counted as an outage and excluded from
+    the means. Raises AllSamplesOutageError when nothing is left to average,
+    and ValueError when the mean TRS capacity overflows.
 
     The six means are reduced as one stack: capacities, times and energies,
     then the capacities times gamma and the times and energies over gamma.
@@ -582,7 +585,7 @@ def simulate_link(
         )
     gamma = link.gain.gamma
     # Overflow and 0/0 are expected here: they mark outages, or a non-finite
-    # mean that run_scenario rejects with the link's path.
+    # mean that is rejected below or by run_scenario.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         caps = faded_capacity_samples(link.budget, h2, out=work[0])
         tx_times = np.divide(node.packet_length_bits, caps, out=work[1])
@@ -605,6 +608,11 @@ def simulate_link(
         rows -= pivots[:, None]
         means = (pivots + np.add.reduce(rows, axis=1) / used).tolist()
     mean_cap, mean_tx, mean_energy, mean_cap_trs, mean_tx_trs, mean_energy_trs = means
+    # B log2(1 + SNR), or gamma times it, overflowed (an inf draw leaves
+    # inf - inf = NaN in the mean); run_scenario's TRS ratios would divide 0
+    # by 0.
+    if not math.isfinite(mean_cap_trs):
+        raise ValueError(f"capacity overflows: mean TRS capacity is {mean_cap_trs} bit/s")
     metrics = LinkMetrics(
         capacity_bps=mean_cap,
         capacity_trs_bps=mean_cap_trs,
@@ -616,6 +624,18 @@ def simulate_link(
         latency_trs_s=mean_tx_trs,
     )
     return metrics, outages
+
+
+def link_metrics(node: Node, link: Link, draw: FadingDraw) -> LinkMetrics:
+    """Evaluate one link under one fading draw: ``simulate_link`` on one sample.
+
+    ``node`` is the transmitting (source) node; its power and packet length
+    drive the energy and time figures. A draw in outage raises
+    AllSamplesOutageError, and a capacity that overflows ValueError.
+    """
+    if node.id != link.src:
+        raise ValueError(f"node {node.id!r} is not the source of link {link.id}")
+    return simulate_link(node, link, np.array([draw.h_squared]))[0]
 
 
 def run_scenario(config: ScenarioConfig) -> RunReport:
@@ -642,14 +662,10 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
         h2 = sample_h_squared(
             link.fading, link_rng(config.seed, i), size=config.n_samples, out=work[:2]
         )
-        metrics, outages = simulate_link(nodes[link.src], link, h2, work=work)
-        # B log2(1 + SNR), or gamma times it, overflowed (an inf draw leaves
-        # inf - inf = NaN in the mean); the ratios below would divide 0 by 0.
-        if not math.isfinite(metrics.capacity_trs_bps):
-            raise ScenarioValidationError(
-                f"topology.links[{i}]",
-                f"capacity overflows: mean TRS capacity is {metrics.capacity_trs_bps} bit/s",
-            )
+        try:
+            metrics, outages = simulate_link(nodes[link.src], link, h2, work=work)
+        except ValueError as exc:
+            raise ScenarioValidationError(f"topology.links[{i}]", str(exc)) from exc
         # A zero transmit power, or packet times that underflow, leave 0/0 in
         # a ratio below; a sum of huge draws can overflow a mean.
         means = (metrics.tx_time_s, metrics.tx_time_trs_s, metrics.energy_j, metrics.energy_trs_j)
@@ -683,11 +699,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
     bottleneck = None
     if topology.kind is TopologyKind.CHAIN:
         bottleneck = path_capacity([s.metrics.capacity_trs_bps for s in summaries])
-    network = network_totals(
-        [s.metrics for s in summaries],
-        link_ids=[s.link_id for s in summaries],
-        bottleneck_capacity_bps=bottleneck,
-    )
+    network = network_totals([s.metrics for s in summaries], bottleneck_capacity_bps=bottleneck)
 
     optimization = None
     if config.optimizer is not None:

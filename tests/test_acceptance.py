@@ -25,7 +25,7 @@ from qwsnsim.channel import (
 )
 from qwsnsim.cli import main
 from qwsnsim.mimo import MimoChannel, hermitian_logdet, mimo_capacity
-from qwsnsim.network import Link, Node, Topology, TopologyKind, link_metrics, path_capacity, path_latency
+from qwsnsim.network import Link, Node, Topology, TopologyKind, path_capacity, path_latency
 from qwsnsim.optimizer import (
     PowerProblem,
     SaSchedule,
@@ -34,6 +34,7 @@ from qwsnsim.optimizer import (
     optimize_sa,
 )
 from qwsnsim.quantum_link import QkdLinkSpec, qber_with_trs, qkd_received_power, qkd_received_power_trs
+from qwsnsim.scenario import link_metrics
 
 from oracles import (
     KS_CRIT_1PCT,

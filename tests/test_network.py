@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,14 +14,15 @@ from qwsnsim.channel import (
     apply_trs,
     ergodic_capacity,
     faded_capacity,
+    link_rng,
     sample_fading,
+    sample_h_squared,
 )
 from qwsnsim.errors import (
+    AllSamplesOutageError,
     EmptyNetworkError,
     EmptyPathError,
     EmptyUserSetError,
-    LinkOutageError,
-    ZeroCapacityError,
 )
 from qwsnsim.network import (
     Link,
@@ -27,16 +30,14 @@ from qwsnsim.network import (
     Topology,
     TopologyKind,
     hybrid_total_capacity,
-    link_metrics,
     multiuser_total_capacity,
     network_totals,
-    node_energy,
     path_capacity,
     path_latency,
-    transmission_time,
 )
 from qwsnsim.mimo import MimoChannel
 from qwsnsim.quantum_link import QkdLinkSpec
+from qwsnsim.scenario import ScenarioConfig, link_metrics, run_scenario
 
 
 def awgn_link(src="a", dst="b", b=1.0, s=1.0, n=1.0, i=0.0, gamma=1.0):
@@ -52,30 +53,6 @@ def random_link(rng, gamma=None):
     )
     gamma = float(rng.uniform(1.0, 8.0)) if gamma is None else gamma
     return Link("a", "b", budget, FadingSpec.rayleigh(), TrsGain(gamma))
-
-
-class TestScalarOps:
-    def test_transmission_time(self):
-        assert transmission_time(1000.0, 500.0) == 2.0
-
-    def test_trs_halves_time(self):
-        from qwsnsim.channel import apply_trs
-
-        boosted = apply_trs(500.0, TrsGain(2.0))
-        assert transmission_time(1000.0, boosted) == 1.0
-
-    def test_zero_capacity_is_outage(self):
-        with pytest.raises(ZeroCapacityError):
-            transmission_time(10.0, 0.0)
-
-    def test_node_energy(self):
-        assert node_energy(2.0, 3.0) == 6.0
-        assert node_energy(0.0, 5.0) == 0.0
-        assert node_energy(2.0, 3.0 / 2.0) == node_energy(2.0, 3.0) / 2.0
-
-    def test_node_energy_rejects_negative(self):
-        with pytest.raises(ValueError):
-            node_energy(-1.0, 1.0)
 
 
 class TestLinkMetrics:
@@ -105,17 +82,49 @@ class TestLinkMetrics:
         draw = sample_fading(link.fading, np.random.default_rng(99))
         m = link_metrics(node, link, draw)
         capacity = faded_capacity(link.budget, draw)
-        tx_time = transmission_time(node.packet_length_bits, capacity)
-        energy = node_energy(node.tx_power_w, tx_time)
+        tx_time = node.packet_length_bits / capacity
+        energy = node.tx_power_w * tx_time
         assert m.capacity_bps == capacity
         assert m.tx_time_s == tx_time
         assert m.energy_j == energy
         assert m.latency_s == tx_time
+        assert m.capacity_trs_bps == capacity * 3.0
+        assert m.tx_time_trs_s == tx_time / 3.0
+        assert m.energy_trs_j == energy / 3.0
+        assert m.latency_trs_s == tx_time / 3.0
 
     def test_outage_draw_raises(self):
         node = Node("a", 1.0, 1.0)
-        with pytest.raises(LinkOutageError):
+        with pytest.raises(AllSamplesOutageError):
             link_metrics(node, awgn_link(), FadingDraw(0.0))
+
+    def test_capacity_overflow_is_a_value_error_without_warnings(self):
+        link = Link("a", "b", LinkBudget(1e308, 1.0, 1e-300), FadingSpec.awgn(), TrsGain(1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="capacity overflows"):
+                link_metrics(Node("a", 1.0, 1.0), link, FadingDraw(1.0))
+
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_equals_a_one_sample_run_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        fadings = (FadingSpec.awgn(), FadingSpec.rayleigh(1.5), FadingSpec.rician(3.0, 0.5))
+        nodes = tuple(
+            Node(f"n{j}", float(10.0 ** rng.uniform(-3, 1)), float(10.0 ** rng.uniform(1, 5)))
+            for j in range(4)
+        )
+        pairs = [(src.id, dst.id) for src in nodes for dst in nodes if src is not dst]
+        links = tuple(
+            dataclasses.replace(random_link(rng), src=src, dst=dst, fading=fadings[k % 3])
+            for k, (src, dst) in enumerate(pairs)
+        )
+        config = ScenarioConfig(Topology(TopologyKind.MESH, nodes, links), n_samples=1, seed=seed)
+        report = run_scenario(config)
+        for i, (link, summary) in enumerate(zip(links, report.links)):
+            h2 = sample_h_squared(link.fading, link_rng(seed, i), size=1)
+            m = link_metrics(config.topology.node(link.src), link, FadingDraw(float(h2[0])))
+            expected = dataclasses.astuple(summary.metrics)
+            assert [x.hex() for x in dataclasses.astuple(m)] == [x.hex() for x in expected]
 
     def test_wrong_source_node_rejected(self):
         with pytest.raises(ValueError):
@@ -181,11 +190,10 @@ class TestNetworkTotals:
 
     def test_singleton(self):
         m = self._metrics()
-        report = network_totals([m], link_ids=["a->b"])
+        report = network_totals([m])
         assert report.total_throughput_bps == m.capacity_trs_bps
         assert report.total_energy_j == m.energy_trs_j
         assert report.total_latency_s == m.latency_trs_s
-        assert report.per_link == (("a->b", m),)
 
     def test_two_identical_links_double(self):
         m = self._metrics()
@@ -252,9 +260,6 @@ _RAYLEIGH_CAPACITY = (LinkBudget(1.0, 1.0, 1.0), FadingSpec.rayleigh())
         pytest.param(lambda: path_capacity([1.0, NAN]), id="path_capacity-last"),
         pytest.param(lambda: FadingDraw(NAN), id="FadingDraw"),
         pytest.param(lambda: apply_trs(NAN, TrsGain(2.0)), id="apply_trs"),
-        pytest.param(lambda: transmission_time(100.0, NAN), id="transmission_time"),
-        pytest.param(lambda: node_energy(NAN, 1.0), id="node_energy-power"),
-        pytest.param(lambda: node_energy(1.0, NAN), id="node_energy-time"),
         pytest.param(lambda: hybrid_total_capacity(NAN, 1.0, TrsGain(1.0)), id="hybrid-classical"),
         pytest.param(lambda: hybrid_total_capacity(1.0, NAN, TrsGain(1.0)), id="hybrid-quantum"),
         pytest.param(lambda: multiuser_total_capacity([1.0, NAN], TrsGain(1.0)), id="multiuser"),

@@ -629,6 +629,25 @@ class TestSimulateLink:
         assert outages == 1
         assert all(math.isfinite(getattr(metrics, f)) for f in ("tx_time_s", "energy_trs_j"))
 
+    @pytest.mark.parametrize(
+        "budget, gamma",
+        [((1e308, 1.0, 1e-300), 1.0), ((1e308, 1.0, 1.0), 2.0)],
+        ids=["capacity", "gamma-times-capacity"],
+    )
+    def test_capacity_overflow_is_a_value_error(self, budget, gamma):
+        node = Node("a", 1.0, 1.0)
+        link = Link("a", "b", LinkBudget(*budget), FadingSpec.rayleigh(), TrsGain(gamma))
+        with pytest.raises(ValueError, match="capacity overflows: mean TRS capacity is"):
+            simulate_link(node, link, np.array([1.0, 2.0]))
+
+    def test_run_names_the_overflowing_link(self):
+        # The second link's capacity overflows; the run names its path.
+        text = TWO_LINK_MESH.replace("bandwidth_hz: 2.0e6", "bandwidth_hz: 1.0e308")
+        assert text != TWO_LINK_MESH
+        with pytest.raises(ScenarioValidationError, match="capacity overflows") as excinfo:
+            run_scenario(load_scenario(text))
+        assert excinfo.value.path == "topology.links[1]"
+
 
 def _reference_link(node, link, h2):
     """simulate_link's means and outages in its order of operations, with a
