@@ -16,9 +16,7 @@ from .channel import (
     FadingSpec,
     LinkBudget,
     TrsGain,
-    apply_trs,
     ergodic_capacity,
-    faded_capacity,
     faded_capacity_samples,
     sample_fading,
     sample_h_squared,

@@ -37,6 +37,7 @@ class LinkBudget:
     capacity, which the downstream time/energy formulas cannot represent.
     """
 
+    # The field order is the key order of a link's budget in the config echo.
     bandwidth_hz: float
     signal_power_w: float
     noise_power_w: float
@@ -126,14 +127,17 @@ def link_rng(seed: int, link_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(link_index,))))
 
 
+def _finite(capacity: float, what: str) -> float:
+    if not math.isfinite(capacity):
+        raise ValueError(f"capacity overflows: {what} is {capacity} bit/s")
+    return capacity
+
+
 def shannon_capacity(link: LinkBudget) -> float:
-    """Capacity B * log2(1 + S / (N + I)) of a link, in bit/s."""
-    return float(faded_capacity_samples(link, np.ones(1))[0])
-
-
-def faded_capacity(link: LinkBudget, draw: FadingDraw) -> float:
-    """Capacity of the link with its signal power scaled by the fading draw."""
-    return float(faded_capacity_samples(link, [draw.h_squared])[0])
+    """Capacity B * log2(1 + S / (N + I)) of a link, in bit/s. Raises
+    ValueError when it overflows."""
+    with np.errstate(over="ignore"):
+        return _finite(float(faded_capacity_samples(link, np.ones(1))[0]), "capacity")
 
 
 def faded_capacity_samples(link: LinkBudget, h_squared: np.ndarray, out=None) -> np.ndarray:
@@ -152,13 +156,6 @@ def faded_capacity_samples(link: LinkBudget, h_squared: np.ndarray, out=None) ->
     caps *= link.bandwidth_hz
     caps /= _LN2
     return caps
-
-
-def apply_trs(capacity_bps: float, gain: TrsGain) -> float:
-    """Scale a capacity by the TRS gain: C_trs = gamma * C."""
-    if not capacity_bps >= 0:
-        raise ValueError(f"capacity must be >= 0, got {capacity_bps}")
-    return gain.gamma * capacity_bps
 
 
 def sample_h_squared(spec: FadingSpec, rng: np.random.Generator, size=None, out=None):
@@ -214,7 +211,11 @@ def sample_fading(spec: FadingSpec, rng: np.random.Generator) -> FadingDraw:
 def ergodic_capacity(
     link: LinkBudget, spec: FadingSpec, n_samples: int, rng: np.random.Generator
 ) -> float:
-    """Monte-Carlo mean of the faded capacity over ``n_samples`` draws."""
+    """Monte-Carlo mean of the faded capacity over ``n_samples`` draws.
+    Raises ValueError when it overflows."""
     if not 1 <= n_samples <= MAX_SAMPLES:
         raise ValueError(f"n_samples must be between 1 and {MAX_SAMPLES}, got {n_samples}")
-    return stable_mean(faded_capacity_samples(link, sample_h_squared(spec, rng, size=n_samples)))
+    h2 = sample_h_squared(spec, rng, size=n_samples)
+    # An inf capacity leaves inf - inf = NaN in the mean.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(stable_mean(faded_capacity_samples(link, h2)), "mean capacity")

@@ -21,6 +21,7 @@ from .errors import EmptyNetworkError, EmptyPathError, EmptyUserSetError
 
 @dataclass(frozen=True)
 class Node:
+    # The field order is the key order of a node in the config echo.
     id: str
     tx_power_w: float
     packet_length_bits: float
@@ -134,6 +135,7 @@ class Topology:
 class LinkMetrics:
     """Per-link derived metrics, with and without TRS."""
 
+    # The field order is the order of the report's metric keys and CSV columns.
     capacity_bps: float
     capacity_trs_bps: float
     tx_time_s: float

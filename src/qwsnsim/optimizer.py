@@ -58,6 +58,7 @@ class ErgodicMean:
     a fixed deterministic function of the allocation.
     """
 
+    # The field order is the key order of the ergodic treatment in the config echo.
     n_samples: int = 1000
     seed: int = 0
 
@@ -147,6 +148,7 @@ class SaSchedule:
     """Geometric cooling schedule. t_initial = None derives the starting
     temperature from the initial objective magnitude."""
 
+    # The field order is the key order of the schedule in the config echo.
     t_initial: float | None = None
     cooling: float = 0.95
     iterations: int = 10_000
@@ -203,12 +205,8 @@ class _Evaluator:
         src, budget, denom, h2 = self.links[i]
         p = powers[src]
         if h2 is None:
-            # Not the kernel: its np.log1p differs from math.log1p in the
-            # last ulp for 6.7% of arguments drawn in [e^-3, e^3] (numpy 2.4
-            # on an AVX-512 host), which would move the annealer's output
-            # bytes (by an ulp of the objective at 3 of 20 seeds on the
-            # example_optimize links).
-            return budget.bandwidth_hz * math.log1p(p / denom) / _LN2
+            # faded_capacity_samples on one unit draw, bit for bit (np.log1p, not math.log1p).
+            return float(np.log1p(p / denom)) * budget.bandwidth_hz / _LN2
         caps = p * h2
         return stable_mean(faded_capacity_samples(budget, caps, out=caps), caps)
 
@@ -432,6 +430,9 @@ def _reflect(value: float, lo: float, hi: float) -> float:
     return value
 
 
+# A candidate whose capacity overflows (p * |h|^2 past the float range) gets a
+# non-finite objective and is never the best, so the overflow is not a defect.
+@np.errstate(over="ignore", invalid="ignore")
 def optimize_sa(
     problem: PowerProblem,
     schedule: SaSchedule | None = None,

@@ -227,16 +227,9 @@ class OptimizerSection:
     fading: FadingTreatment = dataclasses.field(default_factory=Deterministic)
 
     def to_problem(self, topology: Topology) -> PowerProblem:
-        return PowerProblem(
-            topology=topology,
-            p_min_w=self.p_min_w,
-            p_max_w=self.p_max_w,
-            r_min_bps=self.r_min_bps,
-            latency_max_s=self.latency_max_s,
-            alpha=self.alpha,
-            beta=self.beta,
-            fading=self.fading,
-        )
+        fields = {**vars(self)}
+        del fields["schedule"]
+        return PowerProblem(topology=topology, **fields)
 
 
 @dataclass(frozen=True)
@@ -261,10 +254,7 @@ class ScenarioConfig:
                 {
                     "src": link.src,
                     "dst": link.dst,
-                    "bandwidth_hz": link.budget.bandwidth_hz,
-                    "signal_power_w": link.budget.signal_power_w,
-                    "noise_power_w": link.budget.noise_power_w,
-                    "interference_power_w": link.budget.interference_power_w,
+                    **vars(link.budget),
                     "fading": fading,
                     "gamma": link.gain.gamma,
                 }
@@ -272,14 +262,7 @@ class ScenarioConfig:
         tree = {
             "topology": {
                 "kind": self.topology.kind.value,
-                "nodes": [
-                    {
-                        "id": n.id,
-                        "tx_power_w": n.tx_power_w,
-                        "packet_length_bits": n.packet_length_bits,
-                    }
-                    for n in self.topology.nodes
-                ],
+                "nodes": [{**vars(n)} for n in self.topology.nodes],
                 "links": links,
             },
             "monte_carlo": {"n_samples": self.n_samples, "seed": self.seed},
@@ -289,11 +272,7 @@ class ScenarioConfig:
             opt = self.optimizer
             fading: dict = {"treatment": "deterministic"}
             if isinstance(opt.fading, ErgodicMean):
-                fading = {
-                    "treatment": "ergodic",
-                    "n_samples": opt.fading.n_samples,
-                    "seed": opt.fading.seed,
-                }
+                fading = {"treatment": "ergodic", **vars(opt.fading)}
             tree["optimizer"] = {
                 "p_min_w": opt.p_min_w,
                 "p_max_w": opt.p_max_w,
@@ -302,11 +281,7 @@ class ScenarioConfig:
                 # null reads back as the default.
                 "latency_max_s": opt.latency_max_s if math.isfinite(opt.latency_max_s) else None,
                 "weights": {"alpha": opt.alpha, "beta": opt.beta},
-                "schedule": {
-                    "t_initial": opt.schedule.t_initial,
-                    "cooling": opt.schedule.cooling,
-                    "iterations": opt.schedule.iterations,
-                },
+                "schedule": {**vars(opt.schedule)},
                 "fading": fading,
             }
         return tree
@@ -739,16 +714,7 @@ def gamma_sweep(config: ScenarioConfig, gammas: list[float]) -> list[tuple[float
 # Report emission
 # --------------------------------------------------------------------------
 
-_METRIC_FIELDS = (
-    "capacity_bps",
-    "capacity_trs_bps",
-    "tx_time_s",
-    "tx_time_trs_s",
-    "energy_j",
-    "energy_trs_j",
-    "latency_s",
-    "latency_trs_s",
-)
+_METRIC_FIELDS = tuple(LinkMetrics.__dataclass_fields__)
 
 CSV_HEADER = ",".join(("link_id",) + _METRIC_FIELDS + ("outages",))
 
@@ -779,7 +745,7 @@ def report_tree(report: RunReport) -> dict:
         "links": [
             {
                 "link_id": s.link_id,
-                **{name: getattr(s.metrics, name) for name in _METRIC_FIELDS},
+                **vars(s.metrics),
                 "outages": s.outage_count,
                 "samples_used": s.samples_used,
                 "trs_ratios": s.trs_ratios,

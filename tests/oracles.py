@@ -29,9 +29,9 @@ def decimal_capacity(bandwidth, signal, noise, interference, prec=60) -> float:
 
 def capacity_reference(bandwidth_hz, signal_w, noise_w, interference_w):
     """B * log1p(S / (N + I)) / ln 2, the scalar expression behind
-    ``shannon_capacity``, ``faded_capacity`` and ``ergodic_capacity`` (with
-    the faded signal S * |h|^2) before ``faded_capacity_samples`` served all
-    three."""
+    ``shannon_capacity``, the former ``faded_capacity`` and
+    ``ergodic_capacity`` (with the faded signal S * |h|^2) before
+    ``faded_capacity_samples`` served all three."""
     snr = signal_w / (noise_w + interference_w)
     return bandwidth_hz * np.log1p(snr) / math.log(2.0)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,7 @@ from qwsnsim.channel import (
     FadingSpec,
     LinkBudget,
     TrsGain,
-    apply_trs,
     ergodic_capacity,
-    faded_capacity,
     faded_capacity_samples,
     sample_fading,
     sample_h_squared,
@@ -99,14 +98,14 @@ class TestFadedCapacity:
 
     def test_zero_draw_kills_the_link(self):
         link = LinkBudget(3.0, 2.0, 1.0, 0.5)
-        assert faded_capacity(link, FadingDraw(0.0)) == 0.0
+        assert faded_capacity_samples(link, [0.0])[0] == 0.0
 
     def test_unit_draw_is_identity(self):
         link = LinkBudget(2e6, 1e-6, 1e-9, 1e-10)
-        assert faded_capacity(link, FadingDraw(1.0)) == shannon_capacity(link)
+        assert faded_capacity_samples(link, [1.0])[0] == shannon_capacity(link)
 
     def test_draw_scales_signal(self):
-        assert faded_capacity(LinkBudget(1.0, 1.0, 1.0, 0.0), FadingDraw(3.0)) == 2.0
+        assert faded_capacity_samples(LinkBudget(1.0, 1.0, 1.0, 0.0), [3.0])[0] == 2.0
 
     def test_negative_draw_rejected(self):
         with pytest.raises(ValueError):
@@ -118,8 +117,21 @@ class TestFadedCapacity:
         h2 = np.concatenate(([0.0, 1.0], rng.exponential(1.0, size=500)))
         caps = faded_capacity_samples(link, h2)
         assert caps.tobytes() == np.array(
-            [faded_capacity(link, FadingDraw(float(x))) for x in h2]
+            [faded_capacity_samples(link, [float(x)])[0] for x in h2]
         ).tobytes()
+
+    @pytest.mark.parametrize(
+        "spec", [FadingSpec.awgn(), FadingSpec.rayleigh(), FadingSpec.rician(4.0)]
+    )
+    def test_overflow_raises_without_a_warning(self, spec):
+        # B * log2(1 + 1e300) overflows to inf in the kernel's `* B`.
+        link = LinkBudget(1e308, 1.0, 1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="capacity overflows: capacity is inf"):
+                shannon_capacity(link)
+            with pytest.raises(ValueError, match="capacity overflows: mean capacity is"):
+                ergodic_capacity(link, spec, 10, np.random.default_rng(0))
 
 
 def _bits(value) -> bytes:
@@ -159,8 +171,12 @@ class TestOneKernel:
     @pytest.mark.parametrize("budget", _EDGE_BUDGETS)
     def test_shannon_capacity_matches_the_reference(self, budget):
         with np.errstate(over="ignore"):
-            got = shannon_capacity(LinkBudget(*budget))
-            assert _bits(got) == _bits(capacity_reference(*budget))
+            want = capacity_reference(*budget)
+        if not math.isfinite(want):
+            with pytest.raises(ValueError, match="capacity overflows"):
+                shannon_capacity(LinkBudget(*budget))
+            return
+        assert _bits(shannon_capacity(LinkBudget(*budget))) == _bits(want)
 
     def test_random_budgets_match_the_reference(self):
         rng = np.random.default_rng(12)
@@ -168,7 +184,7 @@ class TestOneKernel:
             link = LinkBudget(b, s, n, i)
             h2 = float(rng.exponential())
             assert _bits(shannon_capacity(link)) == _bits(capacity_reference(b, s, n, i))
-            got = faded_capacity(link, FadingDraw(h2))
+            got = faded_capacity_samples(link, [h2])[0]
             assert _bits(got) == _bits(capacity_reference(b, s * h2, n, i))
 
     @pytest.mark.parametrize("budget", _EDGE_BUDGETS)
@@ -177,7 +193,7 @@ class TestOneKernel:
         link = LinkBudget(*budget)
         with np.errstate(over="ignore"):
             for h2 in _EDGE_DRAWS:
-                got = faded_capacity(link, FadingDraw(h2))
+                got = faded_capacity_samples(link, [h2])[0]
                 assert _bits(got) == _bits(capacity_reference(b, s * h2, n, i)), h2
             caps = faded_capacity_samples(link, np.array(_EDGE_DRAWS))
             want = [capacity_reference(b, s * h2, n, i) for h2 in _EDGE_DRAWS]
@@ -192,8 +208,12 @@ class TestOneKernel:
         b, s, noise, i = budget
         h2 = sample_h_squared(spec, np.random.default_rng(n), size=n)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = ergodic_capacity(LinkBudget(*budget), spec, n, np.random.default_rng(n))
             want = pivoted_mean(capacity_reference(b, s * h2, noise, i))
+        if not math.isfinite(want):
+            with pytest.raises(ValueError, match="capacity overflows"):
+                ergodic_capacity(LinkBudget(*budget), spec, n, np.random.default_rng(n))
+            return
+        got = ergodic_capacity(LinkBudget(*budget), spec, n, np.random.default_rng(n))
         assert _bits(got) == _bits(want)
 
 
@@ -214,30 +234,10 @@ class TestStableMean:
         assert stable_mean(alias, alias) == fresh
 
 
-class TestApplyTrs:
-    def test_identity(self):
-        assert apply_trs(5.0, TrsGain(1.0)) == 5.0
-
-    def test_scaling(self):
-        assert apply_trs(5.0, TrsGain(2.0)) == 10.0
-
-    def test_zero_fixed_point(self):
-        assert apply_trs(0.0, TrsGain(3.0)) == 0.0
-
-    def test_exact_linearity_on_random_inputs(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            c = float(10.0 ** rng.uniform(-3, 9))
-            g = float(rng.uniform(1.0, 8.0))
-            assert apply_trs(c, TrsGain(g)) == g * c
-
+class TestTrsGain:
     def test_gain_below_one_rejected(self):
         with pytest.raises(ValueError):
             TrsGain(0.5)
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            apply_trs(-1.0, TrsGain(2.0))
 
 
 class TestFadingSpecValidation:
@@ -386,7 +386,7 @@ class TestErgodicCapacity:
         spec = FadingSpec.rayleigh()
         draw = sample_fading(spec, np.random.default_rng(77))
         got = ergodic_capacity(link, spec, 1, np.random.default_rng(77))
-        assert got == faded_capacity(link, draw)
+        assert got == faded_capacity_samples(link, [draw.h_squared])[0]
 
     def test_rayleigh_matches_quadrature_oracle(self):
         # SNR = 10 dB, normalized fading.

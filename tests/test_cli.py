@@ -659,3 +659,13 @@ class TestMutatedDocuments:
             assert re.match(f"error: {path}: ", captured.err), captured.err
         else:
             assert code == 2 and captured.err.startswith("error: ")
+
+    def test_annealer_capacity_overflow_is_infeasible_not_a_warning(self, config_file, capsys):
+        # Near p_max_w = 1e308, p * |h|^2 overflows for a faded draw above 1;
+        # found by the test above. RuntimeWarnings are errors in this suite.
+        doc = copy.deepcopy(MUTABLE)
+        doc["optimizer"]["p_max_w"] = 1e308
+        assert main(["simulate", "--config", config_file(yaml.safe_dump(doc))]) == 2
+        assert capsys.readouterr().err == (
+            "error: no feasible allocation with a finite objective encountered\n"
+        )

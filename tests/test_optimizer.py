@@ -1,12 +1,19 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwsnsim.channel import FadingSpec, LinkBudget, TrsGain, sample_h_squared
+from qwsnsim.channel import (
+    FadingSpec,
+    LinkBudget,
+    TrsGain,
+    faded_capacity_samples,
+    sample_h_squared,
+)
 from qwsnsim.errors import InfeasibleLinkError, NoFeasiblePointError
 from qwsnsim.network import Link, Node, Topology, TopologyKind
 from qwsnsim.optimizer import (
@@ -308,9 +315,12 @@ class TestErgodicTreatment:
         assert weighted_objective(alloc, ergodic) != weighted_objective(alloc, flat)
 
     # Zero, subnormal, below p_min (kkt_residual's finite differences step
-    # there) and negative enough that some draws leave log1p's domain.
+    # there) and negative enough that some draws leave log1p's domain. AWGN
+    # takes the deterministic branch: at p = -2.0 it is NaN, not an error.
     @pytest.mark.parametrize("p", [0.0, 5e-324, 1e-310, 1.3, -1e-3, -0.25, -2.0])
-    @pytest.mark.parametrize("spec", [FadingSpec.rayleigh(0.5), FadingSpec.rician(2.0)])
+    @pytest.mark.parametrize(
+        "spec", [FadingSpec.rayleigh(0.5), FadingSpec.rician(2.0), FadingSpec.awgn()]
+    )
     def test_faded_capacity_matches_the_former_expression(self, p, spec):
         problem = single_link_problem(
             bandwidth=3.0,
@@ -329,13 +339,26 @@ class TestErgodicTreatment:
         assert _bits(got) == _bits(want)
 
     def test_deterministic_capacity_is_the_scalar_expression(self):
-        # math.log1p, not the capacity kernel's np.log1p: the two differ in
-        # the last ulp for some of these arguments.
+        # The simulator's capacity of the link at each power, bit for bit;
+        # math.log1p differs from it in the last ulp for some of these.
         problem = single_link_problem(noise=1e-4, interference=1e-4, p_min=1e-5, p_max=5e-3)
         evaluator = _Evaluator(problem)
+        budget = problem.topology.links[0].budget
         powers = np.linspace(1e-5, 5e-3, 2000).tolist()
         got = [evaluator.capacities([p, 1.0])[0] for p in powers]
-        assert _bits(got) == _bits([math.log1p(p / 2e-4) / math.log(2.0) for p in powers])
+        want = [
+            faded_capacity_samples(replace(budget, signal_power_w=p), np.ones(1))[0]
+            for p in powers
+        ]
+        assert _bits(got) == _bits(want)
+
+    def test_scalar_log1p_is_the_array_loop(self):
+        # The annealer's deterministic branch calls np.log1p on one float;
+        # the kernel runs it over an array. A numpy release whose two loops
+        # round differently must fail here.
+        x = np.exp(np.random.default_rng(15).uniform(-3.0, 3.0, 200_000))
+        scalar = [float(np.log1p(v)) for v in x.tolist()]
+        assert _bits(scalar) == _bits(np.log1p(x))
 
     def test_awgn_links_ignore_the_treatment(self):
         alloc = Allocation((1.3, 1.0))

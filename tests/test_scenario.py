@@ -22,6 +22,7 @@ from qwsnsim.errors import (
     ScenarioValidationError,
 )
 from qwsnsim.network import Link, Node
+from qwsnsim.optimizer import ErgodicMean, PowerProblem
 from qwsnsim.scenario import (
     CSV_HEADER,
     _ScenarioLoader,
@@ -886,3 +887,79 @@ class TestEmitReport:
         report = run_scenario(load_scenario(MINIMAL))
         with pytest.raises(ValueError):
             emit_report(report, "xml")
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# AWGN, Rayleigh and Rician links; no optimizer, the deterministic treatment
+# with an unlimited latency_max_s, and the ergodic treatment with every key.
+ECHO_DOCUMENTS = {
+    "minimal": MINIMAL,
+    "rayleigh": RAYLEIGH,
+    "two_link_mesh": TWO_LINK_MESH,
+    "with_optimizer": WITH_OPTIMIZER,
+    "every_key": json.dumps(EVERY_KEY),
+    "example_chain": (ROOT / "configs" / "example_chain.yaml").read_text(),
+    "example_optimize": (ROOT / "configs" / "example_optimize.yaml").read_text(),
+}
+
+
+def _key_paths(tree, prefix=()):
+    """Every mapping key of ``tree`` as a path, in iteration order."""
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield prefix + (key,)
+            yield from _key_paths(value, prefix + (key,))
+    elif isinstance(tree, list):
+        for i, value in enumerate(tree):
+            yield from _key_paths(value, prefix + (i,))
+
+
+class TestConfigEcho:
+    @pytest.mark.parametrize("name", ECHO_DOCUMENTS)
+    def test_echo_reads_back_as_itself(self, name):
+        config = load_scenario(ECHO_DOCUMENTS[name])
+        echo = config.echo()
+        assert load_scenario(json.dumps(echo, allow_nan=False)).echo() == echo
+
+    def test_echo_of_a_full_document_keeps_its_keys_in_order(self):
+        echo = load_scenario(json.dumps(EVERY_KEY)).echo()
+        assert echo == EVERY_KEY
+        assert list(echo) == ["topology", "monte_carlo", "output", "optimizer"]
+        for section in echo:
+            assert list(_key_paths(echo[section])) == list(_key_paths(EVERY_KEY[section]))
+
+    def test_mutating_the_echo_leaves_the_config_unchanged(self):
+        config = load_scenario(json.dumps(EVERY_KEY))
+        echo = config.echo()
+        before = copy.deepcopy(echo)
+        stack = [echo]
+        while stack:
+            item = stack.pop()
+            children = item.values() if isinstance(item, dict) else item
+            stack.extend(c for c in children if isinstance(c, (dict, list)))
+            item.clear()
+        assert config.echo() == before
+        assert config.topology.nodes[0].tx_power_w == 1.0
+        assert config.topology.links[0].budget.interference_power_w == 0.5
+        assert config.optimizer.schedule.iterations == 500
+        assert config.optimizer.fading.n_samples == 20
+
+    def test_to_problem_passes_every_optimizer_field(self):
+        config = load_scenario(json.dumps(EVERY_KEY))
+        section = config.optimizer
+        expected = PowerProblem(
+            topology=config.topology,
+            p_min_w=0.2,
+            p_max_w=3.0,
+            r_min_bps=0.1,
+            latency_max_s=100.0,
+            alpha=0.5,
+            beta=1.0,
+            fading=ErgodicMean(n_samples=20, seed=3),
+        )
+        assert section.to_problem(config.topology) == expected
+
+    def test_csv_header_is_the_readme_contract(self):
+        readme = (ROOT / "README.md").read_text().splitlines()
+        assert [line for line in readme if line.startswith("link_id,")] == [CSV_HEADER]
