@@ -36,8 +36,6 @@ from .network import (
     Node,
     Topology,
     TopologyKind,
-    hybrid_total_capacity,
-    multiuser_total_capacity,
     network_totals,
     path_capacity,
     path_latency,
@@ -60,9 +58,7 @@ from .optimizer import (
     weighted_objective,
 )
 from .quantum_link import (
-    QberCount,
     QkdLinkSpec,
-    qber,
     qber_with_trs,
     qkd_received_power,
     qkd_received_power_trs,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -27,6 +26,7 @@ from .errors import (
 from .optimizer import optimize_sa
 from .scenario import (
     ScenarioConfig,
+    dump_json,
     emit_report,
     gamma_sweep,
     load_scenario,
@@ -117,7 +117,7 @@ def _cmd_optimize(args) -> int:
         raise ScenarioValidationError("optimizer", "config has no optimizer section")
     problem = config.optimizer.to_problem(config.topology)
     result = optimize_sa(problem, config.optimizer.schedule, sa_rng(config.seed))
-    sys.stdout.write(json.dumps(optimization_tree(result), indent=2, allow_nan=False) + "\n")
+    sys.stdout.write(dump_json(optimization_tree(result)))
     return 0
 
 
@@ -137,7 +137,7 @@ def _cmd_sweep(args) -> int:
     results = gamma_sweep(config, gammas)
     if config.output_format == "json":
         tree = [{"gamma": g, "report": report_tree(r)} for g, r in results]
-        _write(config, json.dumps(tree, indent=2, allow_nan=False) + "\n")
+        _write(config, dump_json(tree))
     else:
         lines = ["gamma,total_throughput_bps,total_energy_j,total_latency_s"]
         for g, r in results:

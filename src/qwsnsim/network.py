@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Sequence
 
 from .channel import FadingSpec, LinkBudget, TrsGain
-from .errors import EmptyNetworkError, EmptyPathError, EmptyUserSetError
+from .errors import EmptyNetworkError, EmptyPathError
 
 
 @dataclass(frozen=True)
@@ -188,19 +188,3 @@ def network_totals(
         total_latency_s=sum(m.latency_trs_s for m in per_link),
         bottleneck_capacity_bps=bottleneck_capacity_bps,
     )
-
-
-def hybrid_total_capacity(classical_bps: float, quantum_bps: float, gain: TrsGain) -> float:
-    """Hybrid classical+quantum capacity: gamma * (C_classical + C_quantum)."""
-    if not (classical_bps >= 0 and quantum_bps >= 0):
-        raise ValueError("capacities must be >= 0")
-    return gain.gamma * (classical_bps + quantum_bps)
-
-
-def multiuser_total_capacity(user_capacities: Sequence[float], gain: TrsGain) -> float:
-    """Multi-user total: gamma * sum of per-user capacities."""
-    if len(user_capacities) == 0:
-        raise EmptyUserSetError("multi-user total requires at least one user")
-    if not all(c >= 0 for c in user_capacities):
-        raise ValueError("capacities must be >= 0")
-    return gain.gamma * sum(user_capacities)

@@ -494,8 +494,8 @@ def kkt_residual(
 
     Multipliers are ordered [capacity, latency, lower bounds..., upper
     bounds...], one per constraint (2 + 2N in total), all written as g <= 0.
-    The Lagrangian gradient is evaluated by central finite differences with a
-    relative step of 1e-6.
+    The Lagrangian gradient is a finite difference with a relative step of
+    1e-6: central, or one-sided where a central one would leave the power box.
     """
     n = problem.n_nodes
     expected = 2 + 2 * n
@@ -529,11 +529,14 @@ def kkt_residual(
     grad = []
     base = list(alloc.powers_w)
     for i in range(n):
-        step = 1e-6 * max(abs(base[i]), width)
+        # A narrow box shrinks the step; a power below 0 has no capacity.
+        below, above = base[i] - problem.p_min_w, problem.p_max_w - base[i]
+        step = min(1e-6 * max(abs(base[i]), width), max(below, above))
+        fits_up, fits_down = above >= step, below >= step
         up, down = list(base), list(base)
-        up[i] += step
-        down[i] -= step
-        grad.append((lagrangian(up) - lagrangian(down)) / (2.0 * step))
+        up[i] += step * fits_up
+        down[i] -= step * fits_down
+        grad.append((lagrangian(up) - lagrangian(down)) / ((fits_up + fits_down) * step))
     stationarity = math.sqrt(sum(g * g for g in grad))
 
     g_at_point = constraint_values(base)

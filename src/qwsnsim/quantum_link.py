@@ -16,20 +16,6 @@ from .channel import TrsGain
 
 
 @dataclass(frozen=True)
-class QberCount:
-    """Error and total counts of a key exchange."""
-
-    errors: int
-    total: int
-
-    def __post_init__(self):
-        if self.total < 1:
-            raise ValueError(f"total must be >= 1, got {self.total}")
-        if not 0 <= self.errors <= self.total:
-            raise ValueError(f"errors must be in [0, total], got {self.errors}/{self.total}")
-
-
-@dataclass(frozen=True)
 class QkdLinkSpec:
     """Transmit power, per-km loss coefficient, and distance of a QKD link."""
 
@@ -42,11 +28,6 @@ class QkdLinkSpec:
             value = getattr(self, name)
             if not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be >= 0 and finite, got {value}")
-
-
-def qber(counts: QberCount) -> float:
-    """Fraction of incorrectly received bits."""
-    return counts.errors / counts.total
 
 
 def qber_with_trs(qber_value: float, gain: TrsGain) -> float:

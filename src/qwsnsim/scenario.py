@@ -40,11 +40,11 @@ from __future__ import annotations
 
 import dataclasses
 import gc
-import json
 import math
 import re
 from collections import deque
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 import numpy as np
@@ -724,6 +724,66 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
+def dump_json(tree) -> str:
+    """``json.dumps(tree, indent=2, allow_nan=False) + "\\n"``, built in one pass.
+
+    Before 3.14, ``json`` indents in pure Python: a generator per container, a
+    yield per token. Subclasses read as in ``json`` (``np.float64`` a float, a
+    tuple a list); NaN and +-inf raise ValueError, a non-str key TypeError.
+    """
+    parts: list[str] = []
+    append = parts.append
+    float_text, int_text, str_text = float.__repr__, int.__repr__, encode_basestring_ascii
+    inf = math.inf
+    breaks = ["\n"]  # a newline and the indentation of each depth
+    keys: dict[str, str] = {}  # each key seen, encoded and followed by ": "
+
+    def emit(o, depth: int) -> None:
+        if type(o) is float:
+            if not -inf < o < inf:
+                raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
+            append(float_text(o))
+        elif isinstance(o, str):
+            append(str_text(o))
+        elif isinstance(o, (dict, list, tuple)):
+            emit_container(o, depth + 1)
+        elif o is None or o is True or o is False:
+            append("null" if o is None else "true" if o else "false")
+        elif isinstance(o, int):
+            append(int_text(o))
+        elif isinstance(o, float):
+            emit(float.__float__(o), depth)
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    def emit_container(o, depth: int) -> None:
+        is_dict = isinstance(o, dict)
+        if not o:
+            append("{}" if is_dict else "[]")
+            return
+        if depth == len(breaks):
+            breaks.append(breaks[-1] + "  ")
+        sep, comma = ("{" if is_dict else "[") + breaks[depth], "," + breaks[depth]
+        for item in o.items() if is_dict else o:
+            append(sep)
+            sep = comma
+            if is_dict:
+                key, item = item
+                text = keys.get(key)
+                if text is None:
+                    if not isinstance(key, str):
+                        raise TypeError(f"keys must be str, not {type(key).__name__}")
+                    text = keys[key] = str_text(key) + ": "
+                append(text)
+            emit(item, depth)
+        append(breaks[depth - 1])
+        append("}" if is_dict else "]")
+
+    emit(tree, 0)
+    append("\n")
+    return "".join(parts)
+
+
 def optimization_tree(result: OptResult) -> dict:
     """JSON-ready tree of an optimizer result (the `optimize` command's output)."""
     return {
@@ -772,7 +832,7 @@ def emit_report(report: RunReport, output_format: str) -> str:
     in the JSON tree since the CSV column set is fixed.
     """
     if output_format == "json":
-        return json.dumps(report_tree(report), indent=2, allow_nan=False) + "\n"
+        return dump_json(report_tree(report))
     if output_format != "csv":
         raise ValueError(f"unknown report format {output_format!r}")
     lines = [CSV_HEADER]

@@ -294,8 +294,10 @@ class TestMalformedScalars:
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # SHA-256 of the CLI's stdout on the example configs, recorded before the SA
-# optimizer evaluated moves incrementally and before the per-link reduction
-# reused one scratch buffer. Both changes must leave every byte as it was.
+# optimizer evaluated moves incrementally, before the per-link reduction
+# reused one scratch buffer, and before `scenario.dump_json` replaced
+# `json.dumps(indent=2)` as the JSON emitter. All three changes must leave
+# every byte as it was.
 PINNED = {
     ("simulate", "example_chain", "csv"): "ed784b69da9b70dc65b01b6c26c9252c62ba4cc706c4770dba6acc612e6f20d9",
     ("simulate", "example_chain", "json"): "19c3bec4407d673bea02179f96085f12ed26e24ffc94fc6f307a2cf343b82c95",

@@ -21,15 +21,12 @@ from qwsnsim.errors import (
     AllSamplesOutageError,
     EmptyNetworkError,
     EmptyPathError,
-    EmptyUserSetError,
 )
 from qwsnsim.network import (
     Link,
     Node,
     Topology,
     TopologyKind,
-    hybrid_total_capacity,
-    multiuser_total_capacity,
     network_totals,
     path_capacity,
     path_latency,
@@ -223,29 +220,6 @@ class TestNetworkTotals:
             network_totals([])
 
 
-class TestCompositeCapacities:
-    def test_hybrid(self):
-        assert hybrid_total_capacity(2.0, 3.0, TrsGain(2.0)) == 10.0
-        assert hybrid_total_capacity(2.0, 3.0, TrsGain(1.0)) == 5.0
-        assert hybrid_total_capacity(4.0, 0.0, TrsGain(3.0)) == 12.0
-
-    def test_multiuser(self):
-        assert multiuser_total_capacity([1.0, 2.0, 3.0], TrsGain(1.0)) == 6.0
-        assert multiuser_total_capacity([5.0], TrsGain(2.0)) == 10.0
-
-    def test_multiuser_random_resummation(self):
-        rng = np.random.default_rng(4)
-        caps = [float(c) for c in rng.uniform(0.0, 1e6, size=10)]
-        gain = TrsGain(2.5)
-        assert multiuser_total_capacity(caps, gain) == pytest.approx(
-            2.5 * math.fsum(caps), rel=1e-12
-        )
-
-    def test_empty_users_rejected(self):
-        with pytest.raises(EmptyUserSetError):
-            multiuser_total_capacity([], TrsGain(1.0))
-
-
 NAN = math.nan
 _RAYLEIGH_CAPACITY = (LinkBudget(1.0, 1.0, 1.0), FadingSpec.rayleigh())
 
@@ -258,9 +232,6 @@ _RAYLEIGH_CAPACITY = (LinkBudget(1.0, 1.0, 1.0), FadingSpec.rayleigh())
         pytest.param(lambda: path_capacity([NAN, 1.0]), id="path_capacity-first"),
         pytest.param(lambda: path_capacity([1.0, NAN]), id="path_capacity-last"),
         pytest.param(lambda: FadingDraw(NAN), id="FadingDraw"),
-        pytest.param(lambda: hybrid_total_capacity(NAN, 1.0, TrsGain(1.0)), id="hybrid-classical"),
-        pytest.param(lambda: hybrid_total_capacity(1.0, NAN, TrsGain(1.0)), id="hybrid-quantum"),
-        pytest.param(lambda: multiuser_total_capacity([1.0, NAN], TrsGain(1.0)), id="multiuser"),
         pytest.param(lambda: QkdLinkSpec(NAN, 0.2, 1.0), id="QkdLinkSpec-power"),
         pytest.param(lambda: QkdLinkSpec(1.0, NAN, 1.0), id="QkdLinkSpec-loss"),
         pytest.param(lambda: QkdLinkSpec(1.0, 0.2, NAN), id="QkdLinkSpec-distance"),

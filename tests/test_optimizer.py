@@ -608,6 +608,53 @@ class TestKkt:
         assert diag.complementary_slackness == pytest.approx(2.0 * slack, rel=1e-12)
 
 
+
+class TestKktAtTheBoxEdge:
+    """Finite differences that stay inside [p_min_w, p_max_w]."""
+
+    @staticmethod
+    def _objective(problem, *powers):
+        return weighted_objective(Allocation(powers), problem)
+
+    def test_interior_point_takes_the_central_difference(self):
+        problem = single_link_problem(alpha=1.0, beta=1.0)
+        step = 1e-6 * 2.5  # relative to the box width 3.0 - 0.5
+        slope = (
+            self._objective(problem, 1.0 + step, 1.0) - self._objective(problem, 1.0 - step, 1.0)
+        ) / (2.0 * step)
+        diag = kkt_residual(Allocation((1.0, 1.0)), problem, [0.0] * 6)
+        assert diag.stationarity_residual == math.sqrt(slope * slope)
+
+    def test_power_near_zero_takes_a_forward_difference(self):
+        # A central step of 5e-6 would evaluate a negative power.
+        problem = single_link_problem(bandwidth=1e6, signal=1e-3, noise=1e-9, p_min=0.0, p_max=5.0)
+        step = 1e-6 * 5.0
+        slope = (
+            self._objective(problem, 1e-12 + step, 1.0) - self._objective(problem, 1e-12, 1.0)
+        ) / step
+        diag = kkt_residual(Allocation((1e-12, 1.0)), problem, [0.0] * 6)
+        assert math.isfinite(diag.stationarity_residual)
+        assert diag.stationarity_residual == math.sqrt(slope * slope)
+
+    def test_power_at_the_upper_bound_takes_a_backward_difference(self):
+        problem = single_link_problem(alpha=1.0, beta=1.0)
+        step = 1e-6 * 3.0
+        slope = (
+            self._objective(problem, 3.0, 1.0) - self._objective(problem, 3.0 - step, 1.0)
+        ) / step
+        diag = kkt_residual(Allocation((3.0, 1.0)), problem, [0.0] * 6)
+        assert diag.stationarity_residual == math.sqrt(slope * slope)
+
+    def test_box_narrower_than_the_step_shrinks_it(self):
+        # The relative step 1e-6 is wider than the whole box [1, 1 + 2**-30].
+        step = 2**-30
+        problem = single_link_problem(alpha=1.0, beta=1.0, p_min=1.0, p_max=1.0 + step)
+        slope = (
+            self._objective(problem, 1.0 + step, 1.0) - self._objective(problem, 1.0, 1.0)
+        ) / step
+        diag = kkt_residual(Allocation((1.0, 1.0)), problem, [0.0] * 6)
+        assert diag.stationarity_residual == math.sqrt(slope * slope)
+
 class TestProblemValidation:
     def test_bounds(self):
         topo = Topology(TopologyKind.MESH, (Node("a", 1.0, 1.0),), ())

@@ -5,34 +5,13 @@ import pytest
 
 from qwsnsim.channel import TrsGain
 from qwsnsim.quantum_link import (
-    QberCount,
     QkdLinkSpec,
-    qber,
     qber_with_trs,
     qkd_received_power,
     qkd_received_power_trs,
 )
 
 from oracles import decimal_received_power
-
-
-class TestQber:
-    def test_ratio(self):
-        assert qber(QberCount(5, 100)) == 0.05
-
-    def test_error_free(self):
-        assert qber(QberCount(0, 1234)) == 0.0
-
-    def test_all_errors(self):
-        assert qber(QberCount(77, 77)) == 1.0
-
-    def test_count_validation(self):
-        with pytest.raises(ValueError):
-            QberCount(5, 0)
-        with pytest.raises(ValueError):
-            QberCount(-1, 10)
-        with pytest.raises(ValueError):
-            QberCount(11, 10)
 
 
 class TestQberWithTrs:

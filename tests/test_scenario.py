@@ -26,6 +26,7 @@ from qwsnsim.optimizer import ErgodicMean, PowerProblem
 from qwsnsim.scenario import (
     CSV_HEADER,
     _ScenarioLoader,
+    dump_json,
     emit_report,
     gamma_sweep,
     load_scenario,
@@ -887,6 +888,115 @@ class TestEmitReport:
         report = run_scenario(load_scenario(MINIMAL))
         with pytest.raises(ValueError):
             emit_report(report, "xml")
+
+
+def _json_reference(tree) -> str:
+    return json.dumps(tree, indent=2, allow_nan=False) + "\n"
+
+
+# Quotes, backslashes, control characters, non-ASCII, a lone surrogate.
+_JSON_STRINGS = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600') | st.characters(),
+    max_size=6,
+)
+_JSON_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**64 - 1, 2**64, -(2**64), 10**30]),
+    _JSON_FLOATS,
+    _JSON_FLOATS.map(np.float64),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308]),
+    _JSON_STRINGS,
+)
+
+
+def _json_trees(depth: int):
+    """Scalars, lists, tuples and dicts (empty ones too) nested up to ``depth``."""
+    if depth == 0:
+        return _JSON_SCALARS
+    children = _json_trees(depth - 1)
+    return st.one_of(
+        _JSON_SCALARS,
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_JSON_STRINGS, children, max_size=3),
+    )
+
+
+@st.composite
+def _trees_with_a_non_finite_float(draw):
+    non_finite = [math.nan, math.inf, -math.inf, np.float64(math.nan), np.float64(-math.inf)]
+    tree = draw(st.sampled_from(non_finite))
+    for _ in range(draw(st.integers(0, 6))):
+        siblings = draw(st.lists(_json_trees(1), max_size=2))
+        at = draw(st.integers(0, len(siblings)))
+        items = siblings[:at] + [tree] + siblings[at:]
+        if draw(st.booleans()):
+            tree = items
+        else:
+            n = len(items)
+            keys = draw(st.lists(_JSON_STRINGS, min_size=n, max_size=n, unique=True))
+            tree = dict(zip(keys, items))
+    return tree
+
+
+class TestDumpJson:
+    """``dump_json`` emits the bytes of ``json.dumps(indent=2, allow_nan=False)``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_json_trees(6))
+    def test_same_text_as_json_dumps(self, tree):
+        assert dump_json(tree) == _json_reference(tree)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_trees_with_a_non_finite_float())
+    def test_non_finite_float_anywhere_raises(self, tree):
+        with pytest.raises(ValueError):
+            _json_reference(tree)
+        with pytest.raises(ValueError):
+            dump_json(tree)
+
+    @pytest.mark.parametrize(
+        "tree", [{1: 2.0}, {None: 0}, np.int64(3), [np.bool_(True)], {"a": object()}]
+    )
+    def test_non_str_key_or_unknown_type_raises(self, tree):
+        with pytest.raises(TypeError):
+            dump_json(tree)
+
+    def test_report_of_a_mesh_with_every_fading_kind(self):
+        fading = (
+            {"kind": "awgn"},
+            {"kind": "rayleigh", "mean_power": 2.0},
+            {"kind": "rician", "mean_power": 0.5, "k_factor": 3.0},
+        )
+        nodes = [
+            {"id": f"n{i}", "tx_power_w": 0.25 + i / 8, "packet_length_bits": 1000 + i}
+            for i in range(20)
+        ]
+        links = [
+            {
+                "src": f"n{i % 20}",
+                "dst": f"n{(i % 20 + 1 + i // 20) % 20}",
+                "bandwidth_hz": 1e6 * (1 + i % 7),
+                "signal_power_w": 1e-6,
+                "noise_power_w": 1e-9,
+                "interference_power_w": 1e-10 * (i % 3),
+                "fading": fading[i % 3],
+                "gamma": 1.0 + i / 16,
+            }
+            for i in range(60)
+        ]
+        config = load_scenario(json.dumps({
+            "topology": {"kind": "mesh", "nodes": nodes, "links": links},
+            "monte_carlo": {"n_samples": 200, "seed": 11},
+        }))
+        report = run_scenario(config)
+        tree = report_tree(report)
+        assert len(tree["links"]) == 60
+        assert dump_json(tree) == _json_reference(tree)
+        assert emit_report(report, "json") == _json_reference(tree)
 
 
 ROOT = Path(__file__).resolve().parent.parent
