@@ -44,14 +44,11 @@ from .optimizer import (
     Allocation,
     Deterministic,
     ErgodicMean,
-    Feasibility,
     KktDiagnostics,
     OptResult,
     PowerProblem,
     SaSchedule,
     Solver,
-    check_feasibility,
-    energy_objective,
     grid_search_oracle,
     kkt_residual,
     optimize_sa,

@@ -15,17 +15,19 @@ the denominator), hence the metaheuristic plus a brute-force oracle to check it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .channel import (
     MAX_SAMPLES,
     FadingKind,
+    LinkBudget,
     faded_capacity_samples,
     link_rng,
     sample_h_squared,
@@ -43,6 +45,11 @@ PENALTY_WEIGHT = 1e6
 # Annealing iterations a schedule may ask for. 10**7 moves take minutes on a
 # large mesh; a larger count is a typo, not a schedule.
 MAX_ITERATIONS = 10**7
+
+# Entry points leave numpy overflow as inf and NaN, as Python floats do, and
+# check what they return. As a decorator it costs once per call, not once per
+# move; each use is its own errstate, which numpy 1.x cannot enter twice.
+_quiet_overflow = functools.partial(np.errstate, over="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
@@ -137,12 +144,6 @@ class KktDiagnostics:
     multipliers: tuple[float, ...]
 
 
-class Feasibility(NamedTuple):
-    feasible: bool
-    capacity_slack_bps: float
-    latency_slack_s: float
-
-
 @dataclass(frozen=True)
 class SaSchedule:
     """Geometric cooling schedule. t_initial = None derives the starting
@@ -164,70 +165,71 @@ class SaSchedule:
             raise ValueError(f"t_initial must be finite and > 0, got {self.t_initial}")
 
 
+def _link_terms(gamma, length, power, capacity):
+    """Per-link gamma * C, L / (gamma * C) and P * L / (gamma * C): elementwise
+    on arrays, or on one link's floats by the same IEEE operations."""
+    denom = gamma * capacity
+    return denom, length / denom, power * length / denom
+
+
+def _reduce(denom, latency_terms, energy_terms):
+    """(energy total, latency total, least gamma * C) along the last axis, as a
+    loop `total += term` and `if denom < least` gives them. np.sum adds pairwise
+    and math.fsum compensates: either would round differently."""
+    if not denom.shape[-1]:
+        return 0.0, 0.0, math.inf
+    # Adding the loop's start value 0.0 maps -0.0 to 0.0. `.T[-1]` is each
+    # row's last running sum; `[..., -1]` leaves a slower 0-d array for one row.
+    return (
+        0.0 + np.add.accumulate(energy_terms, -1).T[-1],
+        0.0 + np.add.accumulate(latency_terms, -1).T[-1],
+        np.fmin.reduce(denom, -1, initial=math.inf),
+    )
+
+
 class _Evaluator:
     """Per-problem cache of link constants and frozen fading draws.
 
-    An SA move changes one node's power, so only the links leaving that node
-    change capacity: ``capacities`` takes the capacities of the previous
-    allocation and recomputes just the moved node's links. Totals are always
-    reduced from scratch over the per-link capacities, so a move evaluation
-    equals a full evaluation bit for bit.
+    The annealer holds its point as the per-link ``_link_terms`` (``start``).
+    A move changes one node's power, so ``move`` recomputes only that node's
+    links in place and returns the old terms for ``undo`` on rejection.
+    ``assess_terms`` reduces all terms from scratch, bit for bit ``assess``.
     """
 
     def __init__(self, problem: PowerProblem):
         self.problem = problem
         nodes = problem.topology.nodes
         node_index = {n.id: i for i, n in enumerate(nodes)}
-        self.links = []
+        self.links = []  # (src, budget, N + I, frozen |h|^2 or None, gamma, L)
         self.node_links: list[list[int]] = [[] for _ in nodes]
-        srcs, gammas = [], []
         for i, link in enumerate(problem.topology.links):
-            budget = link.budget
-            h2 = None
-            if isinstance(problem.fading, ErgodicMean) and link.fading.kind is not FadingKind.AWGN:
-                rng = link_rng(problem.fading.seed, i)
-                h2 = sample_h_squared(link.fading, rng, size=problem.fading.n_samples)
+            b, h2, fading = link.budget, None, problem.fading
+            if isinstance(fading, ErgodicMean) and link.fading.kind is not FadingKind.AWGN:
+                h2 = sample_h_squared(link.fading, link_rng(fading.seed, i), size=fading.n_samples)
                 # Unit signal power: the kernel's 1.0 * (p * |h|^2) is p * |h|^2.
-                budget = replace(budget, signal_power_w=1.0)
+                b = LinkBudget(b.bandwidth_hz, 1.0, b.noise_power_w, b.interference_power_w)
             src = node_index[link.src]
             self.node_links[src].append(i)
-            srcs.append(src)
-            gammas.append(link.gain.gamma)
-            self.links.append(
-                (src, budget, budget.noise_power_w + budget.interference_power_w, h2)
-            )
+            noise = b.noise_power_w + b.interference_power_w
+            self.links.append((src, b, noise, h2, link.gain.gamma, nodes[src].packet_length_bits))
         # Per-link operands of ``totals``.
-        self.src = np.array(srcs, dtype=np.intp)
-        self.gamma = np.array(gammas, dtype=float)
-        self.length = np.array([nodes[src].packet_length_bits for src in srcs], dtype=float)
+        src, _budget, _noise, _h2, gamma, length = zip(*self.links) if self.links else [()] * 6
+        self.src = np.array(src, dtype=np.intp)
+        self.gamma = np.array(gamma, dtype=float)
+        self.length = np.array(length, dtype=float)
 
-    def _capacity(self, i: int, powers: Sequence[float]) -> float:
-        src, budget, denom, h2 = self.links[i]
-        p = powers[src]
+    def _capacity(self, i: int, p: float) -> float:
+        """Capacity (bit/s) of link ``i`` at source power ``p``, without TRS."""
+        _src, budget, noise, h2, _gamma, _length = self.links[i]
         if h2 is None:
             # faded_capacity_samples on one unit draw, bit for bit (np.log1p, not math.log1p).
-            return float(np.log1p(p / denom)) * budget.bandwidth_hz / _LN2
+            return float(np.log1p(p / noise)) * budget.bandwidth_hz / _LN2
         caps = p * h2
         return stable_mean(faded_capacity_samples(budget, caps, out=caps), caps)
 
-    def capacities(
-        self,
-        powers: Sequence[float],
-        previous: np.ndarray | None = None,
-        moved: int | None = None,
-    ) -> np.ndarray:
-        """Per-link capacity (bit/s) at the allocation, without TRS.
-
-        With ``previous`` (the capacities of an allocation that differs from
-        ``powers`` only at node ``moved``), only that node's links are
-        recomputed.
-        """
-        if previous is None:
-            return np.array([self._capacity(i, powers) for i in range(len(self.links))])
-        caps = previous.copy()
-        for i in self.node_links[moved]:
-            caps[i] = self._capacity(i, powers)
-        return caps
+    def capacities(self, powers: Sequence[float]) -> np.ndarray:
+        """Per-link capacity (bit/s) at the allocation, without TRS."""
+        return np.array([self._capacity(i, powers[link[0]]) for i, link in enumerate(self.links)])
 
     def totals(self, powers: Sequence[float] | np.ndarray, caps: np.ndarray | None = None):
         """(TRS energy total, TRS latency total, min TRS link capacity).
@@ -236,17 +238,9 @@ class _Evaluator:
         Raises InfeasibleLinkError when a link has zero capacity. Given a
         leading batch axis on ``powers`` (B, nodes) and ``caps`` (B, links),
         with no zero capacity, it returns three arrays of B totals.
-
-        The totals are left-to-right running sums in link order, as the
-        equivalent Python loop ``total += term`` computes them:
-        ``np.add.accumulate`` adds sequentially, whereas ``np.sum`` and
-        ``np.add.reduce`` add pairwise and ``math.fsum`` compensates, so
-        each of those would round differently and move the SA trajectory.
         """
         if caps is None:
             caps = self.capacities(powers)
-        if not caps.size:
-            return 0.0, 0.0, math.inf
         # `<=`, not `~(caps > 0)`: a NaN capacity is not an infeasible link.
         bad = np.flatnonzero(caps <= 0.0)
         if bad.size:
@@ -255,32 +249,58 @@ class _Evaluator:
                 f"zero capacity on link {self.problem.topology.links[i].id} "
                 f"at power {powers[self.src[i]]}"
             )
-        # `take`, not `[..., self.src]`, which costs more per SA move.
+        # `take`, not `[..., self.src]`, which costs more per row.
         p = np.asarray(powers, dtype=float).take(self.src, -1)
-        # Overflow to inf is silent, as in Python float arithmetic.
-        with np.errstate(over="ignore", invalid="ignore"):
-            denom = self.gamma * caps
-            # The leading 0.0 is the loop's start value: it maps -0.0 to 0.0.
-            # `.T[-1]` takes the last running sum of each row; `[..., -1]`
-            # would too, but leaves a slower 0-d array for a single row.
-            latency = 0.0 + np.add.accumulate(self.length / denom, -1).T[-1]
-            energy = 0.0 + np.add.accumulate(p * self.length / denom, -1).T[-1]
-        # fmin skips NaN, as the loop's `cap < min_cap` test does.
-        min_cap_trs = np.fmin.reduce(denom, -1, initial=math.inf)
+        energy, latency, min_cap_trs = _reduce(*_link_terms(self.gamma, self.length, p, caps))
         if caps.ndim > 1:
             return energy, latency, min_cap_trs
         return float(energy), float(latency), float(min_cap_trs)
 
     def assess(self, powers: Sequence[float], caps: np.ndarray | None = None):
-        """(objective, feasible, penalized objective) at the allocation.
-
-        Zero-capacity allocations come back as +inf so stochastic search can
-        reject them without special-casing.
-        """
+        """(objective, feasible, penalized objective) at the allocation; +inf
+        for zero capacity, so stochastic search rejects it without a special case."""
         try:
-            energy, latency, min_cap_trs = self.totals(powers, caps)
+            return self._penalize(*self.totals(powers, caps))
         except InfeasibleLinkError:
             return math.inf, False, math.inf
+
+    def start(self, powers: Sequence[float]) -> tuple[np.ndarray, ...]:
+        """The per-link terms at the allocation, as three rows."""
+        terms = tuple(np.empty((3, len(self.links))))
+        for j, p in enumerate(powers):
+            self.move(terms, j, p)
+        return terms
+
+    def move(self, terms: tuple[np.ndarray, ...], j: int, p: float) -> list:
+        """Set the terms of node ``j``'s links to power ``p``; return the old ones."""
+        denom, latency_terms, energy_terms = terms
+        old = []
+        for i in self.node_links[j]:
+            old.append((i, denom[i], latency_terms[i], energy_terms[i]))
+            c = self._capacity(i, p)
+            gamma, length = self.links[i][4:]
+            # A float L / 0.0 raises ZeroDivisionError. Without capacity, the
+            # link's gamma * C <= 0 alone makes `assess_terms` reject the point.
+            denom[i], latency_terms[i], energy_terms[i] = (
+                _link_terms(gamma, length, p, c) if c > 0.0 else (gamma * c, math.nan, math.nan)
+            )
+        return old
+
+    @staticmethod
+    def undo(terms: tuple[np.ndarray, ...], old: list) -> None:
+        denom, latency_terms, energy_terms = terms
+        for i, d, latency, energy in old:
+            denom[i], latency_terms[i], energy_terms[i] = d, latency, energy
+
+    def assess_terms(self, terms: tuple[np.ndarray, ...]):
+        """``assess`` at the point whose per-link terms are ``terms``."""
+        energy, latency, min_cap_trs = map(float, _reduce(*terms))
+        # gamma >= 1, so the least gamma * C is <= 0 exactly when a capacity is.
+        if min_cap_trs <= 0.0:
+            return math.inf, False, math.inf
+        return self._penalize(energy, latency, min_cap_trs)
+
+    def _penalize(self, energy: float, latency: float, min_cap_trs: float):
         problem = self.problem
         objective = problem.alpha * energy + problem.beta * latency
         viol_cap = max(0.0, problem.r_min_bps - min_cap_trs)
@@ -290,8 +310,7 @@ class _Evaluator:
         if math.isfinite(problem.latency_max_s):
             viol_lat /= problem.latency_max_s
         feasible = viol_cap == 0.0 and viol_lat == 0.0
-        penalized = objective + PENALTY_WEIGHT * (viol_cap + viol_lat)
-        return objective, feasible, penalized
+        return objective, feasible, objective + PENALTY_WEIGHT * (viol_cap + viol_lat)
 
 
 def _check_bounds(alloc: Allocation, problem: PowerProblem) -> None:
@@ -307,49 +326,27 @@ def _check_bounds(alloc: Allocation, problem: PowerProblem) -> None:
             )
 
 
-def energy_objective(alloc: Allocation, problem: PowerProblem) -> float:
-    """Total TRS energy sum P_src * L_src / (gamma * C(P_src)), in J."""
-    _check_bounds(alloc, problem)
-    energy, _latency, _min_cap = _Evaluator(problem).totals(alloc.powers_w)
-    return energy
-
-
+@_quiet_overflow()
 def weighted_objective(alloc: Allocation, problem: PowerProblem) -> float:
-    """alpha * TRS energy total + beta * TRS latency total."""
+    """alpha * TRS energy total + beta * TRS latency total. Raises ValueError
+    when it overflows."""
     _check_bounds(alloc, problem)
     energy, latency, _min_cap = _Evaluator(problem).totals(alloc.powers_w)
-    return problem.alpha * energy + problem.beta * latency
-
-
-def check_feasibility(alloc: Allocation, problem: PowerProblem) -> Feasibility:
-    """Signed slacks of the two rate/latency constraints (negative = violated)."""
-    _check_bounds(alloc, problem)
-    evaluator = _Evaluator(problem)
-    try:
-        _energy, latency, min_cap_trs = evaluator.totals(alloc.powers_w)
-    except InfeasibleLinkError:
-        return Feasibility(False, -problem.r_min_bps, -math.inf)
-    capacity_slack = min_cap_trs - problem.r_min_bps
-    latency_slack = problem.latency_max_s - latency
-    return Feasibility(capacity_slack >= 0 and latency_slack >= 0, capacity_slack, latency_slack)
+    objective = problem.alpha * energy + problem.beta * latency
+    if not math.isfinite(objective):
+        raise ValueError(f"objective is {objective} at allocation {alloc.powers_w}")
+    return objective
 
 
 def _result(evaluator, powers, evaluations, solver) -> OptResult:
     energy, latency, min_cap_trs = evaluator.totals(powers)
-    problem = evaluator.problem
-    objective = problem.alpha * energy + problem.beta * latency
-    feasible = min_cap_trs >= problem.r_min_bps and latency <= problem.latency_max_s
+    objective, feasible, _penalized = evaluator._penalize(energy, latency, min_cap_trs)
     return OptResult(
-        allocation=Allocation(tuple(powers)),
-        objective=objective,
-        energy_total_j=energy,
-        latency_total_s=latency,
-        feasible=feasible,
-        evaluations=evaluations,
-        solver=solver,
+        Allocation(tuple(powers)), objective, energy, latency, feasible, evaluations, solver
     )
 
 
+@_quiet_overflow()
 def grid_search_oracle(problem: PowerProblem, points_per_node: int) -> OptResult:
     """Exhaustively evaluate the uniform power grid and return the best
     feasible point.
@@ -411,15 +408,14 @@ def _batch_assess(evaluator: _Evaluator, powers: np.ndarray, caps: np.ndarray):
     # Rows with a zero-capacity link stay infeasible at +inf, as in `assess`.
     linked = ~(caps <= 0.0).any(axis=-1)
     energy, latency, min_cap_trs = evaluator.totals(powers[linked], caps[linked])
-    with np.errstate(over="ignore", invalid="ignore"):
-        objective[linked] = problem.alpha * energy + problem.beta * latency
-        # fmax(0, NaN) is 0, as Python's max(0.0, nan) is.
-        viol_cap = np.fmax(0.0, problem.r_min_bps - min_cap_trs)
-        if problem.r_min_bps > 0:
-            viol_cap = viol_cap / problem.r_min_bps
-        viol_lat = np.fmax(0.0, latency - problem.latency_max_s)
-        if math.isfinite(problem.latency_max_s):
-            viol_lat = viol_lat / problem.latency_max_s
+    objective[linked] = problem.alpha * energy + problem.beta * latency
+    # fmax(0, NaN) is 0, as Python's max(0.0, nan) is.
+    viol_cap = np.fmax(0.0, problem.r_min_bps - min_cap_trs)
+    if problem.r_min_bps > 0:
+        viol_cap = viol_cap / problem.r_min_bps
+    viol_lat = np.fmax(0.0, latency - problem.latency_max_s)
+    if math.isfinite(problem.latency_max_s):
+        viol_lat = viol_lat / problem.latency_max_s
     feasible[linked] = (viol_cap == 0.0) & (viol_lat == 0.0)
     return objective, feasible
 
@@ -432,7 +428,7 @@ def _reflect(value: float, lo: float, hi: float) -> float:
 
 # A candidate whose capacity overflows (p * |h|^2 past the float range) gets a
 # non-finite objective and is never the best, so the overflow is not a defect.
-@np.errstate(over="ignore", invalid="ignore")
+@_quiet_overflow()
 def optimize_sa(
     problem: PowerProblem,
     schedule: SaSchedule | None = None,
@@ -445,6 +441,10 @@ def optimize_sa(
     candidates are penalized, not rejected, so the chain can cross infeasible
     valleys. Returns the best feasible allocation with a finite objective
     encountered; deterministic for a given seed.
+
+    The chain holds its point's per-link terms. A move patches the moved
+    node's links in place and is assessed from the terms; a rejected move
+    writes the old terms and power back.
     """
     if schedule is None:
         schedule = SaSchedule()
@@ -455,9 +455,9 @@ def optimize_sa(
     sigma = 0.05 * (hi - lo)
     n = problem.n_nodes
 
-    powers = rng.uniform(lo, hi, size=n)
-    caps = evaluator.capacities(powers)
-    objective, feasible, penalized = evaluator.assess(powers, caps)
+    powers = rng.uniform(lo, hi, size=n).tolist()
+    terms = evaluator.start(powers)
+    objective, feasible, penalized = evaluator.assess_terms(terms)
     # Only a finite objective can be reported; a point whose energy or
     # latency overflows is never the best.
     best = (objective, tuple(powers)) if feasible and math.isfinite(objective) else None
@@ -468,16 +468,19 @@ def optimize_sa(
 
     for _ in range(schedule.iterations):
         j = int(rng.integers(n))
-        candidate = powers.copy()
-        candidate[j] = _reflect(candidate[j] + rng.normal(0.0, sigma), lo, hi)
-        cand_caps = evaluator.capacities(candidate, caps, j)
-        cand_obj, cand_feasible, cand_pen = evaluator.assess(candidate, cand_caps)
+        previous = powers[j]
+        powers[j] = _reflect(previous + rng.normal(0.0, sigma), lo, hi)
+        old = evaluator.move(terms, j, powers[j])
+        cand_obj, cand_feasible, cand_pen = evaluator.assess_terms(terms)
         if cand_feasible and cand_obj < (math.inf if best is None else best[0]):
-            best = (cand_obj, tuple(candidate))
+            best = (cand_obj, tuple(powers))
         delta = cand_pen - penalized
         u = rng.random()
         if delta <= 0 or (temperature > 0 and u < math.exp(-delta / temperature)):
-            powers, penalized, caps = candidate, cand_pen, cand_caps
+            penalized = cand_pen
+        else:
+            powers[j] = previous
+            evaluator.undo(terms, old)
         temperature *= schedule.cooling
 
     if best is None:
@@ -485,6 +488,7 @@ def optimize_sa(
     return _result(evaluator, best[1], schedule.iterations + 1, Solver.SIMULATED_ANNEALING)
 
 
+@_quiet_overflow()
 def kkt_residual(
     alloc: Allocation,
     problem: PowerProblem,
@@ -496,6 +500,7 @@ def kkt_residual(
     bounds...], one per constraint (2 + 2N in total), all written as g <= 0.
     The Lagrangian gradient is a finite difference with a relative step of
     1e-6: central, or one-sided where a central one would leave the power box.
+    Raises ValueError when a diagnostic overflows.
     """
     n = problem.n_nodes
     expected = 2 + 2 * n
@@ -545,9 +550,7 @@ def kkt_residual(
         (abs(lam_k * g_k) for lam_k, g_k in zip(lam, g_at_point) if lam_k != 0.0),
         default=0.0,
     )
-    return KktDiagnostics(
-        stationarity_residual=stationarity,
-        primal_violation=primal_violation,
-        complementary_slackness=complementary,
-        multipliers=lam,
-    )
+    diagnostics = (stationarity, primal_violation, complementary)
+    if not all(map(math.isfinite, diagnostics)):
+        raise ValueError(f"KKT diagnostics {diagnostics} at allocation {alloc.powers_w}")
+    return KktDiagnostics(*diagnostics, multipliers=lam)

@@ -3,10 +3,11 @@
 These deliberately avoid the code paths they check: capacity via
 extended-precision decimal arithmetic, ergodic capacity via Gauss-Laguerre
 quadrature, log-det via eigenvalues, distributions via analytic CDFs, the
-SA objective's totals via a plain Python loop, the grid optimum via one
-assessment per grid point, and the pivoted Monte-Carlo mean via a one-line
-1-D sum. The capacity expressions the package spelled out before it had one
-kernel are kept as references for its bit-exact pins.
+SA objective's totals via a plain Python loop, the annealer via a chain that
+re-evaluates every link on every move, the grid optimum via one assessment
+per grid point, and the pivoted Monte-Carlo mean via a one-line 1-D sum. The
+capacity expressions the package spelled out before it had one kernel are
+kept as references for its bit-exact pins.
 """
 
 import itertools
@@ -92,6 +93,112 @@ def running_totals(links, caps, powers):
         if denom < min_cap_trs:
             min_cap_trs = denom
     return energy, latency, min_cap_trs
+
+
+def anneal_reference(problem, schedule, seed):
+    """``optimize_sa(problem, schedule, seed)`` by a plain-Python annealer, or
+    None where it finds no feasible point with a finite objective.
+
+    Every move re-evaluates every link with ``capacity_reference`` (AWGN or
+    deterministic) or ``annealer_faded_reference`` (the frozen draws of an
+    ergodic treatment) and reduces the totals with ``running_totals``. The
+    chain makes the same generator calls in the same order and applies the
+    same reflect, accept and best rules.
+    """
+    # Data types and the frozen-draw sampler only: no optimizer code runs.
+    from qwsnsim.channel import FadingKind, link_rng, sample_h_squared
+    from qwsnsim.optimizer import (
+        PENALTY_WEIGHT,
+        Allocation,
+        ErgodicMean,
+        OptResult,
+        Solver,
+    )
+
+    nodes = problem.topology.nodes
+    index = {node.id: i for i, node in enumerate(nodes)}
+    links = []  # (src, gamma, packet length), as running_totals takes them
+    capacity = []  # per link: capacity without TRS at its source's power
+    for i, link in enumerate(problem.topology.links):
+        src = index[link.src]
+        links.append((src, link.gain.gamma, nodes[src].packet_length_bits))
+        b = link.budget
+        if isinstance(problem.fading, ErgodicMean) and link.fading.kind is not FadingKind.AWGN:
+            fading = problem.fading
+            h2 = sample_h_squared(link.fading, link_rng(fading.seed, i), size=fading.n_samples)
+            capacity.append(
+                lambda p, b=b, h2=h2: annealer_faded_reference(
+                    b.bandwidth_hz, b.noise_power_w, b.interference_power_w, p, h2
+                )
+            )
+        else:
+            capacity.append(
+                lambda p, b=b: capacity_reference(
+                    b.bandwidth_hz, p, b.noise_power_w, b.interference_power_w
+                )
+            )
+
+    def totals(powers):
+        caps = [cap(powers[src]) for cap, (src, _gamma, _length) in zip(capacity, links)]
+        return running_totals(links, caps, powers)
+
+    def assess(powers):
+        try:
+            energy, latency, min_cap_trs = totals(powers)
+        except ZeroCapacity:
+            return math.inf, False, math.inf
+        objective = problem.alpha * energy + problem.beta * latency
+        viol_cap = max(0.0, problem.r_min_bps - min_cap_trs)
+        if problem.r_min_bps > 0:
+            viol_cap /= problem.r_min_bps
+        viol_lat = max(0.0, latency - problem.latency_max_s)
+        if math.isfinite(problem.latency_max_s):
+            viol_lat /= problem.latency_max_s
+        feasible = viol_cap == 0.0 and viol_lat == 0.0
+        return objective, feasible, objective + PENALTY_WEIGHT * (viol_cap + viol_lat)
+
+    lo, hi = problem.p_min_w, problem.p_max_w
+    sigma = 0.05 * (hi - lo)
+    n = len(nodes)
+    rng = np.random.default_rng(seed)
+    # Overflowing capacities and totals are part of the chain, not warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = [float(p) for p in rng.uniform(lo, hi, size=n)]
+        objective, feasible, penalized = assess(powers)
+        best = (objective, list(powers)) if feasible and math.isfinite(objective) else None
+        if schedule.t_initial is not None:
+            temperature = schedule.t_initial
+        elif math.isfinite(penalized) and penalized != 0:
+            temperature = abs(penalized)
+        else:
+            temperature = 1.0
+        for _ in range(schedule.iterations):
+            j = int(rng.integers(n))
+            candidate = list(powers)
+            value = candidate[j] + rng.normal(0.0, sigma)
+            while value < lo or value > hi:
+                value = 2.0 * lo - value if value < lo else 2.0 * hi - value
+            candidate[j] = value
+            cand_obj, cand_feasible, cand_pen = assess(candidate)
+            if cand_feasible and cand_obj < (math.inf if best is None else best[0]):
+                best = (cand_obj, candidate)
+            delta = cand_pen - penalized
+            u = rng.random()
+            if delta <= 0 or (temperature > 0 and u < math.exp(-delta / temperature)):
+                powers, penalized = candidate, cand_pen
+            temperature *= schedule.cooling
+        if best is None:
+            return None
+        energy, latency, min_cap_trs = totals(best[1])
+    return OptResult(
+        allocation=Allocation(tuple(best[1])),
+        objective=problem.alpha * energy + problem.beta * latency,
+        energy_total_j=energy,
+        latency_total_s=latency,
+        feasible=min_cap_trs >= problem.r_min_bps and latency <= problem.latency_max_s,
+        evaluations=schedule.iterations + 1,
+        solver=Solver.SIMULATED_ANNEALING,
+    )
 
 
 def grid_argmin(assess, axis, n_nodes):

@@ -25,15 +25,19 @@ from qwsnsim.optimizer import (
     Solver,
     _batch_assess,
     _Evaluator,
-    check_feasibility,
-    energy_objective,
     grid_search_oracle,
     kkt_residual,
     optimize_sa,
     weighted_objective,
 )
 
-from oracles import ZeroCapacity, annealer_faded_reference, grid_argmin, running_totals
+from oracles import (
+    ZeroCapacity,
+    anneal_reference,
+    annealer_faded_reference,
+    grid_argmin,
+    running_totals,
+)
 
 
 def single_link_problem(
@@ -104,11 +108,11 @@ class TestObjectives:
     def test_unit_instance(self):
         # P=1 over B=1, N=1 gives C=1 bit/s; E = P*L/C = 1 J.
         problem = single_link_problem()
-        assert energy_objective(Allocation((1.0, 1.0)), problem) == 1.0
+        assert weighted_objective(Allocation((1.0, 1.0)), problem) == 1.0
 
     def test_gain_halves_energy(self):
         problem = single_link_problem(gamma=2.0)
-        assert energy_objective(Allocation((1.0, 1.0)), problem) == 0.5
+        assert weighted_objective(Allocation((1.0, 1.0)), problem) == 0.5
 
     def test_chain_matches_stepwise_pipeline(self):
         from qwsnsim.channel import shannon_capacity
@@ -137,7 +141,7 @@ class TestObjectives:
             )
             length = topo.node(link.src).packet_length_bits
             expected += p * length / (link.gain.gamma * cap)
-        assert energy_objective(alloc, problem) == pytest.approx(expected, rel=1e-12)
+        assert weighted_objective(alloc, problem) == pytest.approx(expected, rel=1e-12)
 
     def test_weighted_degenerate_weights(self):
         energy_only = single_link_problem(alpha=1.0, beta=0.0)
@@ -146,37 +150,44 @@ class TestObjectives:
         alloc = Allocation((1.5, 1.0))
         e = weighted_objective(alloc, energy_only)
         lat = weighted_objective(alloc, latency_only)
-        assert e == energy_objective(alloc, energy_only)
+        assert e == _Evaluator(energy_only).totals(alloc.powers_w)[0]
         assert weighted_objective(alloc, both) == pytest.approx(e + lat, rel=1e-15)
 
     def test_out_of_bounds_allocation_rejected(self):
         problem = single_link_problem()
         with pytest.raises(ValueError):
-            energy_objective(Allocation((10.0, 1.0)), problem)
+            weighted_objective(Allocation((10.0, 1.0)), problem)
         with pytest.raises(ValueError):
-            energy_objective(Allocation((1.0,)), problem)
+            weighted_objective(Allocation((1.0,)), problem)
+
+
+def _slacks(problem, powers):
+    """Signed slacks of the rate floor and the latency cap (negative =
+    violated), from the evaluator's totals."""
+    _energy, latency, min_cap_trs = _Evaluator(problem).totals(powers)
+    return min_cap_trs - problem.r_min_bps, problem.latency_max_s - latency
 
 
 class TestFeasibility:
     def test_vacuous_constraints(self):
         problem = single_link_problem(r_min=0.0, latency_max=math.inf)
-        out = check_feasibility(Allocation((1.0, 1.0)), problem)
-        assert out.feasible
-        assert out.capacity_slack_bps >= 0
-        assert out.latency_slack_s == math.inf
+        capacity_slack, latency_slack = _slacks(problem, (1.0, 1.0))
+        assert capacity_slack >= 0
+        assert latency_slack == math.inf
+        assert _Evaluator(problem).assess((1.0, 1.0))[1]
 
     def test_impossible_rate_floor(self):
         problem = single_link_problem(r_min=100.0)
-        out = check_feasibility(Allocation((3.0, 3.0)), problem)
-        assert not out.feasible
-        assert out.capacity_slack_bps < 0
+        capacity_slack, _latency_slack = _slacks(problem, (3.0, 3.0))
+        assert capacity_slack < 0
+        assert not _Evaluator(problem).assess((3.0, 3.0))[1]
 
     def test_boundary_allocation_has_zero_slack(self):
         # Analytic inversion: C_trs = gamma*B*log2(1 + P/N) = r_min at P = 1.
         problem = single_link_problem(r_min=1.0, p_min=0.5, p_max=3.0)
-        out = check_feasibility(Allocation((1.0, 1.0)), problem)
-        assert out.feasible
-        assert out.capacity_slack_bps == 0.0
+        capacity_slack, _latency_slack = _slacks(problem, (1.0, 1.0))
+        assert capacity_slack == 0.0
+        assert _Evaluator(problem).assess((1.0, 1.0))[1]
 
 
 class TestGridOracle:
@@ -254,7 +265,7 @@ class TestSimulatedAnnealing:
         for p in result.allocation.powers_w:
             assert problem.p_min_w <= p <= problem.p_max_w
         assert result.feasible
-        assert check_feasibility(result.allocation, problem).feasible
+        assert min(_slacks(problem, result.allocation.powers_w)) >= 0
 
     def test_matches_grid_oracle_within_one_percent(self):
         for seed in range(5):
@@ -367,6 +378,12 @@ class TestErgodicTreatment:
         assert weighted_objective(alloc, ergodic) == weighted_objective(alloc, flat)
 
 
+# The evaluator leaves numpy's error state to the public entry points, so tests
+# that call it directly on overflowing inputs set that state themselves.
+def quiet_overflow(test):
+    return np.errstate(over="ignore", invalid="ignore")(test)
+
+
 def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
@@ -384,14 +401,18 @@ def delta_cases(draw, n_nodes=(2, 5), n_links=(1, 8), start=_POWERS):
     nodes = tuple(
         Node(f"n{i}", 1.0, draw(st.sampled_from((1.0, 512.0, 4096.0)))) for i in range(n)
     )
-    pairs = draw(
-        st.lists(
-            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] != t[1]),
-            min_size=n_links[0],
-            max_size=n_links[1],
-            unique=True,
+    pairs = []
+    if n > 1:  # a single node has no link
+        pairs = draw(
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                    lambda t: t[0] != t[1]
+                ),
+                min_size=n_links[0],
+                max_size=n_links[1],
+                unique=True,
+            )
         )
-    )
     links = []
     for src, dst in pairs:
         kind = draw(st.sampled_from(("awgn", "rayleigh", "rician")))
@@ -425,31 +446,79 @@ def delta_cases(draw, n_nodes=(2, 5), n_links=(1, 8), start=_POWERS):
     return problem, powers, moves
 
 
+@st.composite
+def anneal_cases(draw):
+    """A ``delta_cases`` mesh of 1-6 nodes (p_min_w = 0) whose rate floor or
+    latency cap may bind, a schedule and a seed."""
+    problem, _powers, _moves = draw(delta_cases(n_nodes=(1, 6), n_links=(0, 8)))
+    seed = draw(st.integers(0, 2**32))
+    if problem.topology.links:
+        # The chain's starting point, as the annealer draws it. As a floor,
+        # its least TRS capacity is violated by lowering the weakest link's
+        # node; as a cap, its latency by lowering any node: the first moves
+        # cross both.
+        start = np.random.default_rng(seed).uniform(0.0, problem.p_max_w, problem.n_nodes)
+        _energy, latency, min_cap_trs = _Evaluator(problem).totals(start)
+        if draw(st.booleans()):
+            problem = replace(problem, r_min_bps=min_cap_trs)
+        if draw(st.booleans()):
+            problem = replace(problem, latency_max_s=latency)
+    schedule = SaSchedule(
+        t_initial=draw(st.one_of(st.none(), st.floats(1e-9, 1e3))),
+        cooling=draw(st.sampled_from((0.5, 0.95, 0.999))),
+        iterations=draw(st.integers(1, 60)),
+    )
+    return problem, schedule, seed
+
+
+class TestAnnealerOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(anneal_cases())
+    def test_equals_plain_python_annealer(self, case):
+        problem, schedule, seed = case
+        expected = anneal_reference(problem, schedule, seed)
+        if expected is None:
+            with pytest.raises(NoFeasiblePointError):
+                optimize_sa(problem, schedule, seed)
+        else:
+            assert optimize_sa(problem, schedule, seed) == expected
+
+
 class TestDeltaEvaluation:
+    """The annealer's patched terms against a whole-point evaluation."""
+
     @settings(max_examples=200, deadline=None)
     @given(delta_cases())
+    @quiet_overflow
     def test_move_evaluation_equals_full_evaluation(self, case):
         problem, powers, moves = case
-        powers = np.array(powers)
         evaluator = _Evaluator(problem)
-        caps = evaluator.capacities(powers)
-        for node, power in moves:
-            candidate = powers.copy()
+        terms = evaluator.start(powers)
+        # Every other move is rejected and undone, as the annealer does.
+        for k, (node, power) in enumerate(moves):
+            candidate = list(powers)
             candidate[node] = power
-            cand_caps = evaluator.capacities(candidate, caps, node)
-            assert _bits(cand_caps) == _bits(evaluator.capacities(candidate))
-            assert _bits(evaluator.assess(candidate, cand_caps)) == _bits(
-                evaluator.assess(candidate)
-            )
-            powers, caps = candidate, cand_caps
+            old = evaluator.move(terms, node, power)
+            assert _bits(terms) == _bits(evaluator.start(candidate))
+            assert _bits(evaluator.assess_terms(terms)) == _bits(evaluator.assess(candidate))
+            if k % 2:
+                evaluator.undo(terms, old)
+                assert _bits(terms) == _bits(evaluator.start(powers))
+            else:
+                powers = candidate
 
     def test_move_to_zero_power_is_infeasible(self):
+        # A Python-float L / 0.0 would raise ZeroDivisionError.
         problem = two_link_problem(3, p_min=0.0)
         evaluator = _Evaluator(problem)
-        caps = evaluator.capacities([1.0, 1.0])
-        moved = evaluator.capacities([0.0, 1.0], caps, 0)
-        assert evaluator.assess([0.0, 1.0], moved) == (math.inf, False, math.inf)
+        terms = evaluator.start([1.0, 1.0])
+        evaluator.move(terms, 0, 0.0)
+        assert evaluator.assess_terms(terms) == (math.inf, False, math.inf)
         assert evaluator.assess([0.0, 1.0]) == (math.inf, False, math.inf)
+
+    def test_no_links(self):
+        evaluator = _Evaluator(no_link_problem())
+        assert evaluator.assess_terms(evaluator.start([1.0, 1.0])) == evaluator.assess([1.0, 1.0])
 
 
 def _oracle_totals(problem, caps, powers):
@@ -468,6 +537,7 @@ def _oracle_totals(problem, caps, powers):
         return f"zero capacity on link {link_id} at power {powers[links[exc.index][0]]}"
 
 
+@quiet_overflow
 def _evaluator_totals(evaluator, powers, caps=None):
     try:
         return evaluator.totals(powers, caps)
@@ -509,7 +579,7 @@ class TestTotalsOracle:
         for node, power in moves:
             powers = powers.copy()
             powers[node] = power
-            caps = evaluator.capacities(powers, caps, node)
+            caps = evaluator.capacities(powers)
             assert _same(
                 _evaluator_totals(evaluator, powers, caps), _oracle_totals(problem, caps, powers)
             )
@@ -604,7 +674,7 @@ class TestKkt:
         problem = single_link_problem(r_min=0.5)
         multipliers = [2.0] + [0.0] * 5
         diag = kkt_residual(Allocation((1.0, 1.0)), problem, multipliers)
-        slack = check_feasibility(Allocation((1.0, 1.0)), problem).capacity_slack_bps
+        slack, _latency_slack = _slacks(problem, (1.0, 1.0))
         assert diag.complementary_slackness == pytest.approx(2.0 * slack, rel=1e-12)
 
 
@@ -655,6 +725,37 @@ class TestKktAtTheBoxEdge:
         diag = kkt_residual(Allocation((1.0, 1.0)), problem, [0.0] * 6)
         assert diag.stationarity_residual == math.sqrt(slope * slope)
 
+
+class TestOverflow:
+    """Powers near the float range overflow the Rayleigh link's p * |h|^2:
+    the entry points raise ValueError naming the allocation or stay quiet,
+    and never return NaN (pytest turns a numpy warning into an error)."""
+
+    @staticmethod
+    def _problem():
+        nodes = (Node("a", 1.0, 1.0), Node("b", 1.0, 1.0))
+        budget = LinkBudget(1e6, 1e-3, 1e-4, 2e-4)
+        links = (
+            Link("a", "b", budget, FadingSpec.awgn(), TrsGain(2.0)),
+            Link("b", "a", budget, FadingSpec.rayleigh(), TrsGain(2.0)),
+        )
+        topology = Topology(TopologyKind.MESH, nodes, links)
+        return PowerProblem(topology, 1e300, 1.7e308, fading=ErgodicMean(50, 3))
+
+    def test_weighted_objective_names_the_allocation(self):
+        with pytest.raises(ValueError, match=r"nan at allocation \(1\.7e\+308, 1\.7e\+308\)"):
+            weighted_objective(Allocation((1.7e308, 1.7e308)), self._problem())
+
+    def test_kkt_residual_names_the_allocation(self):
+        with pytest.raises(ValueError, match=r"at allocation \(1\.7e\+308, 1\.7e\+308\)"):
+            kkt_residual(Allocation((1.7e308, 1.7e308)), self._problem(), [0.0] * 6)
+
+    def test_grid_oracle_is_quiet(self):
+        result = grid_search_oracle(self._problem(), 4)
+        assert result.feasible
+        assert math.isfinite(result.objective)
+
+
 class TestProblemValidation:
     def test_bounds(self):
         topo = Topology(TopologyKind.MESH, (Node("a", 1.0, 1.0),), ())
@@ -680,6 +781,7 @@ class TestGridOracleBatches:
 
     @settings(max_examples=150, deadline=None)
     @given(delta_cases(n_nodes=(2, 3), n_links=(0, 6)), st.integers(2, 9))
+    @quiet_overflow
     def test_equals_per_point_loop(self, case, points):
         # p_min = 0 gives zero-capacity (infeasible) rows; the sampled rate
         # floors, latency caps and alpha = 0 give all-infeasible grids and ties.
@@ -705,6 +807,7 @@ class TestGridOracleBatches:
             pytest.param(1e308, 1e-3, 1.0, id="latency-overflows"),
         ],
     )
+    @quiet_overflow
     def test_non_finite_objectives(self, length, p_max, alpha):
         # One link, from the last node: every batch sees the same objectives.
         nodes = (Node("a", 1.0, 1.0), Node("b", 1.0, length))
@@ -718,6 +821,7 @@ class TestGridOracleBatches:
 
     @settings(max_examples=200, deadline=None)
     @given(delta_cases(n_nodes=(2, 4), n_links=(1, 8)), st.integers(1, 4), st.data())
+    @quiet_overflow
     def test_batch_assess_equals_assess_per_row(self, case, rows, data):
         # Capacities the channel never yields (NaN, inf, zero, negative) and
         # powers up to overflow.
