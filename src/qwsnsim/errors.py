@@ -21,10 +21,6 @@ class EmptyNetworkError(ValueError):
     """A network aggregate was requested for zero links."""
 
 
-class InfeasibleLinkError(ValueError):
-    """Some link has zero capacity at the candidate power allocation."""
-
-
 class NoFeasiblePointError(RuntimeError):
     """The solver never encountered an allocation satisfying the constraints."""
 

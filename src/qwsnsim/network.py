@@ -124,12 +124,6 @@ class Topology:
         if visited != len(self.nodes):
             raise ValueError("chain path does not visit every node")
 
-    def node(self, node_id: str) -> Node:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
-
 
 @dataclass(frozen=True)
 class LinkMetrics:

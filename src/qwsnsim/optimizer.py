@@ -32,7 +32,7 @@ from .channel import (
     link_rng,
     sample_h_squared,
 )
-from .errors import InfeasibleLinkError, NoFeasiblePointError
+from .errors import NoFeasiblePointError
 from .network import Topology
 from .numeric import stable_mean
 
@@ -165,19 +165,13 @@ class SaSchedule:
             raise ValueError(f"t_initial must be finite and > 0, got {self.t_initial}")
 
 
-def _link_terms(gamma, length, power, capacity):
-    """Per-link gamma * C, L / (gamma * C) and P * L / (gamma * C): elementwise
-    on arrays, or on one link's floats by the same IEEE operations."""
-    denom = gamma * capacity
-    return denom, length / denom, power * length / denom
-
-
 def _reduce(denom, latency_terms, energy_terms):
     """(energy total, latency total, least gamma * C) along the last axis, as a
     loop `total += term` and `if denom < least` gives them. np.sum adds pairwise
     and math.fsum compensates: either would round differently."""
     if not denom.shape[-1]:
-        return 0.0, 0.0, math.inf
+        zeros = np.zeros(denom.shape[:-1])
+        return zeros, zeros, zeros + math.inf
     # Adding the loop's start value 0.0 maps -0.0 to 0.0. `.T[-1]` is each
     # row's last running sum; `[..., -1]` leaves a slower 0-d array for one row.
     return (
@@ -190,10 +184,12 @@ def _reduce(denom, latency_terms, energy_terms):
 class _Evaluator:
     """Per-problem cache of link constants and frozen fading draws.
 
-    The annealer holds its point as the per-link ``_link_terms`` (``start``).
-    A move changes one node's power, so ``move`` recomputes only that node's
-    links in place and returns the old terms for ``undo`` on rejection.
-    ``assess_terms`` reduces all terms from scratch, bit for bit ``assess``.
+    An evaluated point is its per-link terms gamma * C, L / (gamma * C) and
+    P * L / (gamma * C), three rows (``start``); a link without capacity has
+    gamma * C <= 0 and NaN for the others. A move changes one node's power,
+    so ``move`` recomputes only that node's links in place and returns the
+    old terms for ``undo`` on rejection. ``totals`` and ``assess_terms``
+    reduce all terms from scratch.
     """
 
     def __init__(self, problem: PowerProblem):
@@ -212,11 +208,6 @@ class _Evaluator:
             self.node_links[src].append(i)
             noise = b.noise_power_w + b.interference_power_w
             self.links.append((src, b, noise, h2, link.gain.gamma, nodes[src].packet_length_bits))
-        # Per-link operands of ``totals``.
-        src, _budget, _noise, _h2, gamma, length = zip(*self.links) if self.links else [()] * 6
-        self.src = np.array(src, dtype=np.intp)
-        self.gamma = np.array(gamma, dtype=float)
-        self.length = np.array(length, dtype=float)
 
     def _capacity(self, i: int, p: float) -> float:
         """Capacity (bit/s) of link ``i`` at source power ``p``, without TRS."""
@@ -227,42 +218,11 @@ class _Evaluator:
         caps = p * h2
         return stable_mean(faded_capacity_samples(budget, caps, out=caps), caps)
 
-    def capacities(self, powers: Sequence[float]) -> np.ndarray:
-        """Per-link capacity (bit/s) at the allocation, without TRS."""
-        return np.array([self._capacity(i, powers[link[0]]) for i, link in enumerate(self.links)])
-
-    def totals(self, powers: Sequence[float] | np.ndarray, caps: np.ndarray | None = None):
-        """(TRS energy total, TRS latency total, min TRS link capacity).
-
-        ``caps`` are the per-link capacities at ``powers`` when already known.
-        Raises InfeasibleLinkError when a link has zero capacity. Given a
-        leading batch axis on ``powers`` (B, nodes) and ``caps`` (B, links),
-        with no zero capacity, it returns three arrays of B totals.
-        """
-        if caps is None:
-            caps = self.capacities(powers)
-        # `<=`, not `~(caps > 0)`: a NaN capacity is not an infeasible link.
-        bad = np.flatnonzero(caps <= 0.0)
-        if bad.size:
-            i = int(bad[0])
-            raise InfeasibleLinkError(
-                f"zero capacity on link {self.problem.topology.links[i].id} "
-                f"at power {powers[self.src[i]]}"
-            )
-        # `take`, not `[..., self.src]`, which costs more per row.
-        p = np.asarray(powers, dtype=float).take(self.src, -1)
-        energy, latency, min_cap_trs = _reduce(*_link_terms(self.gamma, self.length, p, caps))
-        if caps.ndim > 1:
-            return energy, latency, min_cap_trs
-        return float(energy), float(latency), float(min_cap_trs)
-
-    def assess(self, powers: Sequence[float], caps: np.ndarray | None = None):
-        """(objective, feasible, penalized objective) at the allocation; +inf
-        for zero capacity, so stochastic search rejects it without a special case."""
-        try:
-            return self._penalize(*self.totals(powers, caps))
-        except InfeasibleLinkError:
-            return math.inf, False, math.inf
+    def totals(self, powers: Sequence[float]) -> tuple[float, float, float]:
+        """(TRS energy total, TRS latency total, least TRS link capacity) at
+        the allocation. A link without capacity shows as a least TRS
+        capacity <= 0, with NaN totals."""
+        return tuple(map(float, _reduce(*self.start(powers))))
 
     def start(self, powers: Sequence[float]) -> tuple[np.ndarray, ...]:
         """The per-link terms at the allocation, as three rows."""
@@ -277,12 +237,12 @@ class _Evaluator:
         old = []
         for i in self.node_links[j]:
             old.append((i, denom[i], latency_terms[i], energy_terms[i]))
-            c = self._capacity(i, p)
             gamma, length = self.links[i][4:]
+            denom[i] = d = gamma * self._capacity(i, p)
             # A float L / 0.0 raises ZeroDivisionError. Without capacity, the
-            # link's gamma * C <= 0 alone makes `assess_terms` reject the point.
-            denom[i], latency_terms[i], energy_terms[i] = (
-                _link_terms(gamma, length, p, c) if c > 0.0 else (gamma * c, math.nan, math.nan)
+            # link's gamma * C <= 0 alone makes `_penalize` reject the point.
+            latency_terms[i], energy_terms[i] = (
+                (length / d, p * length / d) if d > 0.0 else (math.nan, math.nan)
             )
         return old
 
@@ -293,14 +253,17 @@ class _Evaluator:
             denom[i], latency_terms[i], energy_terms[i] = d, latency, energy
 
     def assess_terms(self, terms: tuple[np.ndarray, ...]):
-        """``assess`` at the point whose per-link terms are ``terms``."""
-        energy, latency, min_cap_trs = map(float, _reduce(*terms))
+        """``_penalize`` at the point whose per-link terms are ``terms``."""
+        return self._penalize(*map(float, _reduce(*terms)))
+
+    def _penalize(self, energy: float, latency: float, min_cap_trs: float):
+        """(objective, feasible, penalized objective) from the totals. A link
+        without capacity gives +inf, so stochastic search rejects it without
+        a special case; so does a NaN penalized value, which no move could
+        otherwise leave."""
         # gamma >= 1, so the least gamma * C is <= 0 exactly when a capacity is.
         if min_cap_trs <= 0.0:
             return math.inf, False, math.inf
-        return self._penalize(energy, latency, min_cap_trs)
-
-    def _penalize(self, energy: float, latency: float, min_cap_trs: float):
         problem = self.problem
         objective = problem.alpha * energy + problem.beta * latency
         viol_cap = max(0.0, problem.r_min_bps - min_cap_trs)
@@ -310,7 +273,8 @@ class _Evaluator:
         if math.isfinite(problem.latency_max_s):
             viol_lat /= problem.latency_max_s
         feasible = viol_cap == 0.0 and viol_lat == 0.0
-        return objective, feasible, objective + PENALTY_WEIGHT * (viol_cap + viol_lat)
+        penalized = objective + PENALTY_WEIGHT * (viol_cap + viol_lat)
+        return objective, feasible, math.inf if math.isnan(penalized) else penalized
 
 
 def _check_bounds(alloc: Allocation, problem: PowerProblem) -> None:
@@ -329,10 +293,10 @@ def _check_bounds(alloc: Allocation, problem: PowerProblem) -> None:
 @_quiet_overflow()
 def weighted_objective(alloc: Allocation, problem: PowerProblem) -> float:
     """alpha * TRS energy total + beta * TRS latency total. Raises ValueError
-    when it overflows."""
+    when it is not finite: it overflows, or a link has no capacity."""
     _check_bounds(alloc, problem)
-    energy, latency, _min_cap = _Evaluator(problem).totals(alloc.powers_w)
-    objective = problem.alpha * energy + problem.beta * latency
+    evaluator = _Evaluator(problem)
+    objective = evaluator._penalize(*evaluator.totals(alloc.powers_w))[0]
     if not math.isfinite(objective):
         raise ValueError(f"objective is {objective} at allocation {alloc.powers_w}")
     return objective
@@ -353,7 +317,9 @@ def grid_search_oracle(problem: PowerProblem, points_per_node: int) -> OptResult
 
     Ties on the objective break toward smaller total power, then toward the
     lexicographically first grid index in node order. Node counts above 4 are
-    rejected (the grid is combinatorial).
+    rejected (the grid is combinatorial). Each link's per-link terms are
+    tabulated once per grid value; a point's objective and feasibility are
+    those ``_Evaluator.assess_terms`` gives for its terms.
     """
     if points_per_node < 2:
         raise ValueError(f"points_per_node must be >= 2, got {points_per_node}")
@@ -362,21 +328,19 @@ def grid_search_oracle(problem: PowerProblem, points_per_node: int) -> OptResult
     evaluator = _Evaluator(problem)
     axis = np.linspace(problem.p_min_w, problem.p_max_w, points_per_node)
     n = problem.n_nodes
-    # A link's capacity depends only on its source's power: tabulate each
-    # link once per grid value, table[k, i] for link i at power axis[k].
-    table = np.array([evaluator.capacities([p] * n) for p in axis.tolist()])
-    links = np.arange(table.shape[1])
-    from_last = evaluator.src == n - 1
+    # A link's terms depend only on its source's power: tabulate each link
+    # once per grid value, table[:, k, i] for link i at power axis[k].
+    table = np.stack([evaluator.start([p] * n) for p in axis.tolist()], axis=1)
+    src = np.array([link[0] for link in evaluator.links], dtype=np.intp)
+    links = np.arange(len(src))
+    from_last = src == n - 1
     batch = np.arange(points_per_node)[:, None]
     best = None  # (objective, total_power, grid index)
     # The last node's grid values form one batch per index of the others,
     # visited in itertools.product order, as are the rows of each batch.
     for idx in itertools.product(range(points_per_node), repeat=n - 1):
-        powers = np.empty((points_per_node, n))
-        powers[:, : n - 1] = axis[list(idx)]
-        powers[:, n - 1] = axis
-        rows = np.where(from_last, batch, np.array(idx + (0,))[evaluator.src])
-        objective, feasible = _batch_assess(evaluator, powers, table[rows, links])
+        rows = np.where(from_last, batch, np.array(idx + (0,))[src])
+        objective, feasible = _batch_assess(problem, table[:, rows, links])
         total_power = sum(axis[k] for k in idx) + axis
         ks = np.flatnonzero(feasible)
         if not ks.size:
@@ -399,16 +363,14 @@ def grid_search_oracle(problem: PowerProblem, points_per_node: int) -> OptResult
     return _result(evaluator, powers, points_per_node**problem.n_nodes, Solver.GRID_ORACLE)
 
 
-def _batch_assess(evaluator: _Evaluator, powers: np.ndarray, caps: np.ndarray):
-    """Objective and feasibility of each row, as ``_Evaluator.assess`` gives
-    them for one allocation."""
-    problem = evaluator.problem
-    objective = np.full(len(caps), math.inf)
-    feasible = np.zeros(len(caps), dtype=bool)
-    # Rows with a zero-capacity link stay infeasible at +inf, as in `assess`.
-    linked = ~(caps <= 0.0).any(axis=-1)
-    energy, latency, min_cap_trs = evaluator.totals(powers[linked], caps[linked])
-    objective[linked] = problem.alpha * energy + problem.beta * latency
+def _batch_assess(problem: PowerProblem, terms: np.ndarray):
+    """Objective and feasibility of each point of a batch, as
+    ``_Evaluator.assess_terms`` gives them for one. ``terms`` holds the
+    points' per-link terms, shape (3, points, links)."""
+    energy, latency, min_cap_trs = _reduce(*terms)
+    # Points with a zero-capacity link are infeasible at +inf, as in `_penalize`.
+    linked = min_cap_trs > 0.0
+    objective = np.where(linked, problem.alpha * energy + problem.beta * latency, math.inf)
     # fmax(0, NaN) is 0, as Python's max(0.0, nan) is.
     viol_cap = np.fmax(0.0, problem.r_min_bps - min_cap_trs)
     if problem.r_min_bps > 0:
@@ -416,8 +378,7 @@ def _batch_assess(evaluator: _Evaluator, powers: np.ndarray, caps: np.ndarray):
     viol_lat = np.fmax(0.0, latency - problem.latency_max_s)
     if math.isfinite(problem.latency_max_s):
         viol_lat = viol_lat / problem.latency_max_s
-    feasible[linked] = (viol_cap == 0.0) & (viol_lat == 0.0)
-    return objective, feasible
+    return objective, linked & (viol_cap == 0.0) & (viol_lat == 0.0)
 
 
 def _reflect(value: float, lo: float, hi: float) -> float:
@@ -474,7 +435,8 @@ def optimize_sa(
         cand_obj, cand_feasible, cand_pen = evaluator.assess_terms(terms)
         if cand_feasible and cand_obj < (math.inf if best is None else best[0]):
             best = (cand_obj, tuple(powers))
-        delta = cand_pen - penalized
+        # inf - inf is NaN: equal penalties, +inf included, are a level move.
+        delta = 0.0 if cand_pen == penalized else cand_pen - penalized
         u = rng.random()
         if delta <= 0 or (temperature > 0 and u < math.exp(-delta / temperature)):
             penalized = cand_pen
@@ -500,7 +462,8 @@ def kkt_residual(
     bounds...], one per constraint (2 + 2N in total), all written as g <= 0.
     The Lagrangian gradient is a finite difference with a relative step of
     1e-6: central, or one-sided where a central one would leave the power box.
-    Raises ValueError when a diagnostic overflows.
+    Raises ValueError when a diagnostic is not finite: it overflows, or a
+    link has no capacity.
     """
     n = problem.n_nodes
     expected = 2 + 2 * n
@@ -512,20 +475,17 @@ def kkt_residual(
     evaluator = _Evaluator(problem)
     lam = tuple(float(m) for m in multipliers)
 
-    def constraint_values(powers):
-        try:
-            _energy, latency, min_cap_trs = evaluator.totals(powers)
-        except InfeasibleLinkError:
-            latency, min_cap_trs = math.inf, 0.0
+    def evaluate(powers):
+        """The objective and the constraint values g at the allocation."""
+        energy, latency, min_cap_trs = evaluator.totals(powers)
         g = [problem.r_min_bps - min_cap_trs, latency - problem.latency_max_s]
         g += [problem.p_min_w - p for p in powers]
         g += [p - problem.p_max_w for p in powers]
-        return g
+        return evaluator._penalize(energy, latency, min_cap_trs)[0], g
 
     def lagrangian(powers):
-        energy, latency, _min_cap = evaluator.totals(powers)
-        value = problem.alpha * energy + problem.beta * latency
-        for lam_k, g_k in zip(lam, constraint_values(powers)):
+        value, g = evaluate(powers)
+        for lam_k, g_k in zip(lam, g):
             if lam_k != 0.0:
                 value += lam_k * g_k
         return value
@@ -544,7 +504,7 @@ def kkt_residual(
         grad.append((lagrangian(up) - lagrangian(down)) / ((fits_up + fits_down) * step))
     stationarity = math.sqrt(sum(g * g for g in grad))
 
-    g_at_point = constraint_values(base)
+    _objective, g_at_point = evaluate(base)
     primal_violation = max(0.0, max(g_at_point))
     complementary = max(
         (abs(lam_k * g_k) for lam_k, g_k in zip(lam, g_at_point) if lam_k != 0.0),

@@ -103,7 +103,8 @@ def anneal_reference(problem, schedule, seed):
     deterministic) or ``annealer_faded_reference`` (the frozen draws of an
     ergodic treatment) and reduces the totals with ``running_totals``. The
     chain makes the same generator calls in the same order and applies the
-    same reflect, accept and best rules.
+    same reflect, accept and best rules: a NaN penalized value counts as
+    +inf, and a move between equal penalties, +inf included, is level.
     """
     # Data types and the frozen-draw sampler only: no optimizer code runs.
     from qwsnsim.channel import FadingKind, link_rng, sample_h_squared
@@ -155,7 +156,8 @@ def anneal_reference(problem, schedule, seed):
         if math.isfinite(problem.latency_max_s):
             viol_lat /= problem.latency_max_s
         feasible = viol_cap == 0.0 and viol_lat == 0.0
-        return objective, feasible, objective + PENALTY_WEIGHT * (viol_cap + viol_lat)
+        penalized = objective + PENALTY_WEIGHT * (viol_cap + viol_lat)
+        return objective, feasible, math.inf if math.isnan(penalized) else penalized
 
     lo, hi = problem.p_min_w, problem.p_max_w
     sigma = 0.05 * (hi - lo)
@@ -182,7 +184,7 @@ def anneal_reference(problem, schedule, seed):
             cand_obj, cand_feasible, cand_pen = assess(candidate)
             if cand_feasible and cand_obj < (math.inf if best is None else best[0]):
                 best = (cand_obj, candidate)
-            delta = cand_pen - penalized
+            delta = 0.0 if cand_pen == penalized else cand_pen - penalized
             u = rng.random()
             if delta <= 0 or (temperature > 0 and u < math.exp(-delta / temperature)):
                 powers, penalized = candidate, cand_pen
