@@ -188,8 +188,8 @@ class _Evaluator:
     P * L / (gamma * C), three rows (``start``); a link without capacity has
     gamma * C <= 0 and NaN for the others. A move changes one node's power,
     so ``move`` recomputes only that node's links in place and returns the
-    old terms for ``undo`` on rejection. ``totals`` and ``assess_terms``
-    reduce all terms from scratch.
+    old terms for ``undo`` on rejection. ``reduce`` gives the totals of
+    all terms, from scratch.
     """
 
     def __init__(self, problem: PowerProblem):
@@ -222,7 +222,7 @@ class _Evaluator:
         """(TRS energy total, TRS latency total, least TRS link capacity) at
         the allocation. A link without capacity shows as a least TRS
         capacity <= 0, with NaN totals."""
-        return tuple(map(float, _reduce(*self.start(powers))))
+        return self.reduce(self.start(powers))
 
     def start(self, powers: Sequence[float]) -> tuple[np.ndarray, ...]:
         """The per-link terms at the allocation, as three rows."""
@@ -252,9 +252,10 @@ class _Evaluator:
         for i, d, latency, energy in old:
             denom[i], latency_terms[i], energy_terms[i] = d, latency, energy
 
-    def assess_terms(self, terms: tuple[np.ndarray, ...]):
-        """``_penalize`` at the point whose per-link terms are ``terms``."""
-        return self._penalize(*map(float, _reduce(*terms)))
+    @staticmethod
+    def reduce(terms: tuple[np.ndarray, ...]) -> tuple[float, float, float]:
+        """``totals`` at the point whose per-link terms are ``terms``."""
+        return tuple(map(float, _reduce(*terms)))
 
     def _penalize(self, energy: float, latency: float, min_cap_trs: float):
         """(objective, feasible, penalized objective) from the totals. A link
@@ -302,9 +303,10 @@ def weighted_objective(alloc: Allocation, problem: PowerProblem) -> float:
     return objective
 
 
-def _result(evaluator, powers, evaluations, solver) -> OptResult:
-    energy, latency, min_cap_trs = evaluator.totals(powers)
-    objective, feasible, _penalized = evaluator._penalize(energy, latency, min_cap_trs)
+def _result(evaluator, powers, totals, evaluations, solver) -> OptResult:
+    """The result at ``powers``, whose ``evaluator.totals`` are ``totals``."""
+    energy, latency, _min_cap_trs = totals
+    objective, feasible, _penalized = evaluator._penalize(*totals)
     return OptResult(
         Allocation(tuple(powers)), objective, energy, latency, feasible, evaluations, solver
     )
@@ -319,7 +321,7 @@ def grid_search_oracle(problem: PowerProblem, points_per_node: int) -> OptResult
     lexicographically first grid index in node order. Node counts above 4 are
     rejected (the grid is combinatorial). Each link's per-link terms are
     tabulated once per grid value; a point's objective and feasibility are
-    those ``_Evaluator.assess_terms`` gives for its terms.
+    those ``_Evaluator._penalize`` gives for the totals of its terms.
     """
     if points_per_node < 2:
         raise ValueError(f"points_per_node must be >= 2, got {points_per_node}")
@@ -360,12 +362,13 @@ def grid_search_oracle(problem: PowerProblem, points_per_node: int) -> OptResult
     if best is None:
         raise NoFeasiblePointError("entire grid violates the constraints")
     powers = tuple(float(axis[k]) for k in best[2])
-    return _result(evaluator, powers, points_per_node**problem.n_nodes, Solver.GRID_ORACLE)
+    evaluations = points_per_node**problem.n_nodes
+    return _result(evaluator, powers, evaluator.totals(powers), evaluations, Solver.GRID_ORACLE)
 
 
 def _batch_assess(problem: PowerProblem, terms: np.ndarray):
     """Objective and feasibility of each point of a batch, as
-    ``_Evaluator.assess_terms`` gives them for one. ``terms`` holds the
+    ``_Evaluator._penalize`` gives them for one. ``terms`` holds the
     points' per-link terms, shape (3, points, links)."""
     energy, latency, min_cap_trs = _reduce(*terms)
     # Points with a zero-capacity link are infeasible at +inf, as in `_penalize`.
@@ -404,8 +407,10 @@ def optimize_sa(
     encountered; deterministic for a given seed.
 
     The chain holds its point's per-link terms. A move patches the moved
-    node's links in place and is assessed from the terms; a rejected move
-    writes the old terms and power back.
+    node's links in place and is assessed from the totals of the terms; a
+    rejected move writes the old terms and power back. The best point keeps
+    its totals: a link's terms depend only on its source's power, so they
+    are the totals ``_Evaluator.totals`` gives at its powers, bit for bit.
     """
     if schedule is None:
         schedule = SaSchedule()
@@ -418,10 +423,11 @@ def optimize_sa(
 
     powers = rng.uniform(lo, hi, size=n).tolist()
     terms = evaluator.start(powers)
-    objective, feasible, penalized = evaluator.assess_terms(terms)
+    totals = evaluator.reduce(terms)
+    objective, feasible, penalized = evaluator._penalize(*totals)
     # Only a finite objective can be reported; a point whose energy or
     # latency overflows is never the best.
-    best = (objective, tuple(powers)) if feasible and math.isfinite(objective) else None
+    best = (objective, tuple(powers), totals) if feasible and math.isfinite(objective) else None
     if schedule.t_initial is not None:
         temperature = schedule.t_initial
     else:
@@ -432,9 +438,10 @@ def optimize_sa(
         previous = powers[j]
         powers[j] = _reflect(previous + rng.normal(0.0, sigma), lo, hi)
         old = evaluator.move(terms, j, powers[j])
-        cand_obj, cand_feasible, cand_pen = evaluator.assess_terms(terms)
+        totals = evaluator.reduce(terms)
+        cand_obj, cand_feasible, cand_pen = evaluator._penalize(*totals)
         if cand_feasible and cand_obj < (math.inf if best is None else best[0]):
-            best = (cand_obj, tuple(powers))
+            best = (cand_obj, tuple(powers), totals)
         # inf - inf is NaN: equal penalties, +inf included, are a level move.
         delta = 0.0 if cand_pen == penalized else cand_pen - penalized
         u = rng.random()
@@ -447,7 +454,7 @@ def optimize_sa(
 
     if best is None:
         raise NoFeasiblePointError("no feasible allocation with a finite objective encountered")
-    return _result(evaluator, best[1], schedule.iterations + 1, Solver.SIMULATED_ANNEALING)
+    return _result(evaluator, *best[1:], schedule.iterations + 1, Solver.SIMULATED_ANNEALING)
 
 
 @_quiet_overflow()

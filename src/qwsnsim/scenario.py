@@ -94,6 +94,7 @@ _SA_STREAM = 2**32 - 1
 # PyYAML's own converters turn into numbers, booleans and nulls.
 _YAML = "tag:yaml.org,2002:"
 _STR, _SEQ, _MAP = _YAML + "str", _YAML + "seq", _YAML + "map"
+_FLOAT = _YAML + "float"
 _CONVERTED = frozenset(_YAML + name for name in ("int", "float", "bool", "null"))
 # Keys that make PyYAML flatten a mapping before building it.
 _FLATTEN = frozenset((_YAML + "merge", _YAML + "value"))
@@ -120,7 +121,10 @@ class _ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
 
     Stock YAML 1.1 resolution insists on a signed exponent and would hand
     such scalars back as strings. The libyaml parser is used when PyYAML was
-    built with it; implicit resolvers run in Python either way.
+    built with it; implicit resolvers run in Python either way, so ``resolve``
+    keeps each plain scalar's tag for the rest of the document. A mesh
+    repeats most of its scalars (keys, kinds, common values): about one in
+    three is new.
 
     PyYAML's generic constructor costs about as much as composing the node
     graph: bookkeeping on every node and a generator for every mapping and
@@ -133,6 +137,23 @@ class _ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     ``!!binary``, a timestamp, ``!local``, ...) goes whole to PyYAML's
     constructor.
     """
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self._implicit_tags = {}  # plain scalar -> tag, for this document
+
+    def resolve(self, kind, value, implicit):
+        if kind is not ScalarNode or not implicit[0]:
+            return super().resolve(kind, value, implicit)
+        tags = self._implicit_tags
+        tag = tags.get(value)
+        if tag is None:
+            tag = super().resolve(kind, value, implicit)
+            # With path resolvers, a scalar no implicit resolver matches takes
+            # its tag from its path, not from its value alone.
+            if not self.yaml_path_resolvers:
+                tags[value] = tag
+        return tag
 
     def construct_document(self, root):
         built = {}  # container node -> its object, so aliases share it
@@ -147,6 +168,17 @@ class _ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
             if cls is ScalarNode:
                 if tag == _STR:
                     return node.value
+                if tag == _FLOAT:
+                    # float() reads every finite YAML float it accepts as
+                    # PyYAML's converter does, at a tenth of the cost. The
+                    # converter keeps the rest: .inf, .nan, 1:30, 1__0, ...
+                    try:
+                        number = float(node.value)
+                    except ValueError:
+                        pass
+                    else:
+                        if math.isfinite(number):
+                            return number
                 if tag in _CONVERTED:
                     try:
                         return convert[tag](self, node)
@@ -495,13 +527,40 @@ _SCENARIO = _Table(
 )
 
 
+# Flow collections ([...], {...}) a document may nest; a scenario needs about
+# 5. libyaml walks every open flow level on every token, so its time grows
+# with the square of the depth: a list 10000 deep took 0.6 s to parse.
+MAX_FLOW_DEPTH = 64
+# Every byte but the four flow brackets, for bytes.translate to delete.
+_NOT_BRACKETS = bytes(sorted(set(range(256)) - set(b"[]{}")))
+
+
+def _flow_depth(text: str) -> int:
+    """The deepest bracket nesting in ``text``. ``[`` and ``{`` open a level
+    and ``]`` and ``}`` close one, as libyaml counts flow levels, except that
+    brackets in quoted scalars and comments count too. A closing bracket at
+    depth 0 closes nothing."""
+    brackets = np.frombuffer(
+        text.encode("utf-8", "surrogatepass").translate(None, _NOT_BRACKETS), np.uint8
+    )
+    # Opening brackets have bit 1 set and closing ones have it clear.
+    depth = np.cumsum((brackets & 2).astype(np.intp) - 1)
+    floor = np.minimum.accumulate(np.minimum(depth, 0))
+    return int((depth - floor).max(initial=0))
+
+
 def load_scenario(text: str) -> ScenarioConfig:
     """Parse and fully validate a scenario document.
 
-    Raises ScenarioParseError for malformed documents and
-    ScenarioValidationError (with the offending field path) for constraint
-    violations.
+    Raises ScenarioParseError for malformed documents, those nested deeper
+    than MAX_FLOW_DEPTH included, and ScenarioValidationError (with the
+    offending field path) for constraint violations.
     """
+    # Refused before the parse, which is the slow part.
+    if _flow_depth(text) > MAX_FLOW_DEPTH:
+        raise ScenarioParseError(
+            f"malformed scenario document: brackets nest deeper than {MAX_FLOW_DEPTH} levels"
+        )
     # The parse allocates some 20 objects per link, none in a cycle, so the
     # cyclic collector's passes over the growing heap are wasted work.
     gc_was_enabled = gc.isenabled()

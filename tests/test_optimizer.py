@@ -99,6 +99,37 @@ def two_link_problem(seed, gamma=1.0, beta=1.0, p_min=0.2, p_max=5.0):
     return PowerProblem(topo, p_min_w=p_min, p_max_w=p_max, alpha=1.0, beta=beta)
 
 
+def _seeded_mesh(seed, n_nodes=40, n_links=90):
+    """A mixed AWGN/Rayleigh/Rician mesh drawn from ``seed``, under the
+    ergodic treatment, whose latency cap binds below its midpoint powers."""
+    rng = np.random.default_rng(seed)
+    nodes = tuple(
+        Node(f"n{i}", 1.0, float(rng.choice((512, 1024, 4096)))) for i in range(n_nodes)
+    )
+    pairs = {}  # (src, dst) -> None, unique and in draw order
+    while len(pairs) < n_links:
+        pairs[tuple(rng.choice(n_nodes, size=2, replace=False))] = None
+    links = []
+    for src, dst in pairs:
+        spec = [
+            FadingSpec.awgn(),
+            FadingSpec.rayleigh(float(rng.uniform(0.5, 2.0))),
+            FadingSpec.rician(float(rng.uniform(0.0, 10.0)), float(rng.uniform(0.5, 2.0))),
+        ][rng.integers(3)]
+        budget = LinkBudget(float(rng.uniform(1e5, 1e7)), 1.0, float(rng.uniform(1e-9, 1e-6)))
+        gain = TrsGain(float(rng.uniform(1.0, 4.0)))
+        links.append(Link(f"n{src}", f"n{dst}", budget, spec, gain))
+    problem = PowerProblem(
+        Topology(TopologyKind.MESH, nodes, tuple(links)),
+        p_min_w=0.01,
+        p_max_w=2.0,
+        beta=0.5,
+        fading=ErgodicMean(n_samples=50, seed=seed),
+    )
+    _energy, latency, _least = _Evaluator(problem).totals([0.7] * n_nodes)
+    return replace(problem, latency_max_s=latency)
+
+
 def no_link_problem(p_min=0.1, p_max=2.0):
     nodes = (Node("a", 1.0, 1.0), Node("b", 1.0, 1.0))
     topo = Topology(TopologyKind.MESH, nodes, ())
@@ -162,10 +193,16 @@ class TestObjectives:
             weighted_objective(Allocation((1.0,)), problem)
 
 
+def _assess_terms(evaluator, terms):
+    """(objective, feasible, penalized objective) at the point whose per-link
+    terms are ``terms``, as the annealer assesses a move."""
+    return evaluator._penalize(*evaluator.reduce(terms))
+
+
 def _assess(evaluator, powers):
     """(objective, feasible, penalized objective) at the allocation, from
     fresh per-link terms."""
-    return evaluator.assess_terms(evaluator.start(powers))
+    return _assess_terms(evaluator, evaluator.start(powers))
 
 
 def _slacks(problem, powers):
@@ -285,6 +322,19 @@ class TestSimulatedAnnealing:
         problem = single_link_problem(r_min=1e9)
         with pytest.raises(NoFeasiblePointError):
             optimize_sa(problem, SaSchedule(iterations=200), rng=1)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_result_totals_are_a_fresh_evaluation(self, seed):
+        # The chain keeps its best point's totals rather than evaluating it
+        # again; they must be what a fresh evaluator gives at its powers.
+        problem = _seeded_mesh(seed)
+        result = optimize_sa(problem, SaSchedule(iterations=300), rng=seed)
+        evaluator = _Evaluator(problem)
+        totals = evaluator.totals(result.allocation.powers_w)
+        objective, feasible, _penalized = evaluator._penalize(*totals)
+        assert _bits((result.energy_total_j, result.latency_total_s)) == _bits(totals[:2])
+        assert _bits(result.objective) == _bits(objective)
+        assert result.feasible == feasible
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
@@ -552,7 +602,7 @@ class TestDeltaEvaluation:
             candidate[node] = power
             old = evaluator.move(terms, node, power)
             assert _bits(terms) == _bits(evaluator.start(candidate))
-            assert _bits(evaluator.assess_terms(terms)) == _bits(_assess(evaluator, candidate))
+            assert _bits(_assess_terms(evaluator, terms)) == _bits(_assess(evaluator, candidate))
             if k % 2:
                 evaluator.undo(terms, old)
                 assert _bits(terms) == _bits(evaluator.start(powers))
@@ -565,12 +615,12 @@ class TestDeltaEvaluation:
         evaluator = _Evaluator(problem)
         terms = evaluator.start([1.0, 1.0])
         evaluator.move(terms, 0, 0.0)
-        assert evaluator.assess_terms(terms) == (math.inf, False, math.inf)
+        assert _assess_terms(evaluator, terms) == (math.inf, False, math.inf)
         assert _assess(evaluator, [0.0, 1.0]) == (math.inf, False, math.inf)
 
     def test_no_links(self):
         evaluator = _Evaluator(no_link_problem())
-        assert evaluator.assess_terms(evaluator.start([1.0, 1.0])) == (0.0, True, 0.0)
+        assert _assess_terms(evaluator, evaluator.start([1.0, 1.0])) == (0.0, True, 0.0)
 
 
 def _capacities(evaluator, powers):
@@ -894,6 +944,6 @@ class TestGridOracleBatches:
             points.append(_fake_capacities(evaluator, cap_row).start(power_row))
         objective, feasible = _batch_assess(problem, np.stack(points, axis=1))
         for i, terms in enumerate(points):
-            expected_objective, expected_feasible, _penalized = evaluator.assess_terms(terms)
+            expected_objective, expected_feasible, _penalized = _assess_terms(evaluator, terms)
             assert _same([objective[i]], [expected_objective])
             assert feasible[i] == expected_feasible

@@ -3,8 +3,10 @@ import gc
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from yaml.constructor import SafeConstructor
+from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 import qwsnsim
 from qwsnsim.channel import FadingKind, FadingSpec, LinkBudget, TrsGain, sample_h_squared
@@ -25,6 +28,8 @@ from qwsnsim.network import Link, Node
 from qwsnsim.optimizer import ErgodicMean, PowerProblem
 from qwsnsim.scenario import (
     CSV_HEADER,
+    MAX_FLOW_DEPTH,
+    _flow_depth,
     _ScenarioLoader,
     dump_json,
     emit_report,
@@ -324,7 +329,9 @@ class TestLoadPausesTheCollector:
 class _PyYamlBuilt(_ScenarioLoader):
     """The scenario loader with PyYAML's own document constructor. It keeps
     the loader's ``construct_object``, so a scalar a converter cannot read is
-    the same ``ConstructorError``, at the same mark, on both sides."""
+    the same ``ConstructorError``, at the same mark, on both sides. It keeps
+    the loader's ``resolve`` too: ``TestImplicitResolution`` checks that one
+    against PyYAML's."""
 
     construct_document = SafeConstructor.construct_document
 
@@ -471,6 +478,192 @@ class TestDocumentConstruction:
         assert calls == []
         assert yaml.load("{a: [!!set {b}]}", Loader=_ScenarioLoader) == {"a": [{"b"}]}
         assert calls == ["tag:yaml.org,2002:map"]
+
+
+# Pieces of plain scalars that the implicit resolvers tell apart: digits,
+# signs, float and sexagesimal punctuation, the bool and null words, merge and
+# value keys, and spaces.
+_SCALAR_PIECES = list("0123456789+-.eE_: <=~") + [
+    "yes", "No", "TRUE", "off", "On", "y", "n", "null", "Null", "NULL", "inf", "NaN", "x"
+]
+_IMPLICIT = [(True, False), (False, True), (False, False)]
+
+
+class TestImplicitResolution:
+    """``_ScenarioLoader.resolve``, which keeps each plain scalar's tag for the
+    rest of the document, against PyYAML's ``resolve`` on the same class."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(_SCALAR_PIECES), max_size=6).map("".join),
+                st.permutations(_IMPLICIT),
+            ),
+            max_size=20,
+        )
+    )
+    def test_memo_equals_pyyaml(self, cases):
+        loader = _ScenarioLoader("")
+        # Twice over, so the second pass reads the memo.
+        for value, flags in cases + cases:
+            for implicit in flags:
+                expected = yaml.resolver.BaseResolver.resolve(loader, ScalarNode, value, implicit)
+                assert loader.resolve(ScalarNode, value, implicit) == expected, (value, implicit)
+
+    def test_containers_take_pyyaml_tags(self):
+        loader = _ScenarioLoader("")
+        for kind in (SequenceNode, MappingNode):
+            for implicit in (True, False):
+                expected = yaml.resolver.BaseResolver.resolve(loader, kind, None, implicit)
+                assert loader.resolve(kind, None, implicit) == expected
+
+    def test_path_resolvers_are_not_memoized(self):
+        # A string's tag may depend on its path; PyYAML's pure-Python loader
+        # is the reference.
+        loaders = []
+        for base in (_ScenarioLoader, yaml.SafeLoader):
+            loader = type("PathLoader", (base,), {})
+            loader.add_path_resolver("!at-a", ["a"], str)
+            loader.add_constructor("!at-a", lambda _loader, node: ("at-a", node.value))
+            loaders.append(loader)
+        for text in ("{a: x, b: x}", "{b: x, a: x}"):
+            mine, pyyaml = (yaml.load(text, Loader=loader) for loader in loaders)
+            assert mine == pyyaml == {"a": ("at-a", "x"), "b": "x"}
+
+    def test_each_load_starts_with_an_empty_memo(self, monkeypatch):
+        memos = []
+        init = _ScenarioLoader.__init__
+
+        def recording(self, stream):
+            init(self, stream)
+            memos.append((self._implicit_tags, len(self._implicit_tags)))
+
+        monkeypatch.setattr(_ScenarioLoader, "__init__", recording)
+        assert load_scenario(MINIMAL) == load_scenario(MINIMAL)
+        (first, first_size), (second, second_size) = memos
+        assert first_size == second_size == 0
+        assert first is not second
+        assert first["a"] == "tag:yaml.org,2002:str"  # the first load filled its own
+
+
+def _float_bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+def _via_loader(text: str):
+    """``text`` as an explicit ``!!float``, read by the scenario loader."""
+    return yaml.load(f"!!float {json.dumps(text)}", Loader=_ScenarioLoader)
+
+
+def _via_converter(text: str):
+    loader = _ScenarioLoader("")
+    return SafeConstructor.construct_yaml_float(loader, ScalarNode(_FLOAT_TAG, text))
+
+
+_FLOAT_TAG = "tag:yaml.org,2002:float"
+# Floats that ``float()`` refuses or reads as inf or nan, which PyYAML's
+# converter reads its own way.
+_CONVERTER_FLOATS = [
+    ".inf", "-.inf", "+.Inf", ".nan", ".NaN", "1:30", "-1:30.5", "1__0", "_1", "1_", "-_1",
+    "- 1", "-+1", "1e400", "-1e400", "inf", "nan", "1._5",
+]
+
+
+class TestFloatPath:
+    """The loader reads a finite float with ``float()``, and leaves the rest
+    to ``SafeConstructor.construct_yaml_float``; both must agree bit for bit."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.one_of(
+            st.floats(allow_nan=False).map(repr),
+            st.lists(st.sampled_from(list("0123456789+-.eE_: ") + ["١", "１"]), max_size=12).map(
+                "".join
+            ),
+        )
+    )
+    def test_equals_the_converter_bit_for_bit(self, text):
+        try:
+            expected = _float_bits(_via_converter(text))
+        except (LookupError, ValueError):
+            with pytest.raises(yaml.constructor.ConstructorError, match="cannot read"):
+                _via_loader(text)
+        else:
+            assert _float_bits(_via_loader(text)) == expected
+
+    @pytest.mark.parametrize("text", ["-0.0", "0.0", "-0e0", "1_000.5", "2.0e6", "5e-324", "1e308"])
+    def test_signed_zero_and_extremes(self, text):
+        assert _float_bits(_via_loader(text)) == _float_bits(_via_converter(text))
+
+    def test_only_what_float_cannot_read_reaches_the_converter(self, monkeypatch):
+        seen = []
+        convert = SafeConstructor.construct_yaml_float
+
+        def recording(loader, node):
+            seen.append(node.value)
+            return convert(loader, node)
+
+        monkeypatch.setitem(_ScenarioLoader.yaml_constructors, _FLOAT_TAG, recording)
+        plain = ["1.5", "-0.0", "2.0e6", "1_000.5", "17", "-3e-7"]
+        for text in plain + _CONVERTER_FLOATS:
+            _via_loader(text)
+        assert seen == _CONVERTER_FLOATS
+
+    def test_ints_stay_on_the_converter(self):
+        # YAML 1.1 reads a leading zero as octal.
+        assert yaml.load("[017, 0x1f, 1_000, 190:20:30]", Loader=_ScenarioLoader) == [
+            15, 31, 1000, 685230
+        ]
+
+
+class TestFlowDepth:
+    """Documents nested deeper than MAX_FLOW_DEPTH are refused before libyaml
+    parses them, since its time grows with the square of the depth."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "topology: " + "[" * 20000 + "]" * 20000,
+            "topology: " + "{a: " * 20000 + "1" + "}" * 20000,
+            "topology: " + "[" * 20000,  # unclosed
+            "topology: " + "[" * 20000 + "}" * 20000,  # mismatched
+            "# " + "]" * 20000 + "\ntopology: " + "[" * 20000 + "]" * 20000,
+        ],
+        ids=["list", "map", "unclosed", "mismatched", "closers-first"],
+    )
+    def test_deep_documents_are_refused_quickly(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ScenarioParseError, match=f"deeper than {MAX_FLOW_DEPTH} levels"):
+            load_scenario(text)
+        assert time.perf_counter() - start < 0.1
+
+    def test_limit_is_inclusive(self):
+        text = "topology: " + "[" * MAX_FLOW_DEPTH + "]" * MAX_FLOW_DEPTH
+        with pytest.raises(ScenarioValidationError, match="expected a mapping, got list"):
+            load_scenario(text)
+        with pytest.raises(ScenarioParseError, match="deeper than"):
+            load_scenario("topology: [" + text[len("topology: ") :] + "]")
+
+    @pytest.mark.parametrize(
+        "text, depth",
+        [
+            ("", 0),
+            ("a: b", 0),
+            ("{[]}", 2),
+            ("[][][]", 1),
+            ("[}", 1),
+            ("]]][[[", 3),  # a closer at depth 0 closes nothing
+            ("a: '[[[' # {{\n", 5),  # quoted scalars and comments count
+            ("é: [ü, {ö: ß}]", 2),
+        ],
+    )
+    def test_depth_counts_every_bracket(self, text, depth):
+        assert _flow_depth(text) == depth
+
+    def test_scenarios_stay_far_below_the_limit(self):
+        assert _flow_depth(RAYLEIGH) <= 5
+        assert _flow_depth(_mesh_text(50)) <= 5
 
 
 def _mesh_text(n_links):
