@@ -17,12 +17,7 @@ import sys
 from pathlib import Path
 
 from .channel import MAX_SAMPLES, TrsGain
-from .errors import (
-    AllSamplesOutageError,
-    NoFeasiblePointError,
-    ScenarioParseError,
-    ScenarioValidationError,
-)
+from .errors import AllSamplesOutageError, NoFeasiblePointError, ScenarioValidationError
 from .optimizer import optimize_sa
 from .scenario import (
     ScenarioConfig,
@@ -162,9 +157,6 @@ def main(argv=None) -> int:
     except (NoFeasiblePointError, AllSamplesOutageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ScenarioParseError, ScenarioValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -320,8 +320,9 @@ def grid_search_oracle(problem: PowerProblem, points_per_node: int) -> OptResult
     Ties on the objective break toward smaller total power, then toward the
     lexicographically first grid index in node order. Node counts above 4 are
     rejected (the grid is combinatorial). Each link's per-link terms are
-    tabulated once per grid value; a point's objective and feasibility are
-    those ``_Evaluator._penalize`` gives for the totals of its terms.
+    tabulated once per grid value and reduced a batch of points at a time;
+    each point is scored by ``_Evaluator._penalize`` on its totals, as an
+    annealing move is.
     """
     if points_per_node < 2:
         raise ValueError(f"points_per_node must be >= 2, got {points_per_node}")
@@ -338,50 +339,24 @@ def grid_search_oracle(problem: PowerProblem, points_per_node: int) -> OptResult
     from_last = src == n - 1
     batch = np.arange(points_per_node)[:, None]
     best = None  # (objective, total_power, grid index)
-    # The last node's grid values form one batch per index of the others,
-    # visited in itertools.product order, as are the rows of each batch.
+    # The last node's grid values form one batch per index of the others, so
+    # the points are visited in itertools.product order.
     for idx in itertools.product(range(points_per_node), repeat=n - 1):
         rows = np.where(from_last, batch, np.array(idx + (0,))[src])
-        objective, feasible = _batch_assess(problem, table[:, rows, links])
-        total_power = sum(axis[k] for k in idx) + axis
-        ks = np.flatnonzero(feasible)
-        if not ks.size:
-            continue
-        if best is None:
-            # The first feasible point stands until a later one beats it; a
-            # NaN objective is never beaten.
-            best = (objective[ks[0]], total_power[ks[0]], idx + (int(ks[0]),))
-        # The first row of least objective; total power rises along the
-        # batch, so it is also the least total power among the tied rows.
-        ks = ks[objective[ks] == np.fmin.reduce(objective[ks])]
-        if not ks.size:  # every feasible objective is NaN
-            continue
-        k = int(ks[0])
-        if objective[k] < best[0] or (objective[k] == best[0] and total_power[k] < best[1]):
-            best = (objective[k], total_power[k], idx + (k,))
+        totals = zip(*(t.tolist() for t in _reduce(*table[:, rows, links])))
+        total_power = (sum(axis[k] for k in idx) + axis).tolist()
+        for k, (point, power) in enumerate(zip(totals, total_power)):
+            objective, feasible, _penalized = evaluator._penalize(*point)
+            # A NaN best objective compares false both ways: it stands.
+            if feasible and (
+                best is None or objective < best[0] or (objective == best[0] and power < best[1])
+            ):
+                best = (objective, power, idx + (k,))
     if best is None:
         raise NoFeasiblePointError("entire grid violates the constraints")
     powers = tuple(float(axis[k]) for k in best[2])
     evaluations = points_per_node**problem.n_nodes
     return _result(evaluator, powers, evaluator.totals(powers), evaluations, Solver.GRID_ORACLE)
-
-
-def _batch_assess(problem: PowerProblem, terms: np.ndarray):
-    """Objective and feasibility of each point of a batch, as
-    ``_Evaluator._penalize`` gives them for one. ``terms`` holds the
-    points' per-link terms, shape (3, points, links)."""
-    energy, latency, min_cap_trs = _reduce(*terms)
-    # Points with a zero-capacity link are infeasible at +inf, as in `_penalize`.
-    linked = min_cap_trs > 0.0
-    objective = np.where(linked, problem.alpha * energy + problem.beta * latency, math.inf)
-    # fmax(0, NaN) is 0, as Python's max(0.0, nan) is.
-    viol_cap = np.fmax(0.0, problem.r_min_bps - min_cap_trs)
-    if problem.r_min_bps > 0:
-        viol_cap = viol_cap / problem.r_min_bps
-    viol_lat = np.fmax(0.0, latency - problem.latency_max_s)
-    if math.isfinite(problem.latency_max_s):
-        viol_lat = viol_lat / problem.latency_max_s
-    return objective, linked & (viol_cap == 0.0) & (viol_lat == 0.0)
 
 
 def _reflect(value: float, lo: float, hi: float) -> float:

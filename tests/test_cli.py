@@ -263,7 +263,9 @@ class TestMalformedScalars:
         assert main(["simulate", "--config", config_file(f"topology: {value}\n")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: malformed scenario document: cannot read "), err
-        assert err.endswith("line 1, column 11\n"), err
+        # libyaml's mark ends the message; PyYAML's pure-Python one is
+        # followed by the source line and a caret.
+        assert "line 1, column 11" in err, err
 
     @pytest.mark.parametrize("value", _UNREADABLE_SCALARS)
     def test_tagged_document_names_the_same_mark(self, config_file, capsys, value):
@@ -272,7 +274,7 @@ class TestMalformedScalars:
         assert main(["simulate", "--config", config_file(text)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: malformed scenario document: cannot read "), err
-        assert err.endswith("line 2, column 11\n"), err
+        assert "line 2, column 11" in err, err
 
     @settings(
         max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]

@@ -24,8 +24,8 @@ from qwsnsim.optimizer import (
     PowerProblem,
     SaSchedule,
     Solver,
-    _batch_assess,
     _Evaluator,
+    _reduce,
     grid_search_oracle,
     kkt_residual,
     optimize_sa,
@@ -881,7 +881,8 @@ class TestProblemValidation:
 
 
 class TestGridOracleBatches:
-    """The batched grid oracle against one ``assess`` per grid point."""
+    """The grid oracle, which reduces the per-link terms of a batch of grid
+    points at once, against one ``assess`` per grid point."""
 
     @settings(max_examples=150, deadline=None)
     @given(delta_cases(n_nodes=(2, 3), n_links=(0, 6)), st.integers(2, 9))
@@ -908,7 +909,7 @@ class TestGridOracleBatches:
             # Each batch runs from finite objectives into NaN ones.
             pytest.param(1e300, 1e9, 0.0, id="finite-then-nan"),
             # Every latency overflows; inf - inf against the unlimited cap is
-            # NaN, which max(0.0, .) and fmax(0.0, .) both count as no violation.
+            # NaN, which max(0.0, .) counts as no violation.
             pytest.param(1e308, 1e-3, 1.0, id="latency-overflows"),
         ],
     )
@@ -927,7 +928,7 @@ class TestGridOracleBatches:
     @settings(max_examples=200, deadline=None)
     @given(delta_cases(n_nodes=(2, 4), n_links=(1, 8)), st.integers(1, 4), st.data())
     @quiet_overflow
-    def test_batch_assess_equals_assess_per_row(self, case, rows, data):
+    def test_batched_reduce_equals_reduce_per_row(self, case, rows, data):
         # Capacities the channel never yields (NaN, inf, zero, negative) and
         # powers up to overflow.
         problem, _powers, _moves = case
@@ -942,8 +943,6 @@ class TestGridOracleBatches:
         points = []
         for cap_row, power_row in zip(caps, powers.tolist()):
             points.append(_fake_capacities(evaluator, cap_row).start(power_row))
-        objective, feasible = _batch_assess(problem, np.stack(points, axis=1))
+        batched = _reduce(*np.stack(points, axis=1))
         for i, terms in enumerate(points):
-            expected_objective, expected_feasible, _penalized = _assess_terms(evaluator, terms)
-            assert _same([objective[i]], [expected_objective])
-            assert feasible[i] == expected_feasible
+            assert _same([float(total[i]) for total in batched], _Evaluator.reduce(terms))
