@@ -18,7 +18,7 @@ from .numeric import stable_mean
 _LN2 = math.log(2.0)
 
 # Fading draws per link that a scenario may ask for. A run works in one
-# float64 workspace of 6 rows of this many (480 MB at the ceiling); a larger
+# float64 workspace of 2 rows of this many (160 MB at the ceiling); a larger
 # count is a typo, not a simulation.
 MAX_SAMPLES = 10**7
 

@@ -1,11 +1,13 @@
 """Topologies, the per-link metric record, and network aggregation.
 
-The metrics themselves come from one kernel, ``scenario.simulate_link``;
-``scenario.link_metrics`` is that kernel on one fading draw. Links are
-directed; bidirectional traffic is two links. Latency here is
-transmission time L/C only (no queueing or propagation terms), and every
-TRS variant of a metric is the base value scaled by the link's gain:
-capacity goes up by gamma, time/energy/latency come down by gamma.
+The metrics come from one kernel, ``scenario.simulate_link``, and
+``scenario.link_metrics`` is that kernel on one fading draw. A faded link's
+capacity C is its mean over the draws; its time L/C and energy P*L/C follow
+from that mean (the ergodic rate). Links are directed: bidirectional
+traffic is two links. Latency is the time L/C only (no queueing or
+propagation terms), and every TRS variant of a metric is the base value
+scaled by the link's gain: capacity goes up by gamma, time/energy/latency
+come down by gamma.
 """
 
 from __future__ import annotations

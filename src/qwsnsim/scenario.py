@@ -75,6 +75,7 @@ from .network import (
     network_totals,
     path_capacity,
 )
+from .numeric import stable_mean
 from .optimizer import (
     Deterministic,
     ErgodicMean,
@@ -590,74 +591,70 @@ def sa_rng(seed: int) -> np.random.Generator:
 def simulate_link(
     node: Node, link: Link, h_squared: np.ndarray, work: np.ndarray | None = None
 ) -> tuple[LinkMetrics, int]:
-    """Average one link's metrics over an array of fading draws.
+    """One link's metrics over an array of fading draws, at its ergodic rate.
 
-    This is the one place a link's capacity becomes its time L / C, energy
-    P * T and TRS metrics. A draw whose capacity is zero, or so small that its
-    time or energy is not finite, is counted as an outage and excluded from
-    the means. Raises AllSamplesOutageError when nothing is left to average,
-    and ValueError when the mean TRS capacity overflows.
+    This is the one place a link's capacity becomes its time, energy and TRS
+    metrics. Only the capacity is averaged: a packet spans many coherence
+    blocks, so at the mean capacity C it takes L / C seconds and P * L / C
+    joules (Goldsmith, *Wireless Communications*, 2005, ch. 4). The latency
+    is the time; TRS multiplies the capacity by gamma and divides the rest.
 
-    The six means are reduced as one stack: capacities, times and energies,
-    then the capacities times gamma and the times and energies over gamma.
-    Each row's mean is its first element plus the mean of its residuals,
-    bit for bit what ``stable_mean`` gives on that row alone.
+    A draw whose capacity is not positive, or so small that its time or
+    energy is not finite, is counted as an outage and left out of the mean.
+    Raises AllSamplesOutageError when nothing is left to average, and
+    ValueError when the mean TRS capacity overflows.
 
-    ``work``, a C-contiguous float64 array of shape ``(6,) + h_squared.shape``,
-    holds that stack instead of a fresh array; its contents are overwritten.
-    ``h_squared`` may be one of its rows: the draws are read once, into the
-    capacities, before any row is written.
+    ``work``, a C-contiguous float64 array of shape ``(2,) + h_squared.shape``,
+    holds the capacities in row 0 and, when some draws are outages, the
+    usable ones in row 1; its contents are overwritten. ``h_squared`` may be
+    one of its rows.
     """
     h2 = np.asarray(h_squared, dtype=float)
     if work is None:
-        work = np.empty((6,) + h2.shape)
-    elif work.shape != (6,) + h2.shape or not work.flags.c_contiguous:
+        work = np.empty((2,) + h2.shape)
+    elif work.shape != (2,) + h2.shape or not work.flags.c_contiguous:
         # Along a row of any other layout numpy may not sum pairwise, as
         # stable_mean's 1-D sum does.
         raise ValueError(
-            f"work must have shape {(6,) + h2.shape} and be C-contiguous, got {work.shape}"
+            f"work must have shape {(2,) + h2.shape} and be C-contiguous, got {work.shape}"
         )
-    gamma = link.gain.gamma
-    # Overflow and 0/0 are expected here: they mark outages, or a non-finite
-    # mean that is rejected below or by run_scenario.
+    caps, scratch = work.reshape(2, -1)
+    length, power = node.packet_length_bits, node.tx_power_w
+    # Overflow and 0/0 are expected here: they mark outages, or a mean that is
+    # rejected below.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        caps = faded_capacity_samples(link.budget, h2, out=work[0])
-        tx_times = np.divide(node.packet_length_bits, caps, out=work[1])
-        energies = np.multiply(node.tx_power_w, tx_times, out=work[2])
-        # A zero capacity gives an infinite (or 0/0) time, and an infinite time
-        # an infinite (or 0*inf) energy, so a finite energy marks a usable draw.
-        usable = np.isfinite(energies)
-        used = int(np.count_nonzero(usable))
-        outages = h2.size - used
-        if used == 0:
-            raise AllSamplesOutageError(link.id)
-        rows = work.reshape(6, -1)
-        if outages:
-            compressed = np.empty((6, used))
-            np.compress(usable.ravel(), rows[:3], axis=1, out=compressed[:3])
-            rows = compressed
-        np.multiply(rows[0], gamma, out=rows[3])
-        np.divide(rows[1:3], gamma, out=rows[4:])
-        pivots = rows[:, 0].copy()
-        rows -= pivots[:, None]
-        means = (pivots + np.add.reduce(rows, axis=1) / used).tolist()
-    mean_cap, mean_tx, mean_energy, mean_cap_trs, mean_tx_trs, mean_energy_trs = means
+        faded_capacity_samples(link.budget, h2.reshape(-1), out=caps)
+        # P * (L / C) falls as C grows, so when the least capacity is usable
+        # every draw is. A NaN capacity makes the least NaN; no draws, inf.
+        least = float(caps.min(initial=math.inf))
+        outages = 0
+        if not (0 < least < math.inf and math.isfinite(power * (length / least))):
+            energies = np.multiply(power, np.divide(length, caps, out=scratch), out=scratch)
+            usable = np.isfinite(energies) & (caps > 0)
+            used = int(np.count_nonzero(usable))
+            if used == 0:
+                raise AllSamplesOutageError(link.id)
+            outages = caps.size - used
+            caps = np.compress(usable, caps, out=scratch[:used])
+        mean_cap = stable_mean(caps, caps)
+    gamma = link.gain.gamma
+    mean_cap_trs = gamma * mean_cap
     # B log2(1 + SNR), or gamma times it, overflowed (an inf draw leaves
-    # inf - inf = NaN in the mean); run_scenario's TRS ratios would divide 0
-    # by 0.
+    # inf - inf = NaN in the mean).
     if not math.isfinite(mean_cap_trs):
         raise ValueError(f"capacity overflows: mean TRS capacity is {mean_cap_trs} bit/s")
-    metrics = LinkMetrics(
+    tx_time = length / mean_cap
+    energy = power * tx_time
+    return LinkMetrics(
         capacity_bps=mean_cap,
         capacity_trs_bps=mean_cap_trs,
-        tx_time_s=mean_tx,
-        tx_time_trs_s=mean_tx_trs,
-        energy_j=mean_energy,
-        energy_trs_j=mean_energy_trs,
-        latency_s=mean_tx,
-        latency_trs_s=mean_tx_trs,
-    )
-    return metrics, outages
+        tx_time_s=tx_time,
+        tx_time_trs_s=tx_time / gamma,
+        energy_j=energy,
+        energy_trs_j=energy / gamma,
+        latency_s=tx_time,
+        latency_trs_s=tx_time / gamma,
+    ), outages
 
 
 def link_metrics(node: Node, link: Link, draw: FadingDraw) -> LinkMetrics:
@@ -676,7 +673,8 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
     """Execute the Monte-Carlo scenario.
 
     Per link: draw fading from the link's private seeded stream, average the
-    derived metrics over non-outage draws, then aggregate network totals. If
+    capacity over non-outage draws and derive the link's metrics from that
+    mean (``simulate_link``), then aggregate network totals. If
     an optimizer section is present, the annealing solver runs on a reserved
     sub-stream of the same seed.
     """
@@ -686,22 +684,21 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
         raise ScenarioValidationError("topology.links", "scenario needs at least one link")
     nodes = {n.id: n for n in topology.nodes}
 
-    # Every link draws and reduces in the same rows, so no per-link array is
-    # fresh memory whose pages fault in on first touch. The draws land in row
-    # 0 (row 1 is the Rician scratch), and simulate_link reads them into its
-    # capacities in that row before it writes the others.
-    work = np.empty((6, config.n_samples))
+    # Every link draws and reduces in the same two rows, so no per-link array
+    # is fresh memory whose pages fault in on first touch. The draws land in
+    # row 0 (row 1 is the Rician scratch), and simulate_link turns them into
+    # its capacities in place.
+    work = np.empty((2, config.n_samples))
     summaries = []
     for i, link in enumerate(links):
-        h2 = sample_h_squared(
-            link.fading, link_rng(config.seed, i), size=config.n_samples, out=work[:2]
-        )
+        rng = link_rng(config.seed, i)
+        h2 = sample_h_squared(link.fading, rng, size=config.n_samples, out=work)
         try:
             metrics, outages = simulate_link(nodes[link.src], link, h2, work=work)
         except ValueError as exc:
             raise ScenarioValidationError(f"topology.links[{i}]", str(exc)) from exc
-        # A zero transmit power, or packet times that underflow, leave 0/0 in
-        # a ratio below; a sum of huge draws can overflow a mean.
+        # A zero transmit power, or a packet time that underflows, leaves 0/0
+        # in a ratio below.
         means = (metrics.tx_time_s, metrics.tx_time_trs_s, metrics.energy_j, metrics.energy_trs_j)
         if not all(0.0 < mean < math.inf for mean in means):
             raise ScenarioValidationError(

@@ -25,6 +25,7 @@ from oracles import (
     gauss_laguerre_ergodic,
     ks_statistic_exponential,
     pivoted_mean,
+    rayleigh_ergodic,
 )
 
 
@@ -398,3 +399,16 @@ class TestErgodicCapacity:
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
             ergodic_capacity(LinkBudget(1, 1, 1), FadingSpec.awgn(), 0, np.random.default_rng(0))
+
+
+class TestRayleighOracle:
+    def test_unit_snr_is_gompertz_constant(self):
+        # e * E1(1) is Gompertz's constant, 0.596347362323194074341...
+        assert rayleigh_ergodic(1.0) == pytest.approx(0.5963473623231940743 / math.log(2.0), rel=1e-15)
+
+    @pytest.mark.parametrize("snr_db, rel", [(0, 1e-11), (10, 1e-6)])
+    def test_agrees_with_gauss_laguerre(self, snr_db, rel):
+        # Quadrature loses digits as the SNR grows: log1p's branch point
+        # -1/snr closes in on the weight's support.
+        snr = 10 ** (snr_db / 10)
+        assert rayleigh_ergodic(snr) == pytest.approx(gauss_laguerre_ergodic(snr), rel=rel)
