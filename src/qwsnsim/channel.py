@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numeric import stable_mean
+from .numeric import FLOAT_MAX, stable_mean
 
 _LN2 = math.log(2.0)
 
@@ -44,13 +44,13 @@ class LinkBudget:
     interference_power_w: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.bandwidth_hz < math.inf:
+        if not 0 < self.bandwidth_hz <= FLOAT_MAX:
             raise ValueError(f"bandwidth_hz must be > 0 and finite, got {self.bandwidth_hz}")
-        if not 0 <= self.signal_power_w < math.inf:
+        if not 0 <= self.signal_power_w <= FLOAT_MAX:
             raise ValueError(f"signal_power_w must be >= 0 and finite, got {self.signal_power_w}")
-        if not 0 < self.noise_power_w < math.inf:
+        if not 0 < self.noise_power_w <= FLOAT_MAX:
             raise ValueError(f"noise_power_w must be > 0 and finite, got {self.noise_power_w}")
-        if not 0 <= self.interference_power_w < math.inf:
+        if not 0 <= self.interference_power_w <= FLOAT_MAX:
             raise ValueError(
                 f"interference_power_w must be >= 0 and finite, got {self.interference_power_w}"
             )
@@ -70,12 +70,12 @@ class FadingSpec:
     k_factor: float | None = None
 
     def __post_init__(self):
-        if self.kind is not FadingKind.AWGN and not 0 < self.mean_power < math.inf:
+        if self.kind is not FadingKind.AWGN and not 0 < self.mean_power <= FLOAT_MAX:
             raise ValueError(f"mean_power must be > 0 and finite, got {self.mean_power}")
         if self.kind is FadingKind.RICIAN:
             if self.k_factor is None:
                 raise ValueError("Rician fading requires a k_factor")
-            if not 0 <= self.k_factor < math.inf:
+            if not 0 <= self.k_factor <= FLOAT_MAX:
                 raise ValueError(f"k_factor must be >= 0 and finite, got {self.k_factor}")
         elif self.k_factor is not None:
             raise ValueError(f"k_factor is only valid for Rician fading, got kind={self.kind}")
@@ -114,7 +114,7 @@ class TrsGain:
     gamma: float
 
     def __post_init__(self):
-        if not 1.0 <= self.gamma < math.inf:
+        if not 1.0 <= self.gamma <= FLOAT_MAX:
             raise ValueError(f"gamma must be >= 1 and finite, got {self.gamma}")
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .channel import TrsGain
 from .errors import EmptyUserSetError, NotHermitianError, NotPositiveDefiniteError
+from .numeric import FLOAT_MAX
 
 # Max elementwise asymmetry tolerated before a matrix is declared non-Hermitian,
 # absolute or relative to the largest |entry|; guards against silently
@@ -44,7 +45,7 @@ class MimoChannel:
             raise ValueError(f"channel matrix dimension exceeds {MAX_DIM}: {h.shape}")
         if not np.isfinite(h).all():
             raise ValueError("channel matrix entries must be finite")
-        if not 0 <= self.total_power_w < math.inf:
+        if not 0 <= self.total_power_w <= FLOAT_MAX:
             raise ValueError(f"total_power_w must be >= 0 and finite, got {self.total_power_w}")
         object.__setattr__(self, "h", h)
 

@@ -12,13 +12,13 @@ come down by gamma.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 from .channel import FadingSpec, LinkBudget, TrsGain
 from .errors import EmptyNetworkError, EmptyPathError
+from .numeric import FLOAT_MAX
 
 
 @dataclass(frozen=True)
@@ -29,9 +29,9 @@ class Node:
     packet_length_bits: float
 
     def __post_init__(self):
-        if not 0 <= self.tx_power_w < math.inf:
+        if not 0 <= self.tx_power_w <= FLOAT_MAX:
             raise ValueError(f"tx_power_w must be >= 0 and finite, got {self.tx_power_w}")
-        if not 0 < self.packet_length_bits < math.inf:
+        if not 0 < self.packet_length_bits <= FLOAT_MAX:
             raise ValueError(
                 f"packet_length_bits must be > 0 and finite, got {self.packet_length_bits}"
             )

@@ -1,6 +1,12 @@
 """Small numerical helpers."""
 
+import sys
+
 import numpy as np
+
+# A range check `x <= FLOAT_MAX` refuses inf and NaN as `x < math.inf` does,
+# and also an int too large for a float, which compares below inf.
+FLOAT_MAX = sys.float_info.max
 
 
 def stable_mean(values: np.ndarray, scratch: np.ndarray | None = None) -> float:

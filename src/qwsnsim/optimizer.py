@@ -34,7 +34,7 @@ from .channel import (
 )
 from .errors import NoFeasiblePointError
 from .network import Topology
-from .numeric import stable_mean
+from .numeric import FLOAT_MAX, stable_mean
 
 _LN2 = math.log(2.0)
 
@@ -91,16 +91,16 @@ class PowerProblem:
     fading: FadingTreatment = field(default_factory=Deterministic)
 
     def __post_init__(self):
-        if not 0 <= self.p_min_w < self.p_max_w < math.inf:
+        if not 0 <= self.p_min_w < self.p_max_w <= FLOAT_MAX:
             raise ValueError(
                 f"power bounds must be finite and satisfy 0 <= p_min < p_max, got "
                 f"[{self.p_min_w}, {self.p_max_w}]"
             )
-        if not 0 <= self.r_min_bps < math.inf:
+        if not 0 <= self.r_min_bps <= FLOAT_MAX:
             raise ValueError(f"r_min_bps must be >= 0 and finite, got {self.r_min_bps}")
         if not self.latency_max_s > 0:
             raise ValueError(f"latency_max_s must be > 0, got {self.latency_max_s}")
-        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
+        if not (0 <= self.alpha <= FLOAT_MAX and 0 <= self.beta <= FLOAT_MAX):
             raise ValueError(f"weights must be finite and >= 0, got {self.alpha}, {self.beta}")
         if self.alpha == 0 and self.beta == 0:
             raise ValueError("at least one of alpha, beta must be positive")
@@ -161,7 +161,7 @@ class SaSchedule:
             raise ValueError(
                 f"iterations must be between 1 and {MAX_ITERATIONS}, got {self.iterations}"
             )
-        if self.t_initial is not None and not 0 < self.t_initial < math.inf:
+        if self.t_initial is not None and not 0 < self.t_initial <= FLOAT_MAX:
             raise ValueError(f"t_initial must be finite and > 0, got {self.t_initial}")
 
 

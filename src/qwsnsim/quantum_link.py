@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .channel import TrsGain
+from .numeric import FLOAT_MAX
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,7 @@ class QkdLinkSpec:
     def __post_init__(self):
         for name in ("tx_power_w", "loss_coeff_per_km", "distance_km"):
             value = getattr(self, name)
-            if not 0 <= value < math.inf:
+            if not 0 <= value <= FLOAT_MAX:
                 raise ValueError(f"{name} must be >= 0 and finite, got {value}")
 
 

@@ -49,6 +49,7 @@ from typing import Callable
 
 import numpy as np
 import yaml
+from yaml.composer import ComposerError
 from yaml.constructor import ConstructorError, SafeConstructor
 from yaml.nodes import MappingNode, ScalarNode
 
@@ -116,6 +117,14 @@ def _malformed(node) -> ConstructorError:
     return ConstructorError(None, None, f"cannot read {node.value!r} as {tag}", node.start_mark)
 
 
+# Collections, block or flow, a node may have above it, the root included; a
+# scenario needs about 5. Past that the composer stops: both composers recurse
+# once per level (libyaml's C stack overflows near 30000 levels) and libyaml
+# walks every open flow level on every token.
+MAX_FLOW_DEPTH = 64
+_TOO_DEEP = f"collections nest deeper than {MAX_FLOW_DEPTH} levels"
+
+
 class _ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """SafeLoader that also accepts unsigned exponents like 2.0e6, and builds
     plain documents itself.
@@ -131,7 +140,7 @@ class _ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     graph: bookkeeping on every node and a generator for every mapping and
     list. A scenario needs only strings, numbers, booleans, nulls, lists and
     mappings, so ``construct_document`` builds those itself, in one
-    breadth-first pass without recursion (a list nested 20000 deep loads).
+    breadth-first pass.
     It fills containers in the order PyYAML's state generators do, so the
     first error is the same, and aliases, recursive ones included, share one
     object as they do there. A document with any other tag (``!!set``,
@@ -142,6 +151,7 @@ class _ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     def __init__(self, stream):
         super().__init__(stream)
         self._implicit_tags = {}  # plain scalar -> tag, for this document
+        self._depth = 0  # collections above the node being composed
 
     def resolve(self, kind, value, implicit):
         if kind is not ScalarNode or not implicit[0]:
@@ -149,12 +159,18 @@ class _ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
         tags = self._implicit_tags
         tag = tags.get(value)
         if tag is None:
-            tag = super().resolve(kind, value, implicit)
-            # With path resolvers, a scalar no implicit resolver matches takes
-            # its tag from its path, not from its value alone.
-            if not self.yaml_path_resolvers:
-                tags[value] = tag
+            tag = tags[value] = super().resolve(kind, value, implicit)
         return tag
+
+    # Both composers call the path-resolver hooks around every node. These
+    # count the nesting instead: path resolvers are not supported.
+    def descend_resolver(self, parent, index):
+        if self._depth > MAX_FLOW_DEPTH:
+            raise ComposerError(None, None, _TOO_DEEP, parent.start_mark)
+        self._depth += 1
+
+    def ascend_resolver(self):
+        self._depth -= 1
 
     def construct_document(self, root):
         built = {}  # container node -> its object, so aliases share it
@@ -528,40 +544,14 @@ _SCENARIO = _Table(
 )
 
 
-# Flow collections ([...], {...}) a document may nest; a scenario needs about
-# 5. libyaml walks every open flow level on every token, so its time grows
-# with the square of the depth: a list 10000 deep took 0.6 s to parse.
-MAX_FLOW_DEPTH = 64
-# Every byte but the four flow brackets, for bytes.translate to delete.
-_NOT_BRACKETS = bytes(sorted(set(range(256)) - set(b"[]{}")))
-
-
-def _flow_depth(text: str) -> int:
-    """The deepest bracket nesting in ``text``. ``[`` and ``{`` open a level
-    and ``]`` and ``}`` close one, as libyaml counts flow levels, except that
-    brackets in quoted scalars and comments count too. A closing bracket at
-    depth 0 closes nothing."""
-    brackets = np.frombuffer(
-        text.encode("utf-8", "surrogatepass").translate(None, _NOT_BRACKETS), np.uint8
-    )
-    # Opening brackets have bit 1 set and closing ones have it clear.
-    depth = np.cumsum((brackets & 2).astype(np.intp) - 1)
-    floor = np.minimum.accumulate(np.minimum(depth, 0))
-    return int((depth - floor).max(initial=0))
-
-
 def load_scenario(text: str) -> ScenarioConfig:
     """Parse and fully validate a scenario document.
 
-    Raises ScenarioParseError for malformed documents, those nested deeper
-    than MAX_FLOW_DEPTH included, and ScenarioValidationError (with the
-    offending field path) for constraint violations.
+    Raises ScenarioParseError for malformed documents, those with a node
+    under more than MAX_FLOW_DEPTH collections included (the parser stops
+    there), and ScenarioValidationError (with the offending field path) for
+    constraint violations.
     """
-    # Refused before the parse, which is the slow part.
-    if _flow_depth(text) > MAX_FLOW_DEPTH:
-        raise ScenarioParseError(
-            f"malformed scenario document: brackets nest deeper than {MAX_FLOW_DEPTH} levels"
-        )
     # The parse allocates some 20 objects per link, none in a cycle, so the
     # cyclic collector's passes over the growing heap are wasted work.
     gc_was_enabled = gc.isenabled()

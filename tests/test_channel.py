@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -239,6 +240,26 @@ class TestTrsGain:
     def test_gain_below_one_rejected(self):
         with pytest.raises(ValueError):
             TrsGain(0.5)
+
+
+# A Python int beyond the float range compares below math.inf; the bound is
+# the largest float, so such an int is refused before a float() overflows.
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("bandwidth_hz", lambda v: LinkBudget(v, 1.0, 1.0)),
+        ("signal_power_w", lambda v: LinkBudget(1.0, v, 1.0)),
+        ("noise_power_w", lambda v: LinkBudget(1.0, 1.0, v)),
+        ("interference_power_w", lambda v: LinkBudget(1.0, 1.0, 1.0, v)),
+        ("mean_power", FadingSpec.rayleigh),
+        ("k_factor", FadingSpec.rician),
+        ("gamma", TrsGain),
+    ],
+)
+def test_int_beyond_the_float_range_is_refused(field, build):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        build(10**400)
+    build(int(sys.float_info.max))
 
 
 class TestFadingSpecValidation:

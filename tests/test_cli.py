@@ -2,7 +2,10 @@ import copy
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import qwsnsim
 from qwsnsim.channel import MAX_SAMPLES
 from qwsnsim.cli import main
 from qwsnsim.optimizer import MAX_ITERATIONS
@@ -246,9 +250,54 @@ class TestYamlFeatures:
     def test_list_nested_20000_deep_names_the_limit(self, config_file, capsys):
         text = "topology: " + "[" * 20000 + "]" * 20000 + "\n"
         assert main(["simulate", "--config", config_file(text)]) == 1
-        assert capsys.readouterr().err == (
-            "error: malformed scenario document: brackets nest deeper than 64 levels\n"
-        )
+        assert capsys.readouterr().err.startswith(_TOO_DEEP)
+
+
+_TOO_DEEP = "error: malformed scenario document: collections nest deeper than 64 levels\n"
+
+# Exits with the CLI's code; argv[1] is the scenario file, and a second
+# argument hides libyaml, so PyYAML's pure-Python composer runs.
+_CLI_SCRIPT = """
+import sys
+import yaml
+if len(sys.argv) > 2:
+    del yaml.CSafeLoader
+from qwsnsim.cli import main
+sys.exit(main(["simulate", "--config", sys.argv[1]]))
+"""
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("composer", ["libyaml", "python"])
+    def test_block_list_30000_deep_exits_1_in_a_fresh_process(self, config_file, composer):
+        # libyaml's composer recursed 30000 C frames deep here and crashed;
+        # PyYAML's ran out of Python frames at about 500 levels.
+        path = config_file("topology:\n  " + "- " * 30000 + "a\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(qwsnsim.__file__).resolve().parents[1])}
+        argv = [sys.executable, "-c", _CLI_SCRIPT, path]
+        if composer == "python":
+            argv.append("hide libyaml")
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith(_TOO_DEEP)
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("style", ["block", "flow"])
+    @pytest.mark.parametrize("place", ["topology", "fading", "schedule"])
+    def test_deep_value_anywhere_exits_1(self, config_file, capsys, place, style):
+        value = "x"
+        for level in range(70):
+            value = [value] if level % 2 else {"k": value}
+        doc = copy.deepcopy(MUTABLE)
+        owner = {
+            "topology": doc["topology"],
+            "fading": doc["topology"]["links"][0]["fading"],
+            "schedule": doc["optimizer"]["schedule"],
+        }[place]
+        owner["zz"] = value
+        text = yaml.safe_dump(doc, default_flow_style=style == "flow")
+        assert main(["simulate", "--config", config_file(text)]) == 1
+        assert capsys.readouterr().err.startswith(_TOO_DEEP)
 
 
 # Each raised a bare KeyError, IndexError, AttributeError or ValueError out of

@@ -193,6 +193,11 @@ class TestMimoCapacity:
         with pytest.raises(ValueError, match="^total_power_w must be >= 0 and finite"):
             mimo_capacity(MimoChannel(np.eye(2), np.inf))
 
+    def test_int_power_beyond_the_float_range_is_named(self):
+        # It compares below inf; total_power_w / n_tx then raised OverflowError.
+        with pytest.raises(ValueError, match="^total_power_w must be >= 0 and finite"):
+            MimoChannel(np.eye(2), 10**400)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_scale_is_named(self):
         with pytest.raises(ValueError, match=r"^gamma \* \(total_power_w / n_tx\) overflows"):

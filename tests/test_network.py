@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -256,6 +257,15 @@ def test_library_rejects_nan_and_oversized_counts(call):
 
 def _nodes(*ids):
     return tuple(Node(i, 1.0, 100.0) for i in ids)
+
+
+# A Python int beyond the float range compares below math.inf; the bound is
+# the largest float, so such an int is refused before a float() overflows.
+@pytest.mark.parametrize("field", ["tx_power_w", "packet_length_bits"])
+def test_node_refuses_an_int_beyond_the_float_range(field):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        Node("a", **{"tx_power_w": 1.0, "packet_length_bits": 1.0, field: 10**400})
+    Node("a", **{"tx_power_w": 1.0, "packet_length_bits": 1.0, field: int(sys.float_info.max)})
 
 
 class TestTopologyValidation:

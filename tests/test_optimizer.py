@@ -343,6 +343,8 @@ class TestSimulatedAnnealing:
             SaSchedule(iterations=0)
         with pytest.raises(ValueError):
             SaSchedule(t_initial=-1.0)
+        with pytest.raises(ValueError, match="^t_initial must be"):
+            SaSchedule(t_initial=10**400)  # an int beyond the float range
 
 
 class TestGammaScaling:
@@ -878,6 +880,18 @@ class TestProblemValidation:
                 PowerProblem(topo, 0.1, 1.0, **{field: math.nan})
         with pytest.raises(ValueError):
             ErgodicMean(n_samples=0, seed=1)
+
+    # A Python int beyond the float range compares below math.inf; the bound
+    # is the largest float, so such an int is refused here.
+    @pytest.mark.parametrize(
+        "field, match",
+        [("p_max_w", "power bounds"), ("r_min_bps", "r_min_bps"), ("alpha", "weights"),
+         ("beta", "weights")],
+    )
+    def test_int_beyond_the_float_range_is_refused(self, field, match):
+        topo = Topology(TopologyKind.MESH, (Node("a", 1.0, 1.0),), ())
+        with pytest.raises(ValueError, match=f"^{match}"):
+            PowerProblem(topo, **{"p_min_w": 0.1, "p_max_w": 1.0, field: 10**400})
 
 
 class TestGridOracleBatches:

@@ -89,7 +89,7 @@ class TestQkdReceivedPower:
             QkdLinkSpec(1.0, 0.1, -1.0)
 
     @pytest.mark.parametrize("name", ["tx_power_w", "loss_coeff_per_km", "distance_km"])
-    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, pytest.param(10**400, id="10**400")])
     def test_infinite_field_is_named(self, name, value):
         fields = {"tx_power_w": 1.0, "loss_coeff_per_km": 0.0, "distance_km": 1.0, name: value}
         with pytest.raises(ValueError, match=rf"^{name} must be >= 0 and finite"):

@@ -38,7 +38,6 @@ from qwsnsim.optimizer import ErgodicMean, PowerProblem
 from qwsnsim.scenario import (
     CSV_HEADER,
     MAX_FLOW_DEPTH,
-    _flow_depth,
     _ScenarioLoader,
     dump_json,
     emit_report,
@@ -426,9 +425,6 @@ def yaml_documents(draw, depth=3):
     return node(depth)
 
 
-_PYTHON_COMPOSER_RECURSES = "without libyaml, PyYAML composes one Python frame per nesting level"
-
-
 class TestDocumentConstruction:
     """``_ScenarioLoader.construct_document`` against PyYAML's own."""
 
@@ -458,13 +454,15 @@ class TestDocumentConstruction:
     def test_edge_cases_match_pyyaml(self, text):
         assert _outcome(_ScenarioLoader, text) == _outcome(_PyYamlBuilt, text)
 
-    @pytest.mark.skipif(not yaml.__with_libyaml__, reason=_PYTHON_COMPOSER_RECURSES)
     @pytest.mark.parametrize(
         "text",
-        ["[" * 20000 + "]" * 20000, "{a: " * 2000 + "1" + "}" * 2000],
-        ids=["list-20000", "map-2000"],
+        [
+            "[" * MAX_FLOW_DEPTH + "]" * MAX_FLOW_DEPTH,
+            "{a: " * MAX_FLOW_DEPTH + "1" + "}" * MAX_FLOW_DEPTH,
+        ],
+        ids=["list", "map"],
     )
-    def test_nesting_deeper_than_the_recursion_limit(self, text):
+    def test_nesting_at_the_limit(self, text):
         built = _outcome(_ScenarioLoader, text)
         assert isinstance(built, list)
         assert built == _outcome(_PyYamlBuilt, text)
@@ -527,19 +525,6 @@ class TestImplicitResolution:
             for implicit in (True, False):
                 expected = yaml.resolver.BaseResolver.resolve(loader, kind, None, implicit)
                 assert loader.resolve(kind, None, implicit) == expected
-
-    def test_path_resolvers_are_not_memoized(self):
-        # A string's tag may depend on its path; PyYAML's pure-Python loader
-        # is the reference.
-        loaders = []
-        for base in (_ScenarioLoader, yaml.SafeLoader):
-            loader = type("PathLoader", (base,), {})
-            loader.add_path_resolver("!at-a", ["a"], str)
-            loader.add_constructor("!at-a", lambda _loader, node: ("at-a", node.value))
-            loaders.append(loader)
-        for text in ("{a: x, b: x}", "{b: x, a: x}"):
-            mine, pyyaml = (yaml.load(text, Loader=loader) for loader in loaders)
-            assert mine == pyyaml == {"a": ("at-a", "x"), "b": "x"}
 
     def test_each_load_starts_with_an_empty_memo(self, monkeypatch):
         memos = []
@@ -628,8 +613,9 @@ class TestFloatPath:
 
 
 class TestFlowDepth:
-    """Documents nested deeper than MAX_FLOW_DEPTH are refused before libyaml
-    parses them, since its time grows with the square of the depth."""
+    """A node under more than MAX_FLOW_DEPTH collections, block or flow, stops
+    the composer: both recurse once per level, and libyaml's time per token
+    grows with the number of open flow levels."""
 
     @pytest.mark.parametrize(
         "text",
@@ -639,8 +625,16 @@ class TestFlowDepth:
             "topology: " + "[" * 20000,  # unclosed
             "topology: " + "[" * 20000 + "}" * 20000,  # mismatched
             "# " + "]" * 20000 + "\ntopology: " + "[" * 20000 + "]" * 20000,
+            "topology:\n  " + "- " * 30000 + "a\n",
+            "topology:\n" + "".join(" " * i + "a:\n" for i in range(1, 3000)),
+            # A quoted "]" and a commented one close nothing.
+            "topology: " + '[ "]", ' * 10000 + "]" * 10000,
+            "topology: " + "[ # ]\n" * 10000 + "]" * 10000,
         ],
-        ids=["list", "map", "unclosed", "mismatched", "closers-first"],
+        ids=[
+            "list", "map", "unclosed", "mismatched", "closers-first",
+            "block-list", "block-map", "quoted-closers", "commented-closers",
+        ],
     )
     def test_deep_documents_are_refused_quickly(self, text):
         start = time.perf_counter()
@@ -655,33 +649,24 @@ class TestFlowDepth:
         with pytest.raises(ScenarioParseError, match="deeper than"):
             load_scenario("topology: [" + text[len("topology: ") :] + "]")
 
-    @pytest.mark.parametrize(
-        "text, depth",
-        [
-            ("", 0),
-            ("a: b", 0),
-            ("{[]}", 2),
-            ("[][][]", 1),
-            ("[}", 1),
-            ("]]][[[", 3),  # a closer at depth 0 closes nothing
-            ("a: '[[[' # {{\n", 5),  # quoted scalars and comments count
-            ("é: [ü, {ö: ß}]", 2),
-        ],
-    )
-    def test_depth_counts_every_bracket(self, text, depth):
-        assert _flow_depth(text) == depth
+    @pytest.mark.parametrize("depth", [MAX_FLOW_DEPTH - 1, MAX_FLOW_DEPTH])
+    def test_block_style_counts_as_flow_style(self, depth):
+        # ``depth`` lists under the root mapping; the innermost holds a scalar.
+        flow = "topology: " + "[" * depth + "x" + "]" * depth
+        block = "topology:\n" + "".join("  " * i + "-\n" for i in range(1, depth))
+        block += "  " * depth + "- x\n"
+        outcomes = []
+        for text in (flow, block):
+            with pytest.raises((ScenarioParseError, ScenarioValidationError)) as caught:
+                load_scenario(text)
+            outcomes.append((caught.type, str(caught.value).split("\n")[0]))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0][0] is ScenarioParseError) == (depth == MAX_FLOW_DEPTH)
 
-    @pytest.mark.xfail(
-        strict=True, reason="a quoted closing bracket lowers the count; the scan does not lex quotes"
-    )
-    def test_quoted_closers_do_not_hide_the_depth(self):
-        # Every level is closed in the text by a quoted "]", which libyaml
-        # reads as a scalar, so the document nests 100 deep.
-        assert _flow_depth("topology: " + '[ "]", ' * 100 + "]" * 100) > MAX_FLOW_DEPTH
-
-    def test_scenarios_stay_far_below_the_limit(self):
-        assert _flow_depth(RAYLEIGH) <= 5
-        assert _flow_depth(_mesh_text(50)) <= 5
+    def test_brackets_in_scalars_and_comments_do_not_count(self):
+        text = "topology: {kind: '" + "[" * 100 + "'}  # " + "{" * 100
+        with pytest.raises(ScenarioValidationError, match="topology.kind"):
+            load_scenario(text)
 
 
 def _mesh_text(n_links):
