@@ -100,8 +100,8 @@ class FadingDraw:
     h_squared: float
 
     def __post_init__(self):
-        if not self.h_squared >= 0:
-            raise ValueError(f"h_squared must be >= 0, got {self.h_squared}")
+        if not 0 <= self.h_squared <= FLOAT_MAX:
+            raise ValueError(f"h_squared must be >= 0 and finite, got {self.h_squared}")
 
 
 @dataclass(frozen=True)

@@ -98,8 +98,10 @@ class PowerProblem:
             )
         if not 0 <= self.r_min_bps <= FLOAT_MAX:
             raise ValueError(f"r_min_bps must be >= 0 and finite, got {self.r_min_bps}")
-        if not self.latency_max_s > 0:
-            raise ValueError(f"latency_max_s must be > 0, got {self.latency_max_s}")
+        if not (0 < self.latency_max_s <= FLOAT_MAX or self.latency_max_s == math.inf):
+            raise ValueError(
+                f"latency_max_s must be > 0, a finite float or inf, got {self.latency_max_s}"
+            )
         if not (0 <= self.alpha <= FLOAT_MAX and 0 <= self.beta <= FLOAT_MAX):
             raise ValueError(f"weights must be finite and >= 0, got {self.alpha}, {self.beta}")
         if self.alpha == 0 and self.beta == 0:

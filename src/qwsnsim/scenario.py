@@ -50,8 +50,9 @@ from typing import Callable
 import numpy as np
 import yaml
 from yaml.composer import ComposerError
-from yaml.constructor import ConstructorError, SafeConstructor
+from yaml.constructor import ConstructorError
 from yaml.nodes import MappingNode, ScalarNode
+from yaml.scanner import ScannerError
 
 from .channel import (
     MAX_SAMPLES,
@@ -92,12 +93,14 @@ from .optimizer import (
 _SA_STREAM = 2**32 - 1
 
 
-# The tags of a plain document: strings, lists and mappings, plus the scalars
-# PyYAML's own converters turn into numbers, booleans and nulls.
+# The tags the loader builds: strings, lists and mappings, plus the scalars
+# PyYAML's own converters turn into numbers, booleans, nulls, dates and bytes.
 _YAML = "tag:yaml.org,2002:"
 _STR, _SEQ, _MAP = _YAML + "str", _YAML + "seq", _YAML + "map"
 _FLOAT = _YAML + "float"
-_CONVERTED = frozenset(_YAML + name for name in ("int", "float", "bool", "null"))
+_CONVERTED = frozenset(
+    _YAML + name for name in ("int", "float", "bool", "null", "timestamp", "binary")
+)
 # Keys that make PyYAML flatten a mapping before building it.
 _FLATTEN = frozenset((_YAML + "merge", _YAML + "value"))
 
@@ -108,26 +111,22 @@ _FLATTEN = frozenset((_YAML + "merge", _YAML + "value"))
 _CONVERTER_ERRORS = (LookupError, ValueError, AttributeError)
 
 
-class _TaggedNode(Exception):
-    """A node outside the plain subset that ``_ScenarioLoader`` builds itself."""
-
-
 def _malformed(node) -> ConstructorError:
     tag = node.tag.replace(_YAML, "!!", 1)
     return ConstructorError(None, None, f"cannot read {node.value!r} as {tag}", node.start_mark)
 
 
 # Collections, block or flow, a node may have above it, the root included; a
-# scenario needs about 5. Past that the composer stops: both composers recurse
-# once per level (libyaml's C stack overflows near 30000 levels) and libyaml
-# walks every open flow level on every token.
+# scenario needs about 5. Past that the parser stops: both composers recurse
+# once per level (libyaml's C stack overflows near 30000 levels), and both
+# scanners walk every open flow level on every token.
 MAX_FLOW_DEPTH = 64
 _TOO_DEEP = f"collections nest deeper than {MAX_FLOW_DEPTH} levels"
 
 
 class _ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """SafeLoader that also accepts unsigned exponents like 2.0e6, and builds
-    plain documents itself.
+    documents itself.
 
     Stock YAML 1.1 resolution insists on a signed exponent and would hand
     such scalars back as strings. The libyaml parser is used when PyYAML was
@@ -138,14 +137,14 @@ class _ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
 
     PyYAML's generic constructor costs about as much as composing the node
     graph: bookkeeping on every node and a generator for every mapping and
-    list. A scenario needs only strings, numbers, booleans, nulls, lists and
-    mappings, so ``construct_document`` builds those itself, in one
-    breadth-first pass.
-    It fills containers in the order PyYAML's state generators do, so the
-    first error is the same, and aliases, recursive ones included, share one
-    object as they do there. A document with any other tag (``!!set``,
-    ``!!binary``, a timestamp, ``!local``, ...) goes whole to PyYAML's
-    constructor.
+    list. ``construct_document`` builds the document in one breadth-first
+    pass instead. It builds strings, lists and mappings, and converts
+    ``!!int``, ``!!float``, ``!!bool``, ``!!null``, ``!!timestamp`` and
+    ``!!binary`` scalars with PyYAML's converters. Any other tag, or a tag on
+    the wrong kind of node, is PyYAML's "could not determine a constructor"
+    error at that node. It fills containers in the order PyYAML's state
+    generators do, so the first error is the same, and aliases, recursive
+    ones included, share one object as they do there.
     """
 
     def __init__(self, stream):
@@ -171,6 +170,14 @@ class _ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
 
     def ascend_resolver(self):
         self._depth -= 1
+
+    # Only PyYAML's pure-Python scanner calls this, once per "[" or "{". Its
+    # cost per token grows with the open flow levels, and it scans up to 1024
+    # characters ahead of the composer that counts them.
+    def fetch_flow_collection_start(self, token_class):
+        if self.flow_level > MAX_FLOW_DEPTH:
+            raise ScannerError(None, None, _TOO_DEEP, self.get_mark())
+        super().fetch_flow_collection_start(token_class)
 
     def construct_document(self, root):
         built = {}  # container node -> its object, so aliases share it
@@ -207,45 +214,31 @@ class _ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
                 data = built[node] = {} if cls is MappingNode else []
                 queue.append(node)
                 return data
-            raise _TaggedNode
+            self.construct_undefined(node)  # raises
 
-        try:
-            document = build(root)
-            while queue:
-                node = queue.popleft()
-                data = built[node]
-                if data.__class__ is list:
-                    data.extend([build(item) for item in node.value])
-                    continue
-                if any(key.tag in _FLATTEN for key, _ in node.value):
-                    self.flatten_mapping(node)
-                for key_node, value_node in node.value:
-                    if key_node.tag == _STR and key_node.__class__ is ScalarNode:
-                        key = key_node.value  # most keys; skips the call
-                    else:
-                        key = build(key_node)
-                        if key_node.__class__ is not ScalarNode:
-                            raise ConstructorError(
-                                "while constructing a mapping",
-                                node.start_mark,
-                                "found unhashable key",
-                                key_node.start_mark,
-                            )
-                    data[key] = build(value_node)
-        except _TaggedNode:
-            pass
-        else:
-            return document
-        return SafeConstructor.construct_document(self, root)
-
-    def construct_object(self, node, deep=False):
-        # Reached only from PyYAML's constructor, on a tagged document. Only
-        # scalar converters raise these: a container's children are built by
-        # calls of their own.
-        try:
-            return SafeConstructor.construct_object(self, node, deep)
-        except _CONVERTER_ERRORS:
-            raise _malformed(node) from None
+        document = build(root)
+        while queue:
+            node = queue.popleft()
+            data = built[node]
+            if data.__class__ is list:
+                data.extend([build(item) for item in node.value])
+                continue
+            if any(key.tag in _FLATTEN for key, _ in node.value):
+                self.flatten_mapping(node)
+            for key_node, value_node in node.value:
+                if key_node.tag == _STR and key_node.__class__ is ScalarNode:
+                    key = key_node.value  # most keys; skips the call
+                else:
+                    key = build(key_node)
+                    if key_node.__class__ is not ScalarNode:
+                        raise ConstructorError(
+                            "while constructing a mapping",
+                            node.start_mark,
+                            "found unhashable key",
+                            key_node.start_mark,
+                        )
+                data[key] = build(value_node)
+        return document
 
 
 _ScenarioLoader.add_implicit_resolver(

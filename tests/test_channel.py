@@ -113,6 +113,11 @@ class TestFadedCapacity:
         with pytest.raises(ValueError):
             FadingDraw(-0.1)
 
+    def test_infinite_draw_rejected(self):
+        # Refused here, not later as a capacity overflow.
+        with pytest.raises(ValueError, match="^h_squared must be"):
+            FadingDraw(math.inf)
+
     def test_vectorized_matches_scalar_bit_for_bit(self):
         rng = np.random.default_rng(5)
         link = LinkBudget(2e6, 1e-6, 4e-9, 1e-9)
@@ -254,6 +259,7 @@ class TestTrsGain:
         ("mean_power", FadingSpec.rayleigh),
         ("k_factor", FadingSpec.rician),
         ("gamma", TrsGain),
+        ("h_squared", FadingDraw),
     ],
 )
 def test_int_beyond_the_float_range_is_refused(field, build):

@@ -303,6 +303,11 @@ class TestNestingLimit:
 # Each raised a bare KeyError, IndexError, AttributeError or ValueError out of
 # PyYAML's scalar converters.
 _UNREADABLE_SCALARS = ["!!bool maybe", "!!float ''", "!!int ''", "!!timestamp x", "!!int x"]
+# Tags the scenario loader does not build, a collection tag on a scalar and
+# a scalar tag on a collection among them.
+_UNBUILT_TAGS = [
+    "!!set {a}", "!!omap [a: 1]", "!!pairs [a: 1]", "!foo [a]", "!!str {a: 1}", "!!seq a"
+]
 _SCALAR_TAGS = ["bool", "int", "float", "null", "timestamp", "binary", "str", "set", "omap"]
 
 
@@ -318,12 +323,38 @@ class TestMalformedScalars:
 
     @pytest.mark.parametrize("value", _UNREADABLE_SCALARS)
     def test_tagged_document_names_the_same_mark(self, config_file, capsys, value):
-        # The timestamp sends the whole document to PyYAML's constructor.
+        # The timestamp before it is converted, and the bad value is still
+        # named at its own mark.
         text = f"created: 2001-12-14\ntopology: {value}\n"
         assert main(["simulate", "--config", config_file(text)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: malformed scenario document: cannot read "), err
         assert "line 2, column 11" in err, err
+
+    @pytest.mark.parametrize("value", _UNBUILT_TAGS)
+    def test_unbuilt_tag_exits_1_with_its_mark(self, config_file, capsys, value):
+        assert main(["simulate", "--config", config_file(f"topology: {value}\n")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: malformed scenario document: could not determine a constructor for the tag "
+        ), err
+        assert "line 1, column 11" in err, err
+
+    def test_timestamp_id_names_its_field(self, config_file, capsys):
+        text = GOOD.replace("{id: a,", "{id: 2001-12-14,")
+        assert main(["simulate", "--config", config_file(text)]) == 1
+        assert capsys.readouterr().err == (
+            "error: topology.nodes[0].id: expected a string, got datetime.date(2001, 12, 14)\n"
+        )
+
+    def test_unbuilt_tag_under_an_overridden_merge_value_exits_1(self, config_file, capsys):
+        # PyYAML built the set and dropped it for the node's own id.
+        node = "{<<: {id: !!set {x}}, id: a, tx_power_w: 1.0, packet_length_bits: 10}"
+        text = GOOD.replace("{id: a, tx_power_w: 1.0, packet_length_bits: 100}", node)
+        assert main(["simulate", "--config", config_file(text)]) == 1
+        err = capsys.readouterr().err
+        assert "could not determine a constructor for the tag 'tag:yaml.org,2002:set'" in err
+        assert "line 5, column 17" in err, err
 
     @settings(
         max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]

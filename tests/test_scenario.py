@@ -15,7 +15,7 @@ import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from yaml.constructor import SafeConstructor
+from yaml.constructor import ConstructorError, SafeConstructor
 from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 import qwsnsim
@@ -37,7 +37,9 @@ from qwsnsim.network import Link, Node
 from qwsnsim.optimizer import ErgodicMean, PowerProblem
 from qwsnsim.scenario import (
     CSV_HEADER,
+    _CONVERTER_ERRORS,
     MAX_FLOW_DEPTH,
+    _malformed,
     _ScenarioLoader,
     dump_json,
     emit_report,
@@ -335,14 +337,40 @@ class TestLoadPausesTheCollector:
         assert gc.isenabled() is enabled
 
 
+# The tags the scenario loader builds, by node kind.
+_BUILT_TAGS = {
+    ScalarNode: {
+        f"tag:yaml.org,2002:{name}"
+        for name in ("str", "int", "float", "bool", "null", "timestamp", "binary")
+    },
+    SequenceNode: {"tag:yaml.org,2002:seq"},
+    MappingNode: {"tag:yaml.org,2002:map"},
+}
+
+
 class _PyYamlBuilt(_ScenarioLoader):
-    """The scenario loader with PyYAML's own document constructor. It keeps
-    the loader's ``construct_object``, so a scalar a converter cannot read is
-    the same ``ConstructorError``, at the same mark, on both sides. It keeps
-    the loader's ``resolve`` too: ``TestImplicitResolution`` checks that one
-    against PyYAML's."""
+    """The scenario loader with PyYAML's own document constructor, which
+    builds every tag SafeLoader knows. A scalar a converter cannot read is
+    the same ``ConstructorError``, at the same mark, as in the scenario
+    loader. ``unbuilt`` lists the nodes it reached, in order, whose tag the
+    scenario loader does not build. It keeps the loader's ``resolve``:
+    ``TestImplicitResolution`` checks that one against PyYAML's."""
 
     construct_document = SafeConstructor.construct_document
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self.unbuilt = []
+
+    def construct_object(self, node, deep=False):
+        if node.tag not in _BUILT_TAGS[node.__class__]:
+            self.unbuilt.append(node)
+        # Only scalar converters raise these: a container's children are
+        # built by calls of their own.
+        try:
+            return SafeConstructor.construct_object(self, node, deep)
+        except _CONVERTER_ERRORS:
+            raise _malformed(node) from None
 
 
 def _shape(data):
@@ -364,27 +392,46 @@ def _shape(data):
     return tokens
 
 
-def _outcome(loader, text):
+def _outcome(loader):
+    """The document ``loader`` reads, as ``_shape`` tokens, or its error."""
     try:
-        return _shape(yaml.load(text, Loader=loader))
+        return _shape(loader.get_single_data())
     except Exception as exc:
         return type(exc), str(exc)
+    finally:
+        loader.dispose()
 
 
-# Plain nodes, which the scenario loader builds itself (``!!int x`` and
-# ``!!bool maybe`` raise in PyYAML's converters), and tagged ones, which send
-# the whole document to PyYAML's constructor. One draw in ten is tagged.
+def _undefined(node):
+    message = f"could not determine a constructor for the tag {node.tag!r}"
+    return str(ConstructorError(None, None, message, node.start_mark))
+
+
+def _assert_as_pyyaml(text):
+    """The scenario loader builds what PyYAML builds, or raises the error
+    PyYAML raises, up to the first node whose tag it does not build. There
+    it raises PyYAML's error for an undefined tag."""
+    reference = _PyYamlBuilt(text)
+    expected = _outcome(reference)
+    if reference.unbuilt:
+        expected = ConstructorError, _undefined(reference.unbuilt[0])
+    assert _outcome(_ScenarioLoader(text)) == expected
+
+
+# Plain nodes, which the scenario loader builds itself (``!!int x``,
+# ``!!bool maybe``, ``!!timestamp x`` and ``!!binary x`` raise in PyYAML's
+# converters), and tagged ones, which it does not build. One draw in ten is
+# tagged.
 _SCALARS = [
     "1", "-2", "0x1f", "017", "1_000", "190:20:30", "1.5", "2.0e6", "-.inf", ".nan",
     "true", "no", "null", "~", "abc", '"q"', "''", "!!str 1", "!!int 7", "!!float 1",
-    "!!bool yes", "!!null ''", "!!int x", "!!int y", "!!bool maybe",
+    "!!bool yes", "!!null ''", "!!int x", "!!int y", "!!bool maybe", "2001-12-14",
+    "2001-12-14t21:59:43.10-05:00", "!!timestamp x", "!!binary aGVsbG8=", "!!binary x",
 ]
-_TAGGED_SCALARS = [
-    "=", "<<", "2001-12-14", "2001-12-14t21:59:43.10-05:00", "!!binary aGVsbG8=", "!foo bar"
-]
-_KEYS = ["a", "b", "1", "1.0", "true", "null", "=", "!!str <<"]
+_TAGGED_SCALARS = ["=", "<<", "!foo bar", "!!seq x", "!!map x", "!!set x"]
+_KEYS = ["a", "b", "1", "1.0", "true", "null", "=", "!!str <<", "2001-12-14"]
 _TAGS = {"seq": ["", "!!seq "], "map": ["", "!!map "]}
-_OTHER_TAGS = ["!!set ", "!!omap ", "!!str ", "!foo "]
+_OTHER_TAGS = ["!!set ", "!!omap ", "!!pairs ", "!!str ", "!!int ", "!foo "]
 
 
 @st.composite
@@ -431,7 +478,7 @@ class TestDocumentConstruction:
     @settings(max_examples=400, deadline=None)
     @given(yaml_documents())
     def test_same_document_or_error_as_pyyaml(self, text):
-        assert _outcome(_ScenarioLoader, text) == _outcome(_PyYamlBuilt, text)
+        _assert_as_pyyaml(text)
 
     @pytest.mark.parametrize(
         "text",
@@ -446,13 +493,22 @@ class TestDocumentConstruction:
             "{{a: 1}: 2}",
             "{a: 1, a: 2}",
             "[!!int x, !!bool maybe]",
-            "{a: [!!int x], b: !!set {c}}",
             "[[!!int x], [[!!int y]]]",
+            "[2001-12-14, 2001-12-14 21:59:43.10 -5, !!binary aGVsbG8=, {2001-12-14: x}]",
+            # Tags the scenario loader does not build.
+            "{a: [!!int x], b: !!set {c}}",
+            "{a: x, b: !!omap [c: 1]}",
+            "[!!pairs [c: 1]]",
+            "{a: !foo [x]}",
+            "[!!str {a: 1}]",
             "!!str {=: x}",
+            "[!!seq x]",
+            "[=]",
+            "{<<: {a: !!set {x}}, a: 1}",  # PyYAML built the set, then replaced it
         ],
     )
     def test_edge_cases_match_pyyaml(self, text):
-        assert _outcome(_ScenarioLoader, text) == _outcome(_PyYamlBuilt, text)
+        _assert_as_pyyaml(text)
 
     @pytest.mark.parametrize(
         "text",
@@ -463,29 +519,14 @@ class TestDocumentConstruction:
         ids=["list", "map"],
     )
     def test_nesting_at_the_limit(self, text):
-        built = _outcome(_ScenarioLoader, text)
+        built = _outcome(_ScenarioLoader(text))
         assert isinstance(built, list)
-        assert built == _outcome(_PyYamlBuilt, text)
+        assert built == _outcome(_PyYamlBuilt(text))
 
     def test_aliases_share_one_object(self):
         doc = yaml.load("{a: &x {k: [1]}, b: *x, c: &y [*y]}", Loader=_ScenarioLoader)
         assert doc["a"] is doc["b"]
         assert doc["c"][0] is doc["c"]
-
-    def test_only_tagged_documents_reach_pyyaml(self, monkeypatch):
-        calls = []
-        build = SafeConstructor.construct_document
-
-        def recording(self, root):
-            calls.append(root.tag)
-            return build(self, root)
-
-        monkeypatch.setattr(SafeConstructor, "construct_document", recording)
-        explicit = RAYLEIGH.replace("seed: 314", "seed: !!int 314")
-        assert load_scenario(explicit) == load_scenario(RAYLEIGH)
-        assert calls == []
-        assert yaml.load("{a: [!!set {b}]}", Loader=_ScenarioLoader) == {"a": [{"b"}]}
-        assert calls == ["tag:yaml.org,2002:map"]
 
 
 # Pieces of plain scalars that the implicit resolvers tell apart: digits,
@@ -612,35 +653,90 @@ class TestFloatPath:
         ]
 
 
+# Each nests past the limit, or would if its brackets all counted.
+_DEEP_DOCUMENTS = {
+    "list": "topology: " + "[" * 20000 + "]" * 20000,
+    "map": "topology: " + "{a: " * 20000 + "1" + "}" * 20000,
+    "unclosed": "topology: " + "[" * 20000,
+    "mismatched": "topology: " + "[" * 20000 + "}" * 20000,
+    "closers-first": "# " + "]" * 20000 + "\ntopology: " + "[" * 20000 + "]" * 20000,
+    "block-list": "topology:\n  " + "- " * 30000 + "a\n",
+    "block-map": "topology:\n" + "".join(" " * i + "a:\n" for i in range(1, 3000)),
+    # A quoted "]" and a commented one close nothing.
+    "quoted-closers": "topology: " + '[ "]", ' * 10000 + "]" * 10000,
+    "commented-closers": "topology: " + "[ # ]\n" * 10000 + "]" * 10000,
+}
+
+# The documents that open flow collections past the limit.
+_DEEP_FLOW_DOCUMENTS = {
+    name: text for name, text in _DEEP_DOCUMENTS.items() if not name.startswith("block-")
+}
+
+# Prints how long load_scenario takes to refuse each document of the JSON
+# file argv[1], and its message, with libyaml hidden: PyYAML's pure-Python
+# scanner and composer run.
+_PURE_PYTHON_LOAD = """
+import json, sys, time
+import yaml
+del yaml.CSafeLoader
+from qwsnsim.scenario import load_scenario
+refused = {}
+for name, text in json.load(open(sys.argv[1])).items():
+    start = time.perf_counter()
+    try:
+        load_scenario(text)
+    except Exception as exc:
+        refused[name] = [time.perf_counter() - start, str(exc)]
+print(json.dumps(refused))
+"""
+
+
+def _refused_without_libyaml(tmp_path, documents: dict) -> dict:
+    """Name -> [seconds, message] of each document load_scenario refuses,
+    in a fresh process without libyaml."""
+    path = tmp_path / "documents.json"
+    path.write_text(json.dumps(documents))
+    env = {**os.environ, "PYTHONPATH": str(Path(qwsnsim.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", _PURE_PYTHON_LOAD, str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
 class TestFlowDepth:
     """A node under more than MAX_FLOW_DEPTH collections, block or flow, stops
     the composer: both recurse once per level, and libyaml's time per token
-    grows with the number of open flow levels."""
+    grows with the number of open flow levels. PyYAML's pure-Python scanner
+    walks every open flow level on every token, so it stops past the limit
+    too."""
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "topology: " + "[" * 20000 + "]" * 20000,
-            "topology: " + "{a: " * 20000 + "1" + "}" * 20000,
-            "topology: " + "[" * 20000,  # unclosed
-            "topology: " + "[" * 20000 + "}" * 20000,  # mismatched
-            "# " + "]" * 20000 + "\ntopology: " + "[" * 20000 + "]" * 20000,
-            "topology:\n  " + "- " * 30000 + "a\n",
-            "topology:\n" + "".join(" " * i + "a:\n" for i in range(1, 3000)),
-            # A quoted "]" and a commented one close nothing.
-            "topology: " + '[ "]", ' * 10000 + "]" * 10000,
-            "topology: " + "[ # ]\n" * 10000 + "]" * 10000,
-        ],
-        ids=[
-            "list", "map", "unclosed", "mismatched", "closers-first",
-            "block-list", "block-map", "quoted-closers", "commented-closers",
-        ],
-    )
+    @pytest.mark.parametrize("text", _DEEP_DOCUMENTS.values(), ids=_DEEP_DOCUMENTS.keys())
     def test_deep_documents_are_refused_quickly(self, text):
         start = time.perf_counter()
         with pytest.raises(ScenarioParseError, match=f"deeper than {MAX_FLOW_DEPTH} levels"):
             load_scenario(text)
         assert time.perf_counter() - start < 0.1
+
+    def test_flow_refused_quickly_without_libyaml_in_a_fresh_process(self, tmp_path):
+        # The pure-Python scanner took 0.4 s to scan 20000 open "[" before the
+        # composer saw the depth.
+        refused = _refused_without_libyaml(tmp_path, _DEEP_FLOW_DOCUMENTS)
+        assert refused.keys() == _DEEP_FLOW_DOCUMENTS.keys()
+        for name, (seconds, message) in refused.items():
+            assert f"deeper than {MAX_FLOW_DEPTH} levels" in message, (name, message)
+            assert seconds < 0.1, (name, seconds)
+
+    def test_scanner_stops_at_the_first_bracket_past_the_limit(self, tmp_path):
+        # The composer alone would name the bracket before it, the parent of
+        # the node too deep.
+        levels = {"at": MAX_FLOW_DEPTH + 1, "past": MAX_FLOW_DEPTH + 2}
+        refused = _refused_without_libyaml(
+            tmp_path, {name: "[" * n + "]" * n for name, n in levels.items()}
+        )
+        assert refused["at"][1] == "<root>: expected a mapping, got list"
+        assert f"line 1, column {MAX_FLOW_DEPTH + 2}:" in refused["past"][1], refused["past"]
 
     def test_limit_is_inclusive(self):
         text = "topology: " + "[" * MAX_FLOW_DEPTH + "]" * MAX_FLOW_DEPTH
