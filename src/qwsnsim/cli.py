@@ -16,7 +16,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .channel import MAX_SAMPLES, TrsGain
+from .channel import TrsGain
 from .errors import AllSamplesOutageError, NoFeasiblePointError, ScenarioValidationError
 from .optimizer import optimize_sa
 from .scenario import (
@@ -71,24 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> ScenarioConfig:
     config = load_scenario(Path(args.config).read_text())
-    overrides = {}
-    if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ScenarioValidationError(
-                "monte_carlo.seed", f"--seed must fit in 64 unsigned bits, got {args.seed}"
-            )
-        overrides["seed"] = args.seed
-    if getattr(args, "samples", None) is not None:
-        if not 1 <= args.samples <= MAX_SAMPLES:
-            raise ScenarioValidationError(
-                "monte_carlo.n_samples",
-                f"--samples must be between 1 and {MAX_SAMPLES}, got {args.samples}",
-            )
-        overrides["n_samples"] = args.samples
-    if getattr(args, "out", None) is not None:
-        overrides["output_path"] = args.out
-    if getattr(args, "format", None) is not None:
-        overrides["output_format"] = args.format
+    # The flags that set a field. ScenarioConfig checks them as it does the loader's.
+    fields = dict(seed="seed", samples="n_samples", out="output_path", format="output_format")
+    overrides = {fields[k]: v for k, v in vars(args).items() if k in fields and v is not None}
     return dataclasses.replace(config, **overrides) if overrides else config
 
 

@@ -9,7 +9,7 @@ transmit antennas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -36,6 +36,7 @@ class MimoChannel:
 
     h: np.ndarray
     total_power_w: float
+    norm_sq: float = field(init=False, repr=False, compare=False)  # ||H||_F^2
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=complex)
@@ -43,11 +44,17 @@ class MimoChannel:
             raise ValueError(f"channel matrix must be 2-D and non-empty, got shape {h.shape}")
         if max(h.shape) > MAX_DIM:
             raise ValueError(f"channel matrix dimension exceeds {MAX_DIM}: {h.shape}")
-        if not np.isfinite(h).all():
-            raise ValueError("channel matrix entries must be finite")
+        # ||H||_F^2 bounds every |entry| of H * H^H. Unlike a ufunc, vdot
+        # overflows without a numpy warning.
+        norm_sq = float(np.vdot(h, h).real)
+        if not norm_sq <= FLOAT_MAX:
+            if not np.isfinite(h).all():
+                raise ValueError("channel matrix entries must be finite")
+            raise ValueError(f"channel matrix entries too large: ||H||_F^2 exceeds {FLOAT_MAX}")
         if not 0 <= self.total_power_w <= FLOAT_MAX:
             raise ValueError(f"total_power_w must be >= 0 and finite, got {self.total_power_w}")
         object.__setattr__(self, "h", h)
+        object.__setattr__(self, "norm_sq", norm_sq)
 
     @property
     def n_tx(self) -> int:
@@ -119,10 +126,11 @@ def mimo_capacity_trs(ch: MimoChannel, gain: TrsGain) -> float:
     h = ch.h
     n_rx, n_tx = h.shape
     scale = gain.gamma * (ch.total_power_w / n_tx)
-    if not scale < math.inf:
+    # Refused before the product overflows with a numpy warning.
+    if not scale * ch.norm_sq <= FLOAT_MAX:
         raise ValueError(
             f"gamma * (total_power_w / n_tx) overflows: "
-            f"{gain.gamma} * ({ch.total_power_w} / {n_tx})"
+            f"{gain.gamma} * ({ch.total_power_w} / {n_tx}), times ||H||_F^2 = {ch.norm_sq}"
         )
     # The same IEEE operations as eye + scale * gram, in the one fresh array:
     # addition commutes bit for bit, so the bytes match.

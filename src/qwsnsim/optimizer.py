@@ -74,6 +74,8 @@ class ErgodicMean:
             raise ValueError(
                 f"n_samples must be between 1 and {MAX_SAMPLES}, got {self.n_samples}"
             )
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 
 
 FadingTreatment = Deterministic | ErgodicMean

@@ -283,6 +283,17 @@ class ScenarioConfig:
     output_path: str | None = None
     output_format: str = "csv"
 
+    def __post_init__(self):
+        # A load, a CLI flag and dataclasses.replace all get the loader's errors.
+        if not 1 <= self.n_samples <= MAX_SAMPLES:
+            problem = f"must be between 1 and {MAX_SAMPLES}, got {self.n_samples}"
+            raise ScenarioValidationError("monte_carlo.n_samples", problem)
+        if not 0 <= self.seed < 2**64:
+            problem = f"must fit in 64 unsigned bits, got {self.seed}"
+            raise ScenarioValidationError("monte_carlo.seed", problem)
+        if self.optimizer is not None:
+            _build("optimizer", self.optimizer.to_problem, {"topology": self.topology})
+
     def echo(self) -> dict:
         """Normalized configuration tree with all defaults applied."""
         links = []
@@ -428,11 +439,6 @@ def _build(path: str, factory, kwargs: dict):
         raise ScenarioValidationError(path, str(exc)) from None
 
 
-def _check_seed(seed: int, path: str) -> None:
-    if not 0 <= seed < 2**64:
-        raise ScenarioValidationError(path, f"must fit in 64 unsigned bits, got {seed}")
-
-
 def _link(src, dst, fading=FadingSpec.awgn(), gamma=TRS_OFF.gamma, **budget) -> Link:
     return Link(src=src, dst=dst, budget=LinkBudget(**budget), fading=fading, gain=TrsGain(gamma))
 
@@ -451,11 +457,11 @@ def _topology(kind, nodes, links=()):
 
 
 def _treatment(treatment, **ergodic) -> FadingTreatment:
-    if treatment == "deterministic":
-        return Deterministic()
-    fading = ErgodicMean(**ergodic)
-    _check_seed(fading.seed, "optimizer.fading.seed")
-    return fading
+    if treatment == "ergodic":
+        return ErgodicMean(**ergodic)
+    if ergodic:
+        raise ValueError(f"{min(ergodic)} is only valid for the ergodic treatment")
+    return Deterministic()
 
 
 def _optimizer(weights={}, **fields) -> OptimizerSection:
@@ -464,16 +470,7 @@ def _optimizer(weights={}, **fields) -> OptimizerSection:
 
 def _config(monte_carlo={}, output={}, **sections) -> ScenarioConfig:
     # `topology` and `optimizer` are ScenarioConfig fields of the same name.
-    config = ScenarioConfig(**sections, **monte_carlo, **output)
-    if not 1 <= config.n_samples <= MAX_SAMPLES:
-        raise ScenarioValidationError(
-            "monte_carlo.n_samples",
-            f"must be between 1 and {MAX_SAMPLES}, got {config.n_samples}",
-        )
-    _check_seed(config.seed, "monte_carlo.seed")
-    if config.optimizer is not None:
-        _build("optimizer", config.optimizer.to_problem, {"topology": config.topology})
-    return config
+    return ScenarioConfig(**sections, **monte_carlo, **output)
 
 
 _FADING = _Table(

@@ -571,7 +571,9 @@ class TestSeedRange:
         assert main([command, "--config", cfg, "--seed", seed]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: monte_carlo.seed: --seed must fit in 64 unsigned bits" in captured.err
+        assert captured.err == (
+            f"error: monte_carlo.seed: must fit in 64 unsigned bits, got {seed}\n"
+        )
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_ergodic_seed_out_of_range_exits_1(self, config_file, capsys, seed):
@@ -582,7 +584,14 @@ class TestSeedRange:
         assert main(["optimize", "--config", config_file(text)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: optimizer.fading.seed: must fit in 64 unsigned bits" in captured.err
+        assert captured.err == (
+            f"error: optimizer.fading: seed must fit in 64 unsigned bits, got {seed}\n"
+        )
+
+    def test_seed_flag_at_the_top_of_the_range_runs(self, config_file, capsys):
+        cfg = config_file(OPTIMIZABLE)
+        assert main(["optimize", "--config", cfg, "--seed", str(2**64 - 1)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 def _ergodic_optimizer(n_samples) -> str:
@@ -600,7 +609,7 @@ class TestSampleCeiling:
         "place, error",
         [
             ("monte_carlo", "monte_carlo.n_samples: must be between 1 and"),
-            ("flag", "monte_carlo.n_samples: --samples must be between 1 and"),
+            ("flag", "monte_carlo.n_samples: must be between 1 and"),
             ("optimizer", "optimizer.fading: n_samples must be between 1 and"),
         ],
     )
@@ -616,6 +625,15 @@ class TestSampleCeiling:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {error} {MAX_SAMPLES}, got {count}")
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_samples_flag_below_one_exits_1(self, config_file, capsys, count):
+        assert main(["simulate", "--config", config_file(GOOD), "--samples", str(count)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: monte_carlo.n_samples: must be between 1 and {MAX_SAMPLES}, got {count}\n"
+        )
 
     def test_ceiling_itself_loads(self):
         text = GOOD.replace("n_samples: 200", f"n_samples: {MAX_SAMPLES}")

@@ -203,6 +203,23 @@ class TestMimoCapacity:
         with pytest.raises(ValueError, match=r"^gamma \* \(total_power_w / n_tx\) overflows"):
             mimo_capacity_trs(MimoChannel(np.eye(2), 1e308), TrsGain(4.0))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_gram_matrix_is_refused_before_the_product(self):
+        # A finite scale used to overflow the scaled Gram matrix with a numpy
+        # warning, and only then fail the finiteness check.
+        with pytest.raises(ValueError, match=r"^gamma \* \(total_power_w / n_tx\) overflows"):
+            mimo_capacity_trs(MimoChannel(1e5 * np.eye(2), 1e300), TrsGain(2.0))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_channel_whose_norm_overflows_is_refused(self):
+        # Its Gram matrix used to overflow in the matrix product.
+        with pytest.raises(ValueError, match="^channel matrix entries too large"):
+            MimoChannel(1e160 * np.eye(2), 1.0)
+
+    def test_norm_is_the_frobenius_norm_squared(self):
+        h = np.array([[1.0, 2j], [-3.0, 0.5 + 0.5j]])
+        assert MimoChannel(h, 1.0).norm_sq == pytest.approx(np.linalg.norm(h) ** 2, rel=1e-15)
+
 
 class TestSharedBuffers:
     """The capacity writes only into its own fresh Gram matrix."""

@@ -881,6 +881,12 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             ErgodicMean(n_samples=0, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_ergodic_seed_out_of_range_is_refused(self, seed):
+        with pytest.raises(ValueError, match=f"^seed must fit in 64 unsigned bits, got {seed}$"):
+            ErgodicMean(seed=seed)
+        assert ErgodicMean(seed=2**64 - 1).seed == 2**64 - 1
+
     # A Python int beyond the float range compares below math.inf; the bound
     # is the largest float, so such an int is refused here.
     @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import json
 import math
@@ -20,6 +21,7 @@ from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 import qwsnsim
 from qwsnsim.channel import (
+    MAX_SAMPLES,
     FadingDraw,
     FadingKind,
     FadingSpec,
@@ -39,6 +41,7 @@ from qwsnsim.scenario import (
     CSV_HEADER,
     _CONVERTER_ERRORS,
     MAX_FLOW_DEPTH,
+    ScenarioConfig,
     _malformed,
     _ScenarioLoader,
     dump_json,
@@ -294,6 +297,56 @@ class TestLoadScenario:
         with pytest.raises(ScenarioValidationError) as err:
             load_scenario(bad)
         assert "optimizer" in str(err.value)
+
+    @pytest.mark.parametrize("key", ["n_samples", "seed"])
+    def test_deterministic_treatment_refuses_ergodic_keys(self, key):
+        bad = WITH_OPTIMIZER + f"  fading: {{treatment: deterministic, {key}: 0}}\n"
+        with pytest.raises(ScenarioValidationError) as err:
+            load_scenario(bad)
+        assert str(err.value) == f"optimizer.fading: {key} is only valid for the ergodic treatment"
+
+
+# Out-of-range run parameters, and the document path each error names.
+_BAD_RUN_PARAMETERS = [
+    ("n_samples", 0, "monte_carlo.n_samples"),
+    ("n_samples", -1, "monte_carlo.n_samples"),
+    ("n_samples", MAX_SAMPLES + 1, "monte_carlo.n_samples"),
+    ("seed", -1, "monte_carlo.seed"),
+    ("seed", 2**64, "monte_carlo.seed"),
+]
+
+
+class TestConfigRules:
+    """ScenarioConfig refuses bad run parameters however it is built, with
+    the loader's error."""
+
+    @pytest.mark.parametrize("field, value, path", _BAD_RUN_PARAMETERS)
+    def test_out_of_range_run_parameter_names_its_field(self, field, value, path):
+        with pytest.raises(ScenarioValidationError) as loaded:
+            load_scenario(MINIMAL + f"monte_carlo: {{{field}: {value}}}\n")
+        config = load_scenario(MINIMAL)
+        with pytest.raises(ScenarioValidationError) as built:
+            ScenarioConfig(config.topology, **{field: value})
+        with pytest.raises(ScenarioValidationError) as replaced:
+            dataclasses.replace(config, **{field: value})
+        assert loaded.value.path == built.value.path == replaced.value.path == path
+        assert str(loaded.value) == str(built.value) == str(replaced.value)
+
+    def test_the_range_ends_are_accepted(self):
+        topology = load_scenario(MINIMAL).topology
+        for n_samples, seed in ((1, 0), (MAX_SAMPLES, 2**64 - 1)):
+            config = ScenarioConfig(topology, n_samples=n_samples, seed=seed)
+            assert (config.n_samples, config.seed) == (n_samples, seed)
+
+    def test_bad_optimizer_section_names_the_optimizer(self):
+        config = load_scenario(WITH_OPTIMIZER)
+        section = dataclasses.replace(config.optimizer, p_min_w=3.0)
+        with pytest.raises(ScenarioValidationError) as built:
+            ScenarioConfig(config.topology, optimizer=section)
+        with pytest.raises(ScenarioValidationError) as replaced:
+            dataclasses.replace(config, optimizer=section)
+        assert built.value.path == replaced.value.path == "optimizer"
+        assert str(built.value).startswith("optimizer: power bounds must be finite")
 
 
 @pytest.fixture
@@ -1099,29 +1152,6 @@ class TestSimulateLinkWorkspace:
         for work in (np.empty((2, 10), order="F"), np.empty((2, 20))[:, ::2]):
             with pytest.raises(ValueError, match="C-contiguous"):
                 simulate_link(self.NODE, link, np.ones(10), work=work)
-
-
-# Row lengths around numpy's 8192-element buffer, its 128-element pairwise
-# blocks and its 8-way unrolling, and magnitudes from near the bottom to near
-# the top of the float range.
-_ROW_SIZES = [1, 2, 7, 8, 9, 127, 128, 129, 1000, 8191, 8192, 8193, 16385, 80_000, 100_003]
-_ROW_SCALES = [1e-300, 1e-10, 1.0, 1e10, 1e300]
-
-
-@pytest.mark.parametrize("n", _ROW_SIZES)
-def test_stacked_row_sums_equal_one_dimensional_sums(n):
-    # One np.add.reduce along axis 1 of a C-contiguous stack sums every row as
-    # the 1-D np.sum does, which depends on numpy's reduction loops. A kernel
-    # that reduces a stack of rows in one call, instead of one stable_mean
-    # per row, relies on it.
-    rng = np.random.default_rng(n)
-    for scale in _ROW_SCALES:
-        rows = rng.standard_normal((6, n)) * scale
-        rows[3:] = rng.exponential(scale, (3, n))
-        assert rows.flags.c_contiguous
-        stacked = np.add.reduce(rows, axis=1)
-        for row, total in zip(rows, stacked):
-            assert np.sum(row).tobytes() == total.tobytes(), (n, scale)
 
 
 _FAULTS_SCRIPT = """
