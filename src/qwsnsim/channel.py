@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numeric import FLOAT_MAX, stable_mean
+from .numeric import check_count, check_real, stable_mean
 
 _LN2 = math.log(2.0)
 
@@ -44,25 +44,19 @@ class LinkBudget:
     interference_power_w: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.bandwidth_hz <= FLOAT_MAX:
-            raise ValueError(f"bandwidth_hz must be > 0 and finite, got {self.bandwidth_hz}")
-        if not 0 <= self.signal_power_w <= FLOAT_MAX:
-            raise ValueError(f"signal_power_w must be >= 0 and finite, got {self.signal_power_w}")
-        if not 0 < self.noise_power_w <= FLOAT_MAX:
-            raise ValueError(f"noise_power_w must be > 0 and finite, got {self.noise_power_w}")
-        if not 0 <= self.interference_power_w <= FLOAT_MAX:
-            raise ValueError(
-                f"interference_power_w must be >= 0 and finite, got {self.interference_power_w}"
-            )
+        check_real("bandwidth_hz", self.bandwidth_hz, 0, strict=True)
+        check_real("signal_power_w", self.signal_power_w, 0)
+        check_real("noise_power_w", self.noise_power_w, 0, strict=True)
+        check_real("interference_power_w", self.interference_power_w, 0)
 
 
 @dataclass(frozen=True)
 class FadingSpec:
     """Statistical fading model of a link.
 
-    ``mean_power`` is the mean of |h|^2 (defaults to normalized fading, 1.0);
-    ``k_factor`` is the Rician LOS-to-scatter power ratio and is only allowed
-    for the Rician kind.
+    ``mean_power`` is the mean of |h|^2 (defaults to normalized fading, 1.0),
+    and AWGN's is 1; ``k_factor`` is the Rician LOS-to-scatter power ratio
+    and is only allowed for the Rician kind.
     """
 
     kind: FadingKind
@@ -70,13 +64,13 @@ class FadingSpec:
     k_factor: float | None = None
 
     def __post_init__(self):
-        if self.kind is not FadingKind.AWGN and not 0 < self.mean_power <= FLOAT_MAX:
-            raise ValueError(f"mean_power must be > 0 and finite, got {self.mean_power}")
+        check_real("mean_power", self.mean_power, 0, strict=True)
+        if self.kind is FadingKind.AWGN and self.mean_power != 1:
+            raise ValueError(f"mean_power must be 1 for AWGN fading, got {self.mean_power}")
         if self.kind is FadingKind.RICIAN:
             if self.k_factor is None:
                 raise ValueError("Rician fading requires a k_factor")
-            if not 0 <= self.k_factor <= FLOAT_MAX:
-                raise ValueError(f"k_factor must be >= 0 and finite, got {self.k_factor}")
+            check_real("k_factor", self.k_factor, 0)
         elif self.k_factor is not None:
             raise ValueError(f"k_factor is only valid for Rician fading, got kind={self.kind}")
 
@@ -100,8 +94,7 @@ class FadingDraw:
     h_squared: float
 
     def __post_init__(self):
-        if not 0 <= self.h_squared <= FLOAT_MAX:
-            raise ValueError(f"h_squared must be >= 0 and finite, got {self.h_squared}")
+        check_real("h_squared", self.h_squared, 0)
 
 
 @dataclass(frozen=True)
@@ -114,8 +107,7 @@ class TrsGain:
     gamma: float
 
     def __post_init__(self):
-        if not 1.0 <= self.gamma <= FLOAT_MAX:
-            raise ValueError(f"gamma must be >= 1 and finite, got {self.gamma}")
+        check_real("gamma", self.gamma, 1)
 
 
 TRS_OFF = TrsGain(1.0)
@@ -213,8 +205,7 @@ def ergodic_capacity(
 ) -> float:
     """Monte-Carlo mean of the faded capacity over ``n_samples`` draws.
     Raises ValueError when it overflows."""
-    if not 1 <= n_samples <= MAX_SAMPLES:
-        raise ValueError(f"n_samples must be between 1 and {MAX_SAMPLES}, got {n_samples}")
+    check_count("n_samples", n_samples, MAX_SAMPLES)
     h2 = sample_h_squared(spec, rng, size=n_samples)
     # An inf capacity leaves inf - inf = NaN in the mean.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import TrsGain
 from .errors import EmptyUserSetError, NotHermitianError, NotPositiveDefiniteError
-from .numeric import FLOAT_MAX
+from .numeric import FLOAT_MAX, check_real
 
 # Max elementwise asymmetry tolerated before a matrix is declared non-Hermitian,
 # absolute or relative to the largest |entry|; guards against silently
@@ -51,8 +51,7 @@ class MimoChannel:
             if not np.isfinite(h).all():
                 raise ValueError("channel matrix entries must be finite")
             raise ValueError(f"channel matrix entries too large: ||H||_F^2 exceeds {FLOAT_MAX}")
-        if not 0 <= self.total_power_w <= FLOAT_MAX:
-            raise ValueError(f"total_power_w must be >= 0 and finite, got {self.total_power_w}")
+        check_real("total_power_w", self.total_power_w, 0)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "norm_sq", norm_sq)
 

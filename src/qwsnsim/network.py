@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .channel import FadingSpec, LinkBudget, TrsGain
 from .errors import EmptyNetworkError, EmptyPathError
-from .numeric import FLOAT_MAX
+from .numeric import check_real
 
 
 @dataclass(frozen=True)
@@ -29,12 +29,8 @@ class Node:
     packet_length_bits: float
 
     def __post_init__(self):
-        if not 0 <= self.tx_power_w <= FLOAT_MAX:
-            raise ValueError(f"tx_power_w must be >= 0 and finite, got {self.tx_power_w}")
-        if not 0 < self.packet_length_bits <= FLOAT_MAX:
-            raise ValueError(
-                f"packet_length_bits must be > 0 and finite, got {self.packet_length_bits}"
-            )
+        check_real("tx_power_w", self.tx_power_w, 0)
+        check_real("packet_length_bits", self.packet_length_bits, 0, strict=True)
 
 
 @dataclass(frozen=True)

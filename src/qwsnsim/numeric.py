@@ -1,12 +1,32 @@
-"""Small numerical helpers."""
+"""Small numerical helpers, and the type and range rules of the records' fields."""
 
+import numbers
 import sys
 
 import numpy as np
 
-# A range check `x <= FLOAT_MAX` refuses inf and NaN as `x < math.inf` does,
-# and also an int too large for a float, which compares below inf.
+# `x <= FLOAT_MAX` refuses inf and NaN, and an int too large for a float.
 FLOAT_MAX = sys.float_info.max
+
+
+def is_integer(value) -> bool:
+    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_real(name: str, value, low, strict: bool = False) -> None:
+    """ValueError unless ``value`` is a number, not a bool, >= ``low`` (> if ``strict``), finite."""
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not (low < value if strict else low <= value) or not value <= FLOAT_MAX:
+        raise ValueError(f"{name} must be {'>' if strict else '>='} {low} and finite, got {value}")
+
+
+def check_count(name: str, value, high: int) -> None:
+    """ValueError unless ``value`` is an int, not a bool or a float, from 1 to ``high``."""
+    if not is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not 1 <= value <= high:
+        raise ValueError(f"{name} must be between 1 and {high}, got {value}")
 
 
 def stable_mean(values: np.ndarray, scratch: np.ndarray | None = None) -> float:

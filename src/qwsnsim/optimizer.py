@@ -34,7 +34,7 @@ from .channel import (
 )
 from .errors import NoFeasiblePointError
 from .network import Topology
-from .numeric import FLOAT_MAX, stable_mean
+from .numeric import FLOAT_MAX, check_count, check_real, is_integer, stable_mean
 
 _LN2 = math.log(2.0)
 
@@ -70,12 +70,9 @@ class ErgodicMean:
     seed: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.n_samples <= MAX_SAMPLES:
-            raise ValueError(
-                f"n_samples must be between 1 and {MAX_SAMPLES}, got {self.n_samples}"
-            )
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        check_count("n_samples", self.n_samples, MAX_SAMPLES)
+        if not (is_integer(self.seed) and 0 <= self.seed < 2**64):
+            raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
 
 
 FadingTreatment = Deterministic | ErgodicMean
@@ -98,8 +95,7 @@ class PowerProblem:
                 f"power bounds must be finite and satisfy 0 <= p_min < p_max, got "
                 f"[{self.p_min_w}, {self.p_max_w}]"
             )
-        if not 0 <= self.r_min_bps <= FLOAT_MAX:
-            raise ValueError(f"r_min_bps must be >= 0 and finite, got {self.r_min_bps}")
+        check_real("r_min_bps", self.r_min_bps, 0)
         if not (0 < self.latency_max_s <= FLOAT_MAX or self.latency_max_s == math.inf):
             raise ValueError(
                 f"latency_max_s must be > 0, a finite float or inf, got {self.latency_max_s}"
@@ -161,10 +157,7 @@ class SaSchedule:
     def __post_init__(self):
         if not 0.0 < self.cooling < 1.0:
             raise ValueError(f"cooling must be in (0, 1), got {self.cooling}")
-        if not 1 <= self.iterations <= MAX_ITERATIONS:
-            raise ValueError(
-                f"iterations must be between 1 and {MAX_ITERATIONS}, got {self.iterations}"
-            )
+        check_count("iterations", self.iterations, MAX_ITERATIONS)
         if self.t_initial is not None and not 0 < self.t_initial <= FLOAT_MAX:
             raise ValueError(f"t_initial must be finite and > 0, got {self.t_initial}")
 

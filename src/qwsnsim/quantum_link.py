@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .channel import TrsGain
-from .numeric import FLOAT_MAX
+from .numeric import check_real
 
 
 @dataclass(frozen=True)
@@ -26,9 +26,7 @@ class QkdLinkSpec:
 
     def __post_init__(self):
         for name in ("tx_power_w", "loss_coeff_per_km", "distance_km"):
-            value = getattr(self, name)
-            if not 0 <= value <= FLOAT_MAX:
-                raise ValueError(f"{name} must be >= 0 and finite, got {value}")
+            check_real(name, getattr(self, name), 0)
 
 
 def qber_with_trs(qber_value: float, gain: TrsGain) -> float:

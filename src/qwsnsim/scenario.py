@@ -77,7 +77,7 @@ from .network import (
     network_totals,
     path_capacity,
 )
-from .numeric import stable_mean
+from .numeric import is_integer, stable_mean
 from .optimizer import (
     Deterministic,
     ErgodicMean,
@@ -285,6 +285,9 @@ class ScenarioConfig:
 
     def __post_init__(self):
         # A load, a CLI flag and dataclasses.replace all get the loader's errors.
+        for name, value in (("n_samples", self.n_samples), ("seed", self.seed)):
+            if not is_integer(value):
+                raise ScenarioValidationError(f"monte_carlo.{name}", f"expected an integer, got {value!r}")
         if not 1 <= self.n_samples <= MAX_SAMPLES:
             problem = f"must be between 1 and {MAX_SAMPLES}, got {self.n_samples}"
             raise ScenarioValidationError("monte_carlo.n_samples", problem)

@@ -285,6 +285,11 @@ class TestFadingSpecValidation:
         with pytest.raises(ValueError):
             FadingSpec.rician(k_factor=-1.0)
 
+    def test_awgn_mean_power_other_than_one_rejected(self):
+        with pytest.raises(ValueError, match=r"^mean_power must be 1 for AWGN fading, got 7\.0$"):
+            FadingSpec(FadingKind.AWGN, mean_power=7.0)
+        assert FadingSpec(FadingKind.AWGN, mean_power=1) == FadingSpec.awgn()
+
 
 class TestSampleFading:
     def test_awgn_is_always_unity(self):

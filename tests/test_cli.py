@@ -563,6 +563,22 @@ class TestStrictJson:
         assert echoed.echo() == config.echo()
 
 
+class TestAwgnMeanPower:
+    def test_a_mean_power_on_an_awgn_link_exits_1(self, config_file, capsys):
+        text = GOOD.replace("{kind: rayleigh}", "{kind: awgn, mean_power: 7.0}")
+        assert main(["simulate", "--config", config_file(text)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: topology.links[0].fading: mean_power must be 1 for AWGN fading, got 7.0\n"
+        )
+
+    def test_the_unit_mean_power_is_the_awgn_link(self):
+        awgn = load_scenario(GOOD.replace("{kind: rayleigh}", "{kind: awgn}"))
+        text = GOOD.replace("{kind: rayleigh}", "{kind: awgn, mean_power: 1}")
+        assert load_scenario(text) == awgn
+
+
 class TestSeedRange:
     @pytest.mark.parametrize("seed", ["-3", str(2**64)])
     @pytest.mark.parametrize("command", ["simulate", "optimize"])

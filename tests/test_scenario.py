@@ -332,6 +332,19 @@ class TestConfigRules:
         assert loaded.value.path == built.value.path == replaced.value.path == path
         assert str(loaded.value) == str(built.value) == str(replaced.value)
 
+    @pytest.mark.parametrize(
+        "field, value, document",
+        [("n_samples", 1.5, "1.5"), ("seed", 1.5, "1.5"), ("n_samples", True, "true")],
+    )
+    def test_non_integer_run_parameter_gets_the_loaders_error(self, field, value, document):
+        with pytest.raises(ScenarioValidationError) as loaded:
+            load_scenario(MINIMAL + f"monte_carlo: {{{field}: {document}}}\n")
+        config = load_scenario(MINIMAL)
+        with pytest.raises(ScenarioValidationError) as replaced:
+            run_scenario(dataclasses.replace(config, **{field: value}))
+        assert str(replaced.value) == f"monte_carlo.{field}: expected an integer, got {value}"
+        assert str(loaded.value) == str(replaced.value)
+
     def test_the_range_ends_are_accepted(self):
         topology = load_scenario(MINIMAL).topology
         for n_samples, seed in ((1, 0), (MAX_SAMPLES, 2**64 - 1)):
