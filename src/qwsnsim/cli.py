@@ -97,7 +97,7 @@ def _cmd_optimize(args) -> int:
         raise ScenarioValidationError("optimizer", "config has no optimizer section")
     problem = config.optimizer.to_problem(config.topology)
     result = optimize_sa(problem, config.optimizer.schedule, sa_rng(config.seed))
-    sys.stdout.write(dump_json(optimization_tree(result)))
+    _write(config, dump_json(optimization_tree(result)))
     return 0
 
 

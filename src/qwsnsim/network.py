@@ -152,8 +152,8 @@ def path_capacity(hop_capacities: Sequence[float]) -> float:
     """End-to-end capacity of a multi-hop route: the weakest hop."""
     if len(hop_capacities) == 0:
         raise EmptyPathError("path has no hops")
-    if not all(c >= 0 for c in hop_capacities):
-        raise ValueError("hop capacities must be >= 0")
+    for c in hop_capacities:
+        check_real("hop_capacities", c, 0)
     return min(hop_capacities)
 
 
@@ -161,7 +161,11 @@ def path_latency(hop_latencies: Sequence[float]) -> float:
     """Per-hop latencies accumulate along the route."""
     if len(hop_latencies) == 0:
         raise EmptyPathError("path has no hops")
-    return sum(hop_latencies)
+    for t in hop_latencies:
+        check_real("hop_latencies", t, 0)
+    total = sum(hop_latencies)
+    check_real("path latency", total, 0)
+    return total
 
 
 def network_totals(

@@ -1,6 +1,6 @@
-"""Small numerical helpers, and the type and range rules of the records' fields."""
+"""Small numerical helpers, and the type and range rules of the records' fields:
+a number is an int or a float (np.float64 is one), never a bool."""
 
-import numbers
 import sys
 
 import numpy as np
@@ -10,12 +10,12 @@ FLOAT_MAX = sys.float_info.max
 
 
 def is_integer(value) -> bool:
-    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return type(value) is int or isinstance(value, int) and not isinstance(value, bool)
 
 
 def check_real(name: str, value, low, strict: bool = False) -> None:
-    """ValueError unless ``value`` is a number, not a bool, >= ``low`` (> if ``strict``), finite."""
-    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+    """ValueError unless ``value`` is a number, >= ``low`` (> if ``strict``) and finite."""
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, (int, float))):
         raise ValueError(f"{name} must be a number, got {value!r}")
     if not (low < value if strict else low <= value) or not value <= FLOAT_MAX:
         raise ValueError(f"{name} must be {'>' if strict else '>='} {low} and finite, got {value}")

@@ -34,7 +34,7 @@ from .channel import (
 )
 from .errors import NoFeasiblePointError
 from .network import Topology
-from .numeric import FLOAT_MAX, check_count, check_real, is_integer, stable_mean
+from .numeric import check_count, check_real, is_integer, stable_mean
 
 _LN2 = math.log(2.0)
 
@@ -90,18 +90,15 @@ class PowerProblem:
     fading: FadingTreatment = field(default_factory=Deterministic)
 
     def __post_init__(self):
-        if not 0 <= self.p_min_w < self.p_max_w <= FLOAT_MAX:
+        for name in ("p_min_w", "p_max_w", "r_min_bps", "alpha", "beta"):
+            check_real(name, getattr(self, name), 0)
+        if not self.p_min_w < self.p_max_w:
             raise ValueError(
                 f"power bounds must be finite and satisfy 0 <= p_min < p_max, got "
                 f"[{self.p_min_w}, {self.p_max_w}]"
             )
-        check_real("r_min_bps", self.r_min_bps, 0)
-        if not (0 < self.latency_max_s <= FLOAT_MAX or self.latency_max_s == math.inf):
-            raise ValueError(
-                f"latency_max_s must be > 0, a finite float or inf, got {self.latency_max_s}"
-            )
-        if not (0 <= self.alpha <= FLOAT_MAX and 0 <= self.beta <= FLOAT_MAX):
-            raise ValueError(f"weights must be finite and >= 0, got {self.alpha}, {self.beta}")
+        if not (isinstance(self.latency_max_s, float) and self.latency_max_s == math.inf):
+            check_real("latency_max_s", self.latency_max_s, 0, strict=True)
         if self.alpha == 0 and self.beta == 0:
             raise ValueError("at least one of alpha, beta must be positive")
 
@@ -117,7 +114,10 @@ class Allocation:
     powers_w: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "powers_w", tuple(float(p) for p in self.powers_w))
+        powers = tuple(self.powers_w)
+        for p in powers:
+            check_real("powers_w", p, 0)
+        object.__setattr__(self, "powers_w", tuple(map(float, powers)))
 
 
 class Solver(Enum):
@@ -155,11 +155,12 @@ class SaSchedule:
     iterations: int = 10_000
 
     def __post_init__(self):
-        if not 0.0 < self.cooling < 1.0:
+        check_real("cooling", self.cooling, 0, strict=True)
+        if not self.cooling < 1.0:
             raise ValueError(f"cooling must be in (0, 1), got {self.cooling}")
         check_count("iterations", self.iterations, MAX_ITERATIONS)
-        if self.t_initial is not None and not 0 < self.t_initial <= FLOAT_MAX:
-            raise ValueError(f"t_initial must be finite and > 0, got {self.t_initial}")
+        if self.t_initial is not None:
+            check_real("t_initial", self.t_initial, 0, strict=True)
 
 
 def _reduce(denom, latency_terms, energy_terms):
@@ -321,6 +322,8 @@ def grid_search_oracle(problem: PowerProblem, points_per_node: int) -> OptResult
     each point is scored by ``_Evaluator._penalize`` on its totals, as an
     annealing move is.
     """
+    # A grid finer than the annealer's longest run is a typo, not a grid.
+    check_count("points_per_node", points_per_node, MAX_ITERATIONS)
     if points_per_node < 2:
         raise ValueError(f"points_per_node must be >= 2, got {points_per_node}")
     if problem.n_nodes > 4:
@@ -448,8 +451,8 @@ def kkt_residual(
     expected = 2 + 2 * n
     if len(multipliers) != expected:
         raise ValueError(f"expected {expected} multipliers, got {len(multipliers)}")
-    if any(m < 0 for m in multipliers):
-        raise ValueError("multipliers must be >= 0")
+    for m in multipliers:
+        check_real("multipliers", m, 0)
     _check_bounds(alloc, problem)
     evaluator = _Evaluator(problem)
     lam = tuple(float(m) for m in multipliers)

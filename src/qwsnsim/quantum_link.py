@@ -31,7 +31,8 @@ class QkdLinkSpec:
 
 def qber_with_trs(qber_value: float, gain: TrsGain) -> float:
     """TRS reduces the error ratio by the gain factor: QBER / gamma."""
-    if not 0.0 <= qber_value <= 1.0:
+    check_real("qber", qber_value, 0)
+    if not qber_value <= 1.0:
         raise ValueError(f"qber must be in [0, 1], got {qber_value}")
     return qber_value / gain.gamma
 

@@ -285,9 +285,11 @@ class ScenarioConfig:
 
     def __post_init__(self):
         # A load, a CLI flag and dataclasses.replace all get the loader's errors.
-        for name, value in (("n_samples", self.n_samples), ("seed", self.seed)):
-            if not is_integer(value):
-                raise ScenarioValidationError(f"monte_carlo.{name}", f"expected an integer, got {value!r}")
+        for name in ("n_samples", "seed"):
+            _read(getattr(self, name), int, f"monte_carlo.{name}")
+        _read(self.output_format, _SCENARIO.fields["output"].fields["format"], "output.format")
+        if self.output_path is not None:
+            _read(self.output_path, str, "output.path")
         if not 1 <= self.n_samples <= MAX_SAMPLES:
             problem = f"must be between 1 and {MAX_SAMPLES}, got {self.n_samples}"
             raise ScenarioValidationError("monte_carlo.n_samples", problem)
@@ -422,7 +424,7 @@ def _read(value, kind, path: str):
         if not isinstance(value, str):
             raise ScenarioValidationError(path, f"expected a string, got {value!r}")
         return value
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
+    if not (is_integer(value) or kind is float and isinstance(value, float)):
         expected = "a number" if kind is float else "an integer"
         raise ScenarioValidationError(path, f"expected {expected}, got {value!r}")
     try:

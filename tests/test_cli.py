@@ -157,6 +157,18 @@ class TestOptimize:
         impossible = OPTIMIZABLE.replace("p_max_w: 3.0", "p_max_w: 3.0\n  r_min_bps: 1.0e9")
         assert main(["optimize", "--config", config_file(impossible)]) == 2
 
+    # The result is JSON whatever the format says; a document without an
+    # output section reads as csv.
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_writes_the_documents_output_path(self, config_file, tmp_path, capsys, fmt):
+        assert main(["optimize", "--config", config_file(OPTIMIZABLE)]) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "result.json"
+        document = OPTIMIZABLE + f"output: {{path: {out}, format: {fmt}}}\n"
+        assert main(["optimize", "--config", config_file(document)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode()
+
 
 class TestSweep:
     def test_csv_summary(self, config_file, capsys):

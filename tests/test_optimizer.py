@@ -891,8 +891,8 @@ class TestProblemValidation:
     # is the largest float, so such an int is refused here.
     @pytest.mark.parametrize(
         "field, match",
-        [("p_max_w", "power bounds"), ("r_min_bps", "r_min_bps"),
-         ("latency_max_s", "latency_max_s"), ("alpha", "weights"), ("beta", "weights")],
+        [("p_max_w", "p_max_w"), ("r_min_bps", "r_min_bps"),
+         ("latency_max_s", "latency_max_s"), ("alpha", "alpha"), ("beta", "beta")],
     )
     def test_int_beyond_the_float_range_is_refused(self, field, match):
         topo = Topology(TopologyKind.MESH, (Node("a", 1.0, 1.0),), ())

@@ -345,6 +345,32 @@ class TestConfigRules:
         assert str(replaced.value) == f"monte_carlo.{field}: expected an integer, got {value}"
         assert str(loaded.value) == str(replaced.value)
 
+    @pytest.mark.parametrize(
+        "field, value, path, problem",
+        [
+            ("output_format", "xml", "output.format", "expected one of csv/json, got 'xml'"),
+            ("output_path", 5, "output.path", "expected a string, got 5"),
+        ],
+    )
+    def test_bad_output_field_gets_the_loaders_error(self, field, value, path, problem):
+        key = field.removeprefix("output_")
+        with pytest.raises(ScenarioValidationError) as loaded:
+            load_scenario(MINIMAL + f"output: {{{key}: {json.dumps(value)}}}\n")
+        config = load_scenario(MINIMAL)
+        with pytest.raises(ScenarioValidationError) as built:
+            ScenarioConfig(config.topology, **{field: value})
+        with pytest.raises(ScenarioValidationError) as replaced:
+            dataclasses.replace(config, **{field: value})
+        assert loaded.value.path == built.value.path == replaced.value.path == path
+        assert str(loaded.value) == str(built.value) == str(replaced.value) == f"{path}: {problem}"
+
+    def test_a_format_is_required(self):
+        # A document's `format: null` reads as the default; a record has no default to fall to.
+        with pytest.raises(ScenarioValidationError) as replaced:
+            dataclasses.replace(load_scenario(MINIMAL), output_format=None)
+        assert str(replaced.value) == "output.format: expected one of csv/json, got None"
+        assert dataclasses.replace(load_scenario(MINIMAL), output_path=None).output_path is None
+
     def test_the_range_ends_are_accepted(self):
         topology = load_scenario(MINIMAL).topology
         for n_samples, seed in ((1, 0), (MAX_SAMPLES, 2**64 - 1)):
