@@ -128,26 +128,32 @@ def _finite(capacity: float, what: str) -> float:
 def shannon_capacity(link: LinkBudget) -> float:
     """Capacity B * log2(1 + S / (N + I)) of a link, in bit/s. Raises
     ValueError when it overflows."""
+    # float(S) divides as numpy does; a numpy scalar field would warn on overflow.
     with np.errstate(over="ignore"):
-        return _finite(float(faded_capacity_samples(link, np.ones(1))[0]), "capacity")
+        return _finite(received_capacity(link, float(link.signal_power_w)), "capacity")
+
+
+def received_capacity(link: LinkBudget, power_w):
+    """Capacity B * log2(1 + P / (N + I)), in bit/s, at received power P: the
+    one home of the formula. A float P gives a float; a float64 array gets the
+    same bits in place and is returned. log1p keeps full precision at tiny SNR."""
+    noise = link.noise_power_w + link.interference_power_w
+    if isinstance(power_w, np.ndarray):
+        power_w /= noise
+        np.log1p(power_w, out=power_w)
+        power_w *= link.bandwidth_hz
+        power_w /= _LN2
+        return power_w
+    # np.log1p rounds as the array loop does (math.log1p may not); then Python floats.
+    return float(np.log1p(power_w / noise)) * link.bandwidth_hz / _LN2
 
 
 def faded_capacity_samples(link: LinkBudget, h_squared: np.ndarray, out=None) -> np.ndarray:
     """Faded capacity B * log2(1 + |h|^2 S / (N + I)) over an array of |h|^2
-    draws: the one implementation of the capacity formula.
-
-    ``out``, a float array of the draws' shape (it may be ``h_squared``
-    itself), receives the capacities instead of a fresh array.
-    """
-    # S * |h|^2, then / (N + I), log1p, * B and / ln 2, in place on one
-    # array. log1p keeps full precision for tiny SNR (sweeps routinely hit
-    # SNR < 1e-8).
+    draws: ``received_capacity`` at S * |h|^2. ``out``, a float array of the
+    draws' shape (it may be ``h_squared``), receives them in place of a fresh one."""
     caps = np.multiply(link.signal_power_w, np.asarray(h_squared, dtype=float), out=out)
-    caps /= link.noise_power_w + link.interference_power_w
-    np.log1p(caps, out=caps)
-    caps *= link.bandwidth_hz
-    caps /= _LN2
-    return caps
+    return received_capacity(link, caps)
 
 
 def sample_h_squared(spec: FadingSpec, rng: np.random.Generator, size=None, out=None):

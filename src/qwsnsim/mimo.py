@@ -8,14 +8,13 @@ transmit antennas.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .channel import TrsGain
+from .channel import _LN2, TrsGain
 from .errors import EmptyUserSetError, NotHermitianError, NotPositiveDefiniteError
 from .numeric import FLOAT_MAX, check_real
 
@@ -27,7 +26,16 @@ HERMITIAN_ATOL = 1e-10
 # Desk-scale simulator with dense factorization; anything larger is a mistake.
 MAX_DIM = 64
 
-_LN2 = math.log(2.0)
+
+def _complex_matrix(name: str, m) -> np.ndarray:
+    """``m`` as a 2-D complex array at most MAX_DIM wide. Its dtype must be of an
+    int, uint, float or complex kind: numpy would convert "1", True or a Fraction."""
+    a = np.asarray(m)
+    if a.dtype.kind not in "iufc":
+        raise ValueError(f"{name} entries must be numbers, got dtype {a.dtype}")
+    if a.ndim != 2 or a.shape[0] > MAX_DIM or a.shape[1] > MAX_DIM:
+        raise ValueError(f"{name} must be 2-D and at most {MAX_DIM} wide, got shape {a.shape}")
+    return a.astype(complex, copy=False)
 
 
 @dataclass(frozen=True)
@@ -39,11 +47,9 @@ class MimoChannel:
     norm_sq: float = field(init=False, repr=False, compare=False)  # ||H||_F^2
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=complex)
-        if h.ndim != 2 or h.shape[0] < 1 or h.shape[1] < 1:
-            raise ValueError(f"channel matrix must be 2-D and non-empty, got shape {h.shape}")
-        if max(h.shape) > MAX_DIM:
-            raise ValueError(f"channel matrix dimension exceeds {MAX_DIM}: {h.shape}")
+        h = _complex_matrix("channel matrix", self.h)
+        if 0 in h.shape:
+            raise ValueError(f"channel matrix must be non-empty, got shape {h.shape}")
         # ||H||_F^2 bounds every |entry| of H * H^H. Unlike a ufunc, vdot
         # overflows without a numpy warning.
         norm_sq = float(np.vdot(h, h).real)
@@ -71,15 +77,13 @@ def hermitian_logdet(m: np.ndarray) -> float:
     ``np.linalg.slogdet`` gives the value as a sum of logs, so the
     determinant never overflows. The value is not read off the Cholesky
     diagonal: its square roots round, so log2 det(2*I_2) would come out one
-    ulp above 2. Raises ValueError for a matrix that is not square, too
-    large or not finite, then NotHermitianError / NotPositiveDefiniteError.
+    ulp above 2. Raises ValueError for a matrix that is not numeric, square,
+    small enough or finite, then NotHermitianError / NotPositiveDefiniteError.
     """
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    a = _complex_matrix("matrix", m)
     n = a.shape[0]
-    if n > MAX_DIM:
-        raise ValueError(f"matrix dimension exceeds {MAX_DIM}: {n}")
+    if a.shape[1] != n:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
     # LAPACK reads one triangle only, so the asymmetry is checked here. Any
     # non-finite entry makes it inf or NaN, which routes the finiteness check
     # off the common path; inf - inf would warn, hence the errstate. A Gram

@@ -24,19 +24,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import (
-    MAX_SAMPLES,
-    FadingKind,
-    LinkBudget,
-    faded_capacity_samples,
-    link_rng,
-    sample_h_squared,
-)
+from .channel import MAX_SAMPLES, FadingKind, link_rng, received_capacity, sample_h_squared
 from .errors import NoFeasiblePointError
 from .network import Topology
 from .numeric import check_count, check_real, is_integer, stable_mean
-
-_LN2 = math.log(2.0)
 
 # Additive penalty per unit of normalized constraint violation. Large enough to
 # dominate any sane objective, finite so the chain can cross infeasible valleys.
@@ -180,41 +171,39 @@ def _reduce(denom, latency_terms, energy_terms):
 
 
 class _Evaluator:
-    """Per-problem cache of link constants and frozen fading draws.
+    """Per-problem cache of link budgets and frozen fading draws. A link's
+    capacity C at power P is ``received_capacity`` of its budget at P, or
+    the stable mean of it at P * |h|^2 over the link's frozen draws.
 
     An evaluated point is its per-link terms gamma * C, L / (gamma * C) and
     P * L / (gamma * C), three rows (``start``); a link without capacity has
     gamma * C <= 0 and NaN for the others. A move changes one node's power,
     so ``move`` recomputes only that node's links in place and returns the
-    old terms for ``undo`` on rejection. ``reduce`` gives the totals of
-    all terms, from scratch.
+    old terms for ``undo`` on rejection. ``reduce`` gives the totals of all
+    terms, from scratch.
     """
 
     def __init__(self, problem: PowerProblem):
         self.problem = problem
         nodes = problem.topology.nodes
         node_index = {n.id: i for i, n in enumerate(nodes)}
-        self.links = []  # (src, budget, N + I, frozen |h|^2 or None, gamma, L)
+        self.links = []  # (src, budget, frozen |h|^2 or None, gamma, L)
         self.node_links: list[list[int]] = [[] for _ in nodes]
         for i, link in enumerate(problem.topology.links):
-            b, h2, fading = link.budget, None, problem.fading
+            h2, fading = None, problem.fading
             if isinstance(fading, ErgodicMean) and link.fading.kind is not FadingKind.AWGN:
                 h2 = sample_h_squared(link.fading, link_rng(fading.seed, i), size=fading.n_samples)
-                # Unit signal power: the kernel's 1.0 * (p * |h|^2) is p * |h|^2.
-                b = LinkBudget(b.bandwidth_hz, 1.0, b.noise_power_w, b.interference_power_w)
             src = node_index[link.src]
             self.node_links[src].append(i)
-            noise = b.noise_power_w + b.interference_power_w
-            self.links.append((src, b, noise, h2, link.gain.gamma, nodes[src].packet_length_bits))
+            self.links.append((src, link.budget, h2, link.gain.gamma, nodes[src].packet_length_bits))
 
     def _capacity(self, i: int, p: float) -> float:
         """Capacity (bit/s) of link ``i`` at source power ``p``, without TRS."""
-        _src, budget, noise, h2, _gamma, _length = self.links[i]
+        _src, budget, h2, _gamma, _length = self.links[i]
         if h2 is None:
-            # faded_capacity_samples on one unit draw, bit for bit (np.log1p, not math.log1p).
-            return float(np.log1p(p / noise)) * budget.bandwidth_hz / _LN2
+            return received_capacity(budget, p)
         caps = p * h2
-        return stable_mean(faded_capacity_samples(budget, caps, out=caps), caps)
+        return stable_mean(received_capacity(budget, caps), caps)
 
     def totals(self, powers: Sequence[float]) -> tuple[float, float, float]:
         """(TRS energy total, TRS latency total, least TRS link capacity) at
@@ -235,7 +224,7 @@ class _Evaluator:
         old = []
         for i in self.node_links[j]:
             old.append((i, denom[i], latency_terms[i], energy_terms[i]))
-            gamma, length = self.links[i][4:]
+            gamma, length = self.links[i][3:]
             denom[i] = d = gamma * self._capacity(i, p)
             # A float L / 0.0 raises ZeroDivisionError. Without capacity, the
             # link's gamma * C <= 0 alone makes `_penalize` reject the point.

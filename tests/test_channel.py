@@ -13,6 +13,7 @@ from qwsnsim.channel import (
     TrsGain,
     ergodic_capacity,
     faded_capacity_samples,
+    received_capacity,
     sample_fading,
     sample_h_squared,
     shannon_capacity,
@@ -193,6 +194,20 @@ class TestOneKernel:
             assert _bits(shannon_capacity(link)) == _bits(capacity_reference(b, s, n, i))
             got = faded_capacity_samples(link, [h2])[0]
             assert _bits(got) == _bits(capacity_reference(b, s * h2, n, i))
+
+    # N + I = 1, so each power is its SNR: from 0 and subnormals to 1e300,
+    # and 2000 in [e^-3, e^3], where numpy's log1p and math.log1p round
+    # differently for some arguments.
+    @pytest.mark.parametrize("budget", [(1.0, 0.0, 1.0, 0.0), (2e6, 0.0, 0.75, 0.25)])
+    def test_received_capacity_of_a_float_is_its_array_branch(self, budget):
+        link = LinkBudget(*budget)
+        snrs = [0.0, 5e-324, 1e-310, 2.2e-308, 1e-20, 1e-8, 1.0, 3.5, 1e10, 1e300]
+        snrs += np.exp(np.random.default_rng(16).uniform(-3.0, 3.0, 2000)).tolist()
+        got = [received_capacity(link, p) for p in snrs]
+        assert all(type(c) is float for c in got)
+        powers = np.array(snrs)
+        assert received_capacity(link, powers) is powers
+        assert _bits(got) == _bits(powers)
 
     @pytest.mark.parametrize("budget", _EDGE_BUDGETS)
     def test_faded_capacity_matches_the_reference(self, budget):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -219,6 +220,38 @@ class TestMimoCapacity:
     def test_norm_is_the_frobenius_norm_squared(self):
         h = np.array([[1.0, 2j], [-3.0, 0.5 + 0.5j]])
         assert MimoChannel(h, 1.0).norm_sq == pytest.approx(np.linalg.norm(h) ** 2, rel=1e-15)
+
+
+class TestMatrixEntries:
+    """Both matrix intakes read numbers only: numpy's int, unsigned, float
+    and complex kinds."""
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            np.full((2, 2), 10**400, dtype=object),
+            [["1", "0"], ["0", "1"]],
+            [[True, False], [False, True]],
+            [[Fraction(1, 2), 0], [0, Fraction(1, 2)]],
+        ],
+        ids=["int-past-the-float-range", "string", "bool", "fraction"],
+    )
+    def test_entries_that_are_not_numbers_are_refused(self, entries):
+        # numpy raised a bare OverflowError on the first and read the others as numbers.
+        with pytest.raises(ValueError, match="^channel matrix entries must be numbers, got dtype"):
+            MimoChannel(entries, 1.0)
+        with pytest.raises(ValueError, match="^matrix entries must be numbers, got dtype"):
+            hermitian_logdet(entries)
+
+    @pytest.mark.parametrize(
+        "dtype", [np.int64, np.uint8, np.float32, float, np.complex64, complex]
+    )
+    def test_numeric_dtypes_are_read_as_complex(self, dtype):
+        m = np.array([[2, 0], [0, 2]], dtype=dtype)
+        assert hermitian_logdet(m) == 2.0
+        ch = MimoChannel(m, 2.0)
+        assert ch.h.dtype == complex
+        assert mimo_capacity(ch) == mimo_capacity(MimoChannel(2 * np.eye(2), 2.0))
 
 
 class TestSharedBuffers:

@@ -423,9 +423,9 @@ class TestErgodicTreatment:
         assert _bits(got) == _bits(want)
 
     def test_scalar_log1p_is_the_array_loop(self):
-        # The annealer's deterministic branch calls np.log1p on one float;
-        # the kernel runs it over an array. A numpy release whose two loops
-        # round differently must fail here.
+        # The float branch of channel.received_capacity calls np.log1p on
+        # one float; its array branch runs it over an array. A numpy release
+        # whose two loops round differently must fail here.
         x = np.exp(np.random.default_rng(15).uniform(-3.0, 3.0, 200_000))
         scalar = [float(np.log1p(v)) for v in x.tolist()]
         assert _bits(scalar) == _bits(np.log1p(x))
