@@ -137,7 +137,8 @@ def received_capacity(link: LinkBudget, power_w):
     """Capacity B * log2(1 + P / (N + I)), in bit/s, at received power P: the
     one home of the formula. A float P gives a float; a float64 array gets the
     same bits in place and is returned. log1p keeps full precision at tiny SNR."""
-    noise = link.noise_power_w + link.interference_power_w
+    # In float, so int powers past the float range sum to inf as floats do.
+    noise = float(link.noise_power_w) + link.interference_power_w
     if isinstance(power_w, np.ndarray):
         power_w /= noise
         np.log1p(power_w, out=power_w)

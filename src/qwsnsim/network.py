@@ -112,10 +112,8 @@ class Topology:
             in_deg[link.dst] = in_deg.get(link.dst, 0) + 1
             if in_deg[link.dst] > 1:
                 raise ValueError(f"node {link.dst!r} has two incoming chain links")
-        starts = [n.id for n in self.nodes if n.id not in in_deg]
-        if len(starts) != 1:
-            raise ValueError("chain links do not form a single path")
-        cursor, visited = starts[0], 1
+        # n - 1 links, each node entered at most once: exactly one start.
+        cursor, visited = next(n.id for n in self.nodes if n.id not in in_deg), 1
         while cursor in succ:
             cursor = succ[cursor]
             visited += 1

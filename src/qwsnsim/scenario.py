@@ -358,12 +358,16 @@ class LinkSummary:
 
 @dataclass(frozen=True)
 class RunReport:
-    seed: int
-    n_samples: int
+    """What one run computed: the ``config`` it ran, one summary per link,
+    each metric column's left-to-right sum over the links (``totals``), the
+    network's TRS totals, and the annealer's result if the config has an
+    optimizer section."""
+
+    config: ScenarioConfig
     links: tuple[LinkSummary, ...]
+    totals: LinkMetrics
     network: NetworkReport
     optimization: OptResult | None
-    config: dict
 
 
 # --------------------------------------------------------------------------
@@ -706,30 +710,25 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
             )
         )
 
-    # The report's totals (the CSV TOTALS row and the network totals) are
-    # left-to-right sums over the links.
-    for name in _METRIC_FIELDS:
-        if not math.isfinite(sum(getattr(s.metrics, name) for s in summaries)):
+    # The column totals are left-to-right sums over the links, as are
+    # network_totals' sums of the TRS columns.
+    per_link = [s.metrics for s in summaries]
+    totals = LinkMetrics(*(sum(getattr(m, name) for m in per_link) for name in _METRIC_FIELDS))
+    for name, total in vars(totals).items():
+        if not math.isfinite(total):
             raise ScenarioValidationError("topology.links", f"the total of {name} overflows")
 
     bottleneck = None
     if topology.kind is TopologyKind.CHAIN:
-        bottleneck = path_capacity([s.metrics.capacity_trs_bps for s in summaries])
-    network = network_totals([s.metrics for s in summaries], bottleneck_capacity_bps=bottleneck)
+        bottleneck = path_capacity([m.capacity_trs_bps for m in per_link])
+    network = network_totals(per_link, bottleneck_capacity_bps=bottleneck)
 
     optimization = None
     if config.optimizer is not None:
         problem = config.optimizer.to_problem(topology)
         optimization = optimize_sa(problem, config.optimizer.schedule, sa_rng(config.seed))
 
-    return RunReport(
-        seed=config.seed,
-        n_samples=config.n_samples,
-        links=tuple(summaries),
-        network=network,
-        optimization=optimization,
-        config=config.echo(),
-    )
+    return RunReport(config, tuple(summaries), totals, network, optimization)
 
 
 def gamma_sweep(config: ScenarioConfig, gammas: list[float]) -> list[tuple[float, RunReport]]:
@@ -841,8 +840,8 @@ def optimization_tree(result: OptResult) -> dict:
 def report_tree(report: RunReport) -> dict:
     """JSON-ready tree of a run report (stable field order)."""
     tree = {
-        "seed": report.seed,
-        "n_samples": report.n_samples,
+        "seed": report.config.seed,
+        "n_samples": report.config.n_samples,
         "links": [
             {
                 "link_id": s.link_id,
@@ -859,7 +858,7 @@ def report_tree(report: RunReport) -> dict:
             "latency_s": report.network.total_latency_s,
             "bottleneck_capacity_bps": report.network.bottleneck_capacity_bps,
         },
-        "config": report.config,
+        "config": report.config.echo(),
     }
     if report.optimization is not None:
         tree["optimization"] = optimization_tree(report.optimization)
@@ -869,27 +868,16 @@ def report_tree(report: RunReport) -> dict:
 def emit_report(report: RunReport, output_format: str) -> str:
     """Render a report as CSV (fixed column contract) or JSON.
 
-    The CSV TOTALS row carries the column sums; optimizer results appear only
-    in the JSON tree since the CSV column set is fixed.
+    The CSV TOTALS row carries the column sums, ``report.totals``; optimizer
+    results appear only in the JSON tree since the CSV column set is fixed.
     """
     if output_format == "json":
         return dump_json(report_tree(report))
     if output_format != "csv":
         raise ValueError(f"unknown report format {output_format!r}")
+    rows = [(s.link_id, s.metrics, s.outage_count) for s in report.links]
+    rows.append(("TOTALS", report.totals, sum(s.outage_count for s in report.links)))
     lines = [CSV_HEADER]
-    for s in report.links:
-        cells = [s.link_id]
-        cells += [_fmt(getattr(s.metrics, name)) for name in _METRIC_FIELDS]
-        cells.append(str(s.outage_count))
-        lines.append(",".join(cells))
-    totals = [
-        sum(getattr(s.metrics, name) for s in report.links) for name in _METRIC_FIELDS
-    ]
-    lines.append(
-        ",".join(
-            ["TOTALS"]
-            + [_fmt(v) for v in totals]
-            + [str(sum(s.outage_count for s in report.links))]
-        )
-    )
+    for label, metrics, outages in rows:
+        lines.append(",".join([label, *map(_fmt, vars(metrics).values()), str(outages)]))
     return "\n".join(lines) + "\n"

@@ -18,7 +18,9 @@ from qwsnsim.channel import (
     sample_h_squared,
     shannon_capacity,
 )
+from qwsnsim.network import Link, Node, Topology, TopologyKind
 from qwsnsim.numeric import stable_mean
+from qwsnsim.optimizer import Deterministic, ErgodicMean, PowerProblem, _Evaluator
 
 from oracles import (
     KS_CRIT_1PCT,
@@ -281,6 +283,32 @@ def test_int_beyond_the_float_range_is_refused(field, build):
     with pytest.raises(ValueError, match=f"^{field} must be"):
         build(10**400)
     build(int(sys.float_info.max))
+
+
+def _annealer_capacity(budget: LinkBudget, fading) -> float:
+    nodes = (Node("a", 1.0, 1.0), Node("b", 1.0, 1.0))
+    link = Link("a", "b", budget, FadingSpec.rayleigh(), TrsGain(1.0))
+    topology = Topology(TopologyKind.CHAIN, nodes, (link,))
+    return _Evaluator(PowerProblem(topology, 0.5, 2.0, fading=fading))._capacity(0, 1.0)
+
+
+# N + I of two ints past the float range is inf, as it is for the floats: a
+# link without capacity, never a bare OverflowError.
+@pytest.mark.parametrize("power", [10**308, 1e308], ids=["int", "float"])
+@pytest.mark.parametrize(
+    "capacity",
+    [
+        shannon_capacity,
+        lambda budget: faded_capacity_samples(budget, np.ones(4))[0],
+        lambda budget: _annealer_capacity(budget, Deterministic()),
+        lambda budget: _annealer_capacity(budget, ErgodicMean(n_samples=4, seed=1)),
+    ],
+    ids=["shannon_capacity", "faded_capacity_samples", "annealer", "annealer_ergodic"],
+)
+def test_noise_past_the_float_range_leaves_no_capacity(power, capacity):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert capacity(LinkBudget(1.0, 1.0, power, power)) == 0.0
 
 
 class TestFadingSpecValidation:

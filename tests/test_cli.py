@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
@@ -17,7 +18,8 @@ import qwsnsim
 from qwsnsim.channel import MAX_SAMPLES
 from qwsnsim.cli import main
 from qwsnsim.optimizer import MAX_ITERATIONS
-from qwsnsim.scenario import load_scenario
+from qwsnsim.network import network_totals
+from qwsnsim.scenario import emit_report, load_scenario, run_scenario
 
 GOOD = """
 topology:
@@ -201,6 +203,55 @@ class TestSweep:
         assert capsys.readouterr().err == (
             f"error: --gamma: gamma must be >= 1 and finite, got {float(value)}\n"
         )
+
+
+def _full_mesh(n_nodes: int, gamma: float) -> str:
+    nodes = "".join(
+        f"    - {{id: n{i}, tx_power_w: {0.1 + 0.37 * i:g}, packet_length_bits: {100 + 37 * i}}}\n"
+        for i in range(n_nodes)
+    )
+    links = "".join(
+        f"    - {{src: n{i}, dst: n{j}, bandwidth_hz: {1.0e3 * (1 + i):g},"
+        f" signal_power_w: {0.3 + 0.1 * j:g}, noise_power_w: 1.0e-3,"
+        f" fading: {{kind: rayleigh}}, gamma: {gamma}}}\n"
+        for i in range(n_nodes)
+        for j in range(n_nodes)
+        if i != j
+    )
+    return f"topology:\n  kind: mesh\n  nodes:\n{nodes}  links:\n{links}" + (
+        "monte_carlo: {n_samples: 20, seed: 5}\n"
+    )
+
+
+def test_every_total_is_the_left_fold_of_the_link_rows(config_file, capsys):
+    text = _full_mesh(7, gamma=3.0)  # 42 links
+    report = run_scenario(load_scenario(text))
+    lines = emit_report(report, "csv").splitlines()
+    names = lines[0].split(",")[1:-1]
+    columns = list(zip(*([float(v) for v in line.split(",")[1:-1]] for line in lines[1:-1])))
+    assert len(columns[0]) == 42
+    folds = []
+    for column in columns:
+        total = 0.0
+        for value in column:
+            total += value
+        folds.append(total)
+    trs_names = ("capacity_trs_bps", "energy_trs_j", "latency_trs_s")
+    trs = [folds[names.index(name)] for name in trs_names]
+    # Here a compensated or a pairwise sum rounds differently from the fold
+    # in a TRS column, so either one in any emitter below fails the test.
+    trs_columns = [columns[names.index(name)] for name in trs_names]
+    assert any(math.fsum(c) != total for c, total in zip(trs_columns, trs))
+    assert any(float(np.sum(c)) != total for c, total in zip(trs_columns, trs))
+
+    assert [float(v) for v in lines[-1].split(",")[1:-1]] == folds
+    assert list(vars(report.totals).values()) == folds
+    json_totals = json.loads(emit_report(report, "json"))["totals"]
+    assert [json_totals[key] for key in ("throughput_bps", "energy_j", "latency_s")] == trs
+    network = network_totals([s.metrics for s in report.links])
+    assert [network.total_throughput_bps, network.total_energy_j, network.total_latency_s] == trs
+    assert main(["sweep", "--config", config_file(text), "--gamma", "3"]) == 0
+    assert [float(v) for v in capsys.readouterr().out.splitlines()[1].split(",")[1:]] == trs
 
 
 # One chain written out in full, and the same chain through anchors, aliases

@@ -1,10 +1,13 @@
 import dataclasses
+import itertools
 import math
 import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwsnsim.channel import (
     MAX_SAMPLES,
@@ -266,6 +269,34 @@ def test_node_refuses_an_int_beyond_the_float_range(field):
     with pytest.raises(ValueError, match=f"^{field} must be"):
         Node("a", **{"tx_power_w": 1.0, "packet_length_bits": 1.0, field: 10**400})
     Node("a", **{"tx_power_w": 1.0, "packet_length_bits": 1.0, field: int(sys.float_info.max)})
+
+
+@st.composite
+def _chain_candidates(draw):
+    """Node ids and directed (src, dst) pairs: either any pairs, or the
+    consecutive pairs of an ordering in any order, each one maybe reversed."""
+    ids = [f"n{i}" for i in range(draw(st.integers(1, 5)))]
+    if draw(st.booleans()):
+        order = draw(st.permutations(ids))
+        pairs = [(b, a) if draw(st.booleans()) else (a, b) for a, b in zip(order, order[1:])]
+        return ids, draw(st.permutations(pairs))
+    pairs = [(a, b) for a in ids for b in ids if a != b]
+    return ids, draw(st.lists(st.sampled_from(pairs), max_size=len(ids) + 1)) if pairs else []
+
+
+@settings(max_examples=300, deadline=None)
+@given(_chain_candidates())
+def test_chain_is_exactly_an_ordering_of_the_nodes(candidate):
+    ids, pairs = candidate
+    is_path = any(
+        sorted(pairs) == sorted(zip(order, order[1:])) for order in itertools.permutations(ids)
+    )
+    links = tuple(awgn_link(a, b) for a, b in pairs)
+    if is_path:
+        Topology(TopologyKind.CHAIN, _nodes(*ids), links)
+    else:
+        with pytest.raises(ValueError):
+            Topology(TopologyKind.CHAIN, _nodes(*ids), links)
 
 
 class TestTopologyValidation:
