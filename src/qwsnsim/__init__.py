@@ -32,7 +32,6 @@ from .mimo import (
 from .network import (
     Link,
     LinkMetrics,
-    NetworkReport,
     Node,
     Topology,
     TopologyKind,

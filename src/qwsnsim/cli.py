@@ -121,10 +121,8 @@ def _cmd_sweep(args) -> int:
     else:
         lines = ["gamma,total_throughput_bps,total_energy_j,total_latency_s"]
         for g, r in results:
-            lines.append(
-                f"{g:.17g},{r.network.total_throughput_bps:.17g},"
-                f"{r.network.total_energy_j:.17g},{r.network.total_latency_s:.17g}"
-            )
+            cells = (g, r.totals.capacity_trs_bps, r.totals.energy_trs_j, r.totals.latency_trs_s)
+            lines.append(",".join(format(v, ".17g") for v in cells))
         _write(config, "\n".join(lines) + "\n")
     return 0
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import _LN2, TrsGain
 from .errors import EmptyUserSetError, NotHermitianError, NotPositiveDefiniteError
-from .numeric import FLOAT_MAX, check_real
+from .numeric import FLOAT_MAX, check_real, left_sum
 
 # Max elementwise asymmetry tolerated before a matrix is declared non-Hermitian,
 # absolute or relative to the largest |entry|; guards against silently
@@ -144,7 +144,7 @@ def mimo_capacity_trs(ch: MimoChannel, gain: TrsGain) -> float:
 
 
 def multiuser_mimo_total(channels: Sequence[MimoChannel], gain: TrsGain) -> float:
-    """Sum of per-user TRS MIMO capacities."""
+    """The per-user TRS MIMO capacities added in user order (``left_sum``)."""
     if len(channels) == 0:
         raise EmptyUserSetError("multi-user total requires at least one user")
-    return sum(mimo_capacity_trs(ch, gain) for ch in channels)
+    return left_sum(mimo_capacity_trs(ch, gain) for ch in channels)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .channel import FadingSpec, LinkBudget, TrsGain
 from .errors import EmptyNetworkError, EmptyPathError
-from .numeric import check_real
+from .numeric import check_real, left_sum
 
 
 @dataclass(frozen=True)
@@ -136,16 +136,6 @@ class LinkMetrics:
     latency_trs_s: float
 
 
-@dataclass(frozen=True)
-class NetworkReport:
-    """Network-wide totals of the TRS metrics."""
-
-    total_throughput_bps: float
-    total_energy_j: float
-    total_latency_s: float
-    bottleneck_capacity_bps: float | None = None
-
-
 def path_capacity(hop_capacities: Sequence[float]) -> float:
     """End-to-end capacity of a multi-hop route: the weakest hop."""
     if len(hop_capacities) == 0:
@@ -161,24 +151,17 @@ def path_latency(hop_latencies: Sequence[float]) -> float:
         raise EmptyPathError("path has no hops")
     for t in hop_latencies:
         check_real("hop_latencies", t, 0)
-    total = sum(hop_latencies)
+    total = left_sum(hop_latencies)
     check_real("path latency", total, 0)
     return total
 
 
-def network_totals(
-    per_link: Sequence[LinkMetrics], bottleneck_capacity_bps: float | None = None
-) -> NetworkReport:
-    """Aggregate TRS metrics: throughput, energy, and latency sums.
+def network_totals(per_link: Sequence[LinkMetrics]) -> LinkMetrics:
+    """Each metric column's left-to-right sum over the links, in link order.
 
-    Summation is a left fold in link order, so repeated aggregation of the
-    same report is bit-reproducible.
+    ``left_sum`` rounds after each addition on every Python, so the totals of
+    a report are its link rows added up, bit for bit.
     """
     if len(per_link) == 0:
         raise EmptyNetworkError("network has no links")
-    return NetworkReport(
-        total_throughput_bps=sum(m.capacity_trs_bps for m in per_link),
-        total_energy_j=sum(m.energy_trs_j for m in per_link),
-        total_latency_s=sum(m.latency_trs_s for m in per_link),
-        bottleneck_capacity_bps=bottleneck_capacity_bps,
-    )
+    return LinkMetrics(*map(left_sum, zip(*(vars(m).values() for m in per_link))))

@@ -2,6 +2,7 @@
 a number is an int or a float (np.float64 is one), never a bool."""
 
 import sys
+from typing import Iterable
 
 import numpy as np
 
@@ -27,6 +28,15 @@ def check_count(name: str, value, high: int) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if not 1 <= value <= high:
         raise ValueError(f"{name} must be between 1 and {high}, got {value}")
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """``values`` added in order, each addition rounded: ``sum()`` before
+    Python 3.12, which compensates float rounding from then on."""
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 def stable_mean(values: np.ndarray, scratch: np.ndarray | None = None) -> float:

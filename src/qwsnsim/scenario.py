@@ -70,7 +70,6 @@ from .errors import AllSamplesOutageError, ScenarioParseError, ScenarioValidatio
 from .network import (
     Link,
     LinkMetrics,
-    NetworkReport,
     Node,
     Topology,
     TopologyKind,
@@ -359,14 +358,14 @@ class LinkSummary:
 @dataclass(frozen=True)
 class RunReport:
     """What one run computed: the ``config`` it ran, one summary per link,
-    each metric column's left-to-right sum over the links (``totals``), the
-    network's TRS totals, and the annealer's result if the config has an
-    optimizer section."""
+    each metric column's left-to-right sum over the links (``totals``), a
+    chain's weakest TRS capacity (``bottleneck_capacity_bps``, else None),
+    and the annealer's result if the config has an optimizer section."""
 
     config: ScenarioConfig
     links: tuple[LinkSummary, ...]
     totals: LinkMetrics
-    network: NetworkReport
+    bottleneck_capacity_bps: float | None
     optimization: OptResult | None
 
 
@@ -663,9 +662,9 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
 
     Per link: draw fading from the link's private seeded stream, average the
     capacity over non-outage draws and derive the link's metrics from that
-    mean (``simulate_link``), then aggregate network totals. If
-    an optimizer section is present, the annealing solver runs on a reserved
-    sub-stream of the same seed.
+    mean (``simulate_link``), then add up each metric column
+    (``network_totals``). If an optimizer section is present, the annealing
+    solver runs on a reserved sub-stream of the same seed.
     """
     topology = config.topology
     links = topology.links
@@ -710,25 +709,21 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
             )
         )
 
-    # The column totals are left-to-right sums over the links, as are
-    # network_totals' sums of the TRS columns.
-    per_link = [s.metrics for s in summaries]
-    totals = LinkMetrics(*(sum(getattr(m, name) for m in per_link) for name in _METRIC_FIELDS))
+    totals = network_totals([s.metrics for s in summaries])
     for name, total in vars(totals).items():
         if not math.isfinite(total):
             raise ScenarioValidationError("topology.links", f"the total of {name} overflows")
 
     bottleneck = None
     if topology.kind is TopologyKind.CHAIN:
-        bottleneck = path_capacity([m.capacity_trs_bps for m in per_link])
-    network = network_totals(per_link, bottleneck_capacity_bps=bottleneck)
+        bottleneck = path_capacity([s.metrics.capacity_trs_bps for s in summaries])
 
     optimization = None
     if config.optimizer is not None:
         problem = config.optimizer.to_problem(topology)
         optimization = optimize_sa(problem, config.optimizer.schedule, sa_rng(config.seed))
 
-    return RunReport(config, tuple(summaries), totals, network, optimization)
+    return RunReport(config, tuple(summaries), totals, bottleneck, optimization)
 
 
 def gamma_sweep(config: ScenarioConfig, gammas: list[float]) -> list[tuple[float, RunReport]]:
@@ -754,9 +749,7 @@ def gamma_sweep(config: ScenarioConfig, gammas: list[float]) -> list[tuple[float
 # Report emission
 # --------------------------------------------------------------------------
 
-_METRIC_FIELDS = tuple(LinkMetrics.__dataclass_fields__)
-
-CSV_HEADER = ",".join(("link_id",) + _METRIC_FIELDS + ("outages",))
+CSV_HEADER = ",".join(("link_id", *LinkMetrics.__dataclass_fields__, "outages"))
 
 
 def _fmt(value: float) -> str:
@@ -853,10 +846,10 @@ def report_tree(report: RunReport) -> dict:
             for s in report.links
         ],
         "totals": {
-            "throughput_bps": report.network.total_throughput_bps,
-            "energy_j": report.network.total_energy_j,
-            "latency_s": report.network.total_latency_s,
-            "bottleneck_capacity_bps": report.network.bottleneck_capacity_bps,
+            "throughput_bps": report.totals.capacity_trs_bps,
+            "energy_j": report.totals.energy_trs_j,
+            "latency_s": report.totals.latency_trs_s,
+            "bottleneck_capacity_bps": report.bottleneck_capacity_bps,
         },
         "config": report.config.echo(),
     }

@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they check: capacity via
 extended-precision decimal arithmetic, ergodic capacity via Gauss-Laguerre
 quadrature and, for Rayleigh fading, via the exponential integral's decimal
-series, log-det via eigenvalues, distributions via analytic CDFs, the
+series, log-det via eigenvalues, distributions via analytic CDFs (the Rician
+one as a decimal Poisson-Erlang mixture), the
 SA objective's totals via a plain Python loop, the annealer via a chain that
 re-evaluates every link on every move, the grid optimum via one assessment
 per grid point, and the pivoted Monte-Carlo mean via a one-line 1-D sum. The
@@ -90,6 +91,30 @@ def rayleigh_ergodic(snr, prec=60) -> float:
             if abs(term) < tiny * abs(e1):
                 break
         return float(x.exp() * e1 / Decimal(2).ln())
+
+
+def rician_cdf(t, k, omega, prec=50, terms=400) -> float:
+    """P(|h|^2 <= t) under Rician fading with K-factor ``k`` and E|h|^2 = ``omega``.
+
+    y = |h|^2 (K+1)/omega is half a noncentral chi-square with 2 degrees of
+    freedom and noncentrality 2K: a Poisson(K) mixture of Erlang(j+1) laws.
+    So the CDF is sum_j e^-K K^j/j! * (1 - e^-y sum_{m<=j} y^m/m!) at
+    y = t(K+1)/omega, summed over the first ``terms`` j in ``prec``-digit
+    decimal arithmetic. At K = 0 it is 1 - e^(-t/omega)."""
+    with localcontext() as ctx:
+        ctx.prec = prec
+        k = Decimal(k)
+        y = Decimal(t) * (k + 1) / Decimal(omega)
+        weight = (-k).exp()  # e^-K K^j / j!
+        erlang = (-y).exp()  # e^-y y^j / j!
+        below = erlang  # e^-y sum_{m<=j} y^m / m!
+        cdf = weight * (1 - below)
+        for j in range(1, terms):
+            weight *= k / j
+            erlang *= y / j
+            below += erlang
+            cdf += weight * (1 - below)
+        return float(cdf)
 
 
 class ZeroCapacity(Exception):

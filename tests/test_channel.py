@@ -30,6 +30,7 @@ from oracles import (
     ks_statistic_exponential,
     pivoted_mean,
     rayleigh_ergodic,
+    rician_cdf,
 )
 
 
@@ -474,6 +475,27 @@ class TestErgodicCapacity:
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
             ergodic_capacity(LinkBudget(1, 1, 1), FadingSpec.awgn(), 0, np.random.default_rng(0))
+
+
+class TestRicianDistribution:
+    def test_oracle_is_the_exponential_at_k_zero(self):
+        for t in (1e-3, 0.1, 1.0, 2.0, 10.0):
+            assert rician_cdf(t, 0.0, 1.0) == pytest.approx(-math.expm1(-t), rel=1e-15)
+            assert rician_cdf(2.5 * t, 0.0, 2.5) == pytest.approx(-math.expm1(-t), rel=1e-15)
+
+    @pytest.mark.parametrize("omega", [1.0, 2.5])
+    @pytest.mark.parametrize("k", [0.0, 1.0, 3.0, 10.0, 30.0])
+    def test_counts_below_thresholds_match_the_exact_cdf(self, k, omega):
+        # Thresholds at the mean plus c standard deviations of |h|^2,
+        # omega * sqrt(2K + 1) / (K + 1), keep every CDF value away from 0 and 1.
+        n = 200_000
+        h2 = sample_h_squared(FadingSpec.rician(k, omega), np.random.default_rng(31), size=n)
+        sd = omega * math.sqrt(2.0 * k + 1.0) / (k + 1.0)
+        for c in (-0.9, -0.5, 0.0, 1.0, 2.0):
+            t = omega + c * sd
+            p = rician_cdf(t, k, omega)
+            count = int(np.count_nonzero(h2 <= t))
+            assert abs(count - n * p) <= 5.0 * math.sqrt(n * p * (1.0 - p)), (t, count, n * p)
 
 
 class TestRayleighOracle:

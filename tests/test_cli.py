@@ -159,6 +159,16 @@ class TestOptimize:
         impossible = OPTIMIZABLE.replace("p_max_w: 3.0", "p_max_w: 3.0\n  r_min_bps: 1.0e9")
         assert main(["optimize", "--config", config_file(impossible)]) == 2
 
+    def test_infeasible_section_fails_every_report(self, config_file, capsys):
+        # Every run anneals its optimizer section, so CSV fails as JSON does,
+        # before writing anything.
+        impossible = OPTIMIZABLE.replace("p_max_w: 3.0", "p_max_w: 3.0\n  r_min_bps: 1.0e9")
+        cfg = config_file(impossible)
+        for command in (["simulate"], ["sweep", "--gamma", "1,2"]):
+            for fmt in ("csv", "json"):
+                assert main([*command, "--config", cfg, "--format", fmt]) == 2
+                assert capsys.readouterr().out == ""
+
     # The result is JSON whatever the format says; a document without an
     # output section reads as csv.
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -248,8 +258,7 @@ def test_every_total_is_the_left_fold_of_the_link_rows(config_file, capsys):
     assert list(vars(report.totals).values()) == folds
     json_totals = json.loads(emit_report(report, "json"))["totals"]
     assert [json_totals[key] for key in ("throughput_bps", "energy_j", "latency_s")] == trs
-    network = network_totals([s.metrics for s in report.links])
-    assert [network.total_throughput_bps, network.total_energy_j, network.total_latency_s] == trs
+    assert list(vars(network_totals([s.metrics for s in report.links])).values()) == folds
     assert main(["sweep", "--config", config_file(text), "--gamma", "3"]) == 0
     assert [float(v) for v in capsys.readouterr().out.splitlines()[1].split(",")[1:]] == trs
 

@@ -192,15 +192,15 @@ class TestNetworkTotals:
     def test_singleton(self):
         m = self._metrics()
         report = network_totals([m])
-        assert report.total_throughput_bps == m.capacity_trs_bps
-        assert report.total_energy_j == m.energy_trs_j
-        assert report.total_latency_s == m.latency_trs_s
+        assert report.capacity_trs_bps == m.capacity_trs_bps
+        assert report.energy_trs_j == m.energy_trs_j
+        assert report.latency_trs_s == m.latency_trs_s
 
     def test_two_identical_links_double(self):
         m = self._metrics()
         report = network_totals([m, m])
-        assert report.total_throughput_bps == 2 * m.capacity_trs_bps
-        assert report.total_energy_j == 2 * m.energy_trs_j
+        assert report.capacity_trs_bps == 2 * m.capacity_trs_bps
+        assert report.energy_trs_j == 2 * m.energy_trs_j
 
     def test_mixed_mesh_matches_resummation(self):
         rng = np.random.default_rng(10)
@@ -210,13 +210,13 @@ class TestNetworkTotals:
             node = Node("a", 1.0, 500.0)
             metrics.append(link_metrics(node, link, sample_fading(link.fading, rng)))
         report = network_totals(metrics)
-        assert report.total_throughput_bps == pytest.approx(
+        assert report.capacity_trs_bps == pytest.approx(
             math.fsum(m.capacity_trs_bps for m in metrics), rel=1e-9
         )
-        assert report.total_energy_j == pytest.approx(
+        assert report.energy_trs_j == pytest.approx(
             math.fsum(m.energy_trs_j for m in metrics), rel=1e-9
         )
-        assert report.total_latency_s == pytest.approx(
+        assert report.latency_trs_s == pytest.approx(
             math.fsum(m.latency_trs_s for m in metrics), rel=1e-9
         )
 

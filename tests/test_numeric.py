@@ -1,6 +1,7 @@
 """The records' type and range rules: ``numeric.check_real`` and
 ``numeric.check_count``, every record field they guard, and the public
-functions that take a bare number."""
+functions that take a bare number; and ``numeric.left_sum``, the fold behind
+every total."""
 
 import dataclasses
 import math
@@ -24,9 +25,18 @@ from qwsnsim.channel import (
     ergodic_capacity,
 )
 from qwsnsim.errors import ScenarioValidationError
-from qwsnsim.mimo import MimoChannel, mimo_capacity_trs
-from qwsnsim.network import Link, Node, Topology, TopologyKind, path_capacity, path_latency
-from qwsnsim.numeric import FLOAT_MAX, check_count, check_real, is_integer
+from qwsnsim.mimo import MimoChannel, mimo_capacity_trs, multiuser_mimo_total
+from qwsnsim.network import (
+    Link,
+    LinkMetrics,
+    Node,
+    Topology,
+    TopologyKind,
+    network_totals,
+    path_capacity,
+    path_latency,
+)
+from qwsnsim.numeric import FLOAT_MAX, check_count, check_real, is_integer, left_sum
 from qwsnsim.optimizer import (
     MAX_ITERATIONS,
     Allocation,
@@ -99,6 +109,27 @@ class TestCheckCount:
     def test_is_integer(self):
         assert is_integer(3) and is_integer(2**70)
         assert not any(map(is_integer, (True, np.bool_(True), 3.0, "3", None, np.int32(3))))
+
+
+class TestLeftSum:
+    # 1 + 1e-16 rounds to 1, so adding in order gives exactly 1.0. Python
+    # 3.12's sum() carries the lost 2e-16 and gives 1.0000000000000002.
+    VALUES = [1.0, 1e-16, 1e-16]
+
+    def test_the_fold_rounds_after_each_addition(self):
+        assert left_sum(self.VALUES) == 1.0
+        assert left_sum(iter(self.VALUES)) == 1.0
+        if sys.version_info >= (3, 12):
+            assert sum(self.VALUES) == 1.0000000000000002
+
+    def test_every_total_is_the_fold(self, monkeypatch):
+        rows = [LinkMetrics(*[value] * 8) for value in self.VALUES]
+        assert network_totals(rows) == LinkMetrics(*[1.0] * 8)
+        assert path_latency(self.VALUES) == 1.0
+        capacities = iter(self.VALUES)
+        monkeypatch.setattr("qwsnsim.mimo.mimo_capacity_trs", lambda ch, gain: next(capacities))
+        users = [MimoChannel(np.eye(2), 1.0)] * 3
+        assert multiuser_mimo_total(users, TRS_OFF) == 1.0
 
 
 class TestNonIntegerCounts:

@@ -887,7 +887,7 @@ class TestRunScenario:
         single = run_scenario(config)
         many = run_scenario(dataclasses.replace(config, n_samples=777))
         assert single.links[0].metrics == many.links[0].metrics
-        assert single.network.total_energy_j == many.network.total_energy_j
+        assert single.totals.energy_trs_j == many.totals.energy_trs_j
 
     def test_same_seed_is_byte_identical(self):
         config = load_scenario(TWO_LINK_MESH)
@@ -917,7 +917,7 @@ class TestRunScenario:
 
     def test_chain_report_has_bottleneck(self):
         report = run_scenario(load_scenario(MINIMAL))
-        assert report.network.bottleneck_capacity_bps == report.links[0].metrics.capacity_trs_bps
+        assert report.bottleneck_capacity_bps == report.links[0].metrics.capacity_trs_bps
 
     def test_all_samples_outage(self):
         dead = MINIMAL.replace("signal_power_w: 1.0", "signal_power_w: 0.0")
@@ -1242,9 +1242,9 @@ class TestGammaSweep:
         config = load_scenario(TWO_LINK_MESH)
         sweep = gamma_sweep(config, [1.0, 2.0])
         base, doubled = sweep[0][1], sweep[1][1]
-        assert doubled.network.total_energy_j == base.network.total_energy_j / 2.0
-        assert doubled.network.total_latency_s == base.network.total_latency_s / 2.0
-        assert doubled.network.total_throughput_bps == 2.0 * base.network.total_throughput_bps
+        assert doubled.totals.energy_trs_j == base.totals.energy_trs_j / 2.0
+        assert doubled.totals.latency_trs_s == base.totals.latency_trs_s / 2.0
+        assert doubled.totals.capacity_trs_bps == 2.0 * base.totals.capacity_trs_bps
 
     def test_singleton_sweep(self):
         config = load_scenario(MINIMAL)
@@ -1261,9 +1261,9 @@ class TestGammaSweep:
     def test_throughput_proportional_to_gamma(self):
         config = load_scenario(TWO_LINK_MESH)
         sweep = gamma_sweep(config, [1.0, 1.5, 2.0, 4.0])
-        base = sweep[0][1].network.total_throughput_bps
+        base = sweep[0][1].totals.capacity_trs_bps
         for gamma, report in sweep:
-            assert report.network.total_throughput_bps / base == pytest.approx(
+            assert report.totals.capacity_trs_bps / base == pytest.approx(
                 gamma, rel=1e-12
             )
 
@@ -1312,7 +1312,7 @@ class TestEmitReport:
             assert parsed["capacity_bps"] == summary.metrics.capacity_bps
             assert parsed["energy_trs_j"] == summary.metrics.energy_trs_j
             assert parsed["outages"] == summary.outage_count
-        assert tree["totals"]["throughput_bps"] == report.network.total_throughput_bps
+        assert tree["totals"]["throughput_bps"] == report.totals.capacity_trs_bps
 
     def test_optimizer_keys_only_when_present(self):
         plain = json.loads(emit_report(run_scenario(load_scenario(MINIMAL)), "json"))
