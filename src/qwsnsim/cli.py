@@ -23,10 +23,10 @@ from .scenario import (
     ScenarioConfig,
     dump_json,
     emit_report,
+    emit_sweep,
     gamma_sweep,
     load_scenario,
     optimization_tree,
-    report_tree,
     run_scenario,
     sa_rng,
 )
@@ -114,16 +114,7 @@ def _cmd_sweep(args) -> int:
             TrsGain(gamma)
         except ValueError as exc:
             raise ScenarioValidationError("--gamma", str(exc)) from None
-    results = gamma_sweep(config, gammas)
-    if config.output_format == "json":
-        tree = [{"gamma": g, "report": report_tree(r)} for g, r in results]
-        _write(config, dump_json(tree))
-    else:
-        lines = ["gamma,total_throughput_bps,total_energy_j,total_latency_s"]
-        for g, r in results:
-            cells = (g, r.totals.capacity_trs_bps, r.totals.energy_trs_j, r.totals.latency_trs_s)
-            lines.append(",".join(format(v, ".17g") for v in cells))
-        _write(config, "\n".join(lines) + "\n")
+    _write(config, emit_sweep(gamma_sweep(config, gammas), config.output_format))
     return 0
 
 

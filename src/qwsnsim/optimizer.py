@@ -27,7 +27,7 @@ import numpy as np
 from .channel import MAX_SAMPLES, FadingKind, link_rng, received_capacity, sample_h_squared
 from .errors import NoFeasiblePointError
 from .network import Topology
-from .numeric import check_count, check_real, is_integer, stable_mean
+from .numeric import check_count, check_real, is_integer, left_sum, stable_mean
 
 # Additive penalty per unit of normalized constraint violation. Large enough to
 # dominate any sane objective, finite so the chain can cross infeasible valleys.
@@ -333,7 +333,7 @@ def grid_search_oracle(problem: PowerProblem, points_per_node: int) -> OptResult
     for idx in itertools.product(range(points_per_node), repeat=n - 1):
         rows = np.where(from_last, batch, np.array(idx + (0,))[src])
         totals = zip(*(t.tolist() for t in _reduce(*table[:, rows, links])))
-        total_power = (sum(axis[k] for k in idx) + axis).tolist()
+        total_power = (left_sum(axis[k] for k in idx) + axis).tolist()
         for k, (point, power) in enumerate(zip(totals, total_power)):
             objective, feasible, _penalized = evaluator._penalize(*point)
             # A NaN best objective compares false both ways: it stands.
@@ -473,7 +473,7 @@ def kkt_residual(
         up[i] += step * fits_up
         down[i] -= step * fits_down
         grad.append((lagrangian(up) - lagrangian(down)) / ((fits_up + fits_down) * step))
-    stationarity = math.sqrt(sum(g * g for g in grad))
+    stationarity = math.sqrt(left_sum(g * g for g in grad))
 
     _objective, g_at_point = evaluate(base)
     primal_violation = max(0.0, max(g_at_point))

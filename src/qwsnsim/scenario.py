@@ -76,7 +76,7 @@ from .network import (
     network_totals,
     path_capacity,
 )
-from .numeric import is_integer, stable_mean
+from .numeric import is_integer, left_sum, stable_mean
 from .optimizer import (
     Deterministic,
     ErgodicMean,
@@ -346,13 +346,11 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class LinkSummary:
-    """Mean metrics of one link over the non-outage Monte-Carlo draws."""
+    """One link's mean metrics over its non-outage draws, and its outage count."""
 
     link_id: str
     metrics: LinkMetrics
     outage_count: int
-    samples_used: int
-    trs_ratios: dict
 
 
 @dataclass(frozen=True)
@@ -686,7 +684,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
         except ValueError as exc:
             raise ScenarioValidationError(f"topology.links[{i}]", str(exc)) from exc
         # A zero transmit power, or a packet time that underflows, leaves 0/0
-        # in a ratio below.
+        # in a TRS ratio of the report.
         means = (metrics.tx_time_s, metrics.tx_time_trs_s, metrics.energy_j, metrics.energy_trs_j)
         if not all(0.0 < mean < math.inf for mean in means):
             raise ScenarioValidationError(
@@ -694,20 +692,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
                 "TRS ratios undefined: mean times and energies must be finite and > 0, "
                 "got {} s, TRS {} s, {} J, TRS {} J".format(*means),
             )
-        summaries.append(
-            LinkSummary(
-                link_id=link.id,
-                metrics=metrics,
-                outage_count=outages,
-                samples_used=config.n_samples - outages,
-                trs_ratios={
-                    "capacity_gain": metrics.capacity_trs_bps / metrics.capacity_bps,
-                    "time_reduction": metrics.tx_time_s / metrics.tx_time_trs_s,
-                    "energy_reduction": metrics.energy_j / metrics.energy_trs_j,
-                    "latency_reduction": metrics.latency_s / metrics.latency_trs_s,
-                },
-            )
-        )
+        summaries.append(LinkSummary(link.id, metrics, outages))
 
     totals = network_totals([s.metrics for s in summaries])
     for name, total in vars(totals).items():
@@ -750,11 +735,25 @@ def gamma_sweep(config: ScenarioConfig, gammas: list[float]) -> list[tuple[float
 # --------------------------------------------------------------------------
 
 CSV_HEADER = ",".join(("link_id", *LinkMetrics.__dataclass_fields__, "outages"))
+SWEEP_CSV_HEADER = "gamma,total_throughput_bps,total_energy_j,total_latency_s"
 
 
 def _fmt(value: float) -> str:
-    # 17 significant digits round-trip any IEEE double exactly.
-    return format(value, ".17g")
+    return format(value, ".17g")  # 17 significant digits round-trip any IEEE double
+
+
+def _csv(header: str, rows) -> str:
+    """``header``, then one line per ``(label, numbers, *cells)`` row."""
+    lines = [header]
+    for label, numbers, *cells in rows:
+        lines.append(",".join([label, *map(_fmt, numbers), *cells]))
+    return "\n".join(lines) + "\n"
+
+
+def _is_json(output_format: str) -> bool:
+    if output_format not in ("csv", "json"):
+        raise ValueError(f"unknown report format {output_format!r}")
+    return output_format == "json"
 
 
 def dump_json(tree) -> str:
@@ -838,10 +837,15 @@ def report_tree(report: RunReport) -> dict:
         "links": [
             {
                 "link_id": s.link_id,
-                **vars(s.metrics),
+                **vars(m := s.metrics),
                 "outages": s.outage_count,
-                "samples_used": s.samples_used,
-                "trs_ratios": s.trs_ratios,
+                "samples_used": report.config.n_samples - s.outage_count,
+                "trs_ratios": {
+                    "capacity_gain": m.capacity_trs_bps / m.capacity_bps,
+                    "time_reduction": m.tx_time_s / m.tx_time_trs_s,
+                    "energy_reduction": m.energy_j / m.energy_trs_j,
+                    "latency_reduction": m.latency_s / m.latency_trs_s,
+                },
             }
             for s in report.links
         ],
@@ -859,18 +863,22 @@ def report_tree(report: RunReport) -> dict:
 
 
 def emit_report(report: RunReport, output_format: str) -> str:
-    """Render a report as CSV (fixed column contract) or JSON.
-
-    The CSV TOTALS row carries the column sums, ``report.totals``; optimizer
-    results appear only in the JSON tree since the CSV column set is fixed.
-    """
-    if output_format == "json":
+    """Render a report as CSV (fixed column contract) or JSON. The CSV TOTALS
+    row carries ``report.totals``; optimizer results appear only in JSON."""
+    if _is_json(output_format):
         return dump_json(report_tree(report))
-    if output_format != "csv":
-        raise ValueError(f"unknown report format {output_format!r}")
-    rows = [(s.link_id, s.metrics, s.outage_count) for s in report.links]
-    rows.append(("TOTALS", report.totals, sum(s.outage_count for s in report.links)))
-    lines = [CSV_HEADER]
-    for label, metrics, outages in rows:
-        lines.append(",".join([label, *map(_fmt, vars(metrics).values()), str(outages)]))
-    return "\n".join(lines) + "\n"
+    rows = [(s.link_id, vars(s.metrics).values(), str(s.outage_count)) for s in report.links]
+    outages = left_sum(s.outage_count for s in report.links)
+    rows.append(("TOTALS", vars(report.totals).values(), str(outages)))
+    return _csv(CSV_HEADER, rows)
+
+
+def emit_sweep(results: list[tuple[float, RunReport]], output_format: str) -> str:
+    """``gamma_sweep``'s results as CSV (TRS totals per gamma) or JSON (``{gamma, report}``s)."""
+    if _is_json(output_format):
+        return dump_json([{"gamma": g, "report": report_tree(r)} for g, r in results])
+    rows = [
+        (_fmt(g), (r.totals.capacity_trs_bps, r.totals.energy_trs_j, r.totals.latency_trs_s))
+        for g, r in results
+    ]
+    return _csv(SWEEP_CSV_HEADER, rows)

@@ -151,6 +151,16 @@ class TestOptimize:
         main(["optimize", "--config", cfg, "--seed", "4"])
         assert capsys.readouterr().out == first
 
+    def test_prints_the_optimization_subtree_of_the_json_report(self, capsys):
+        # `optimize` and `run_scenario` each anneal the optimizer section on
+        # the seed's reserved stream; the two results must be the same.
+        config = str(CONFIGS / "example_optimize.yaml")
+        assert main(["optimize", "--config", config]) == 0
+        printed = capsys.readouterr().out
+        assert main(["simulate", "--config", config, "--format", "json"]) == 0
+        subtree = json.loads(capsys.readouterr().out)["optimization"]
+        assert printed == json.dumps(subtree, indent=2, allow_nan=False) + "\n"
+
     def test_missing_section_exits_1(self, config_file, capsys):
         assert main(["optimize", "--config", config_file(GOOD)]) == 1
         assert "optimizer" in capsys.readouterr().err

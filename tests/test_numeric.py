@@ -3,18 +3,21 @@
 functions that take a bare number; and ``numeric.left_sum``, the fold behind
 every total."""
 
+import ast
 import dataclasses
 import math
 import sys
 import warnings
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qwsnsim
 from qwsnsim.channel import (
     MAX_SAMPLES,
     TRS_OFF,
@@ -130,6 +133,16 @@ class TestLeftSum:
         monkeypatch.setattr("qwsnsim.mimo.mimo_capacity_trs", lambda ch, gain: next(capacities))
         users = [MimoChannel(np.eye(2), 1.0)] * 3
         assert multiuser_mimo_total(users, TRS_OFF) == 1.0
+
+    def test_no_module_calls_the_builtin_sum(self):
+        # Every total adds through left_sum, on every Python the package supports.
+        calls = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(Path(qwsnsim.__file__).parent.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
+        ]
+        assert calls == []
 
 
 class TestNonIntegerCounts:

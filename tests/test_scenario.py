@@ -46,6 +46,7 @@ from qwsnsim.scenario import (
     _ScenarioLoader,
     dump_json,
     emit_report,
+    emit_sweep,
     gamma_sweep,
     link_metrics,
     load_scenario,
@@ -904,15 +905,15 @@ class TestRunScenario:
     def test_outage_accounting(self):
         config = load_scenario(TWO_LINK_MESH)
         report = run_scenario(config)
-        for summary in report.links:
-            assert summary.outage_count + summary.samples_used == config.n_samples
+        for summary, row in zip(report.links, report_tree(report)["links"]):
+            assert summary.outage_count + row["samples_used"] == config.n_samples
             assert summary.outage_count == 0
 
     def test_gamma_ratios_in_report(self):
         config = load_scenario(TWO_LINK_MESH)
-        report = run_scenario(config)
-        for summary, link in zip(report.links, config.topology.links):
-            for ratio in summary.trs_ratios.values():
+        rows = report_tree(run_scenario(config))["links"]
+        for row, link in zip(rows, config.topology.links):
+            for ratio in row["trs_ratios"].values():
                 assert ratio == pytest.approx(link.gain.gamma, rel=1e-12)
 
     def test_chain_report_has_bottleneck(self):
@@ -1082,8 +1083,9 @@ class TestOutageBoundary:
         h2 = sample_h_squared(link.fading, link_rng(3, 0), 1000)
         means, outages = _reference_link(config.topology.nodes[0], link, h2)
         assert 300 < outages < 700
-        summary = run_scenario(config).links[0]
-        assert (summary.outage_count, summary.samples_used) == (outages, 1000 - outages)
+        report = run_scenario(config)
+        summary, row = report.links[0], report_tree(report)["links"][0]
+        assert (summary.outage_count, row["samples_used"]) == (outages, 1000 - outages)
         assert _means(summary.metrics) == means
 
 
@@ -1326,10 +1328,15 @@ class TestEmitReport:
         assert tree["config"]["monte_carlo"] == {"n_samples": 1, "seed": 0}
         assert tree["config"]["topology"]["links"][0]["gamma"] == 1.0
 
-    def test_unknown_format_rejected(self):
-        report = run_scenario(load_scenario(MINIMAL))
-        with pytest.raises(ValueError):
-            emit_report(report, "xml")
+    @pytest.mark.parametrize(
+        "emit",
+        [lambda results: emit_report(results[0][1], "xml"), lambda results: emit_sweep(results, "xml")],
+        ids=["emit_report", "emit_sweep"],
+    )
+    def test_unknown_format_rejected(self, emit):
+        results = gamma_sweep(load_scenario(MINIMAL), [1.0])
+        with pytest.raises(ValueError, match="^unknown report format 'xml'$"):
+            emit(results)
 
 
 def _json_reference(tree) -> str:
