@@ -118,13 +118,14 @@ class Solver(Enum):
 
 @dataclass(frozen=True)
 class OptResult:
-    allocation: Allocation
+    # The field order is the key order of the `optimize` output.
+    solver: Solver
+    feasible: bool
     objective: float
     energy_total_j: float
     latency_total_s: float
-    feasible: bool
     evaluations: int
-    solver: Solver
+    allocation: Allocation
 
 
 @dataclass(frozen=True)
@@ -295,7 +296,7 @@ def _result(evaluator, powers, totals, evaluations, solver) -> OptResult:
     energy, latency, _min_cap_trs = totals
     objective, feasible, _penalized = evaluator._penalize(*totals)
     return OptResult(
-        Allocation(tuple(powers)), objective, energy, latency, feasible, evaluations, solver
+        solver, feasible, objective, energy, latency, evaluations, Allocation(tuple(powers))
     )
 
 

@@ -356,14 +356,12 @@ class LinkSummary:
 @dataclass(frozen=True)
 class RunReport:
     """What one run computed: the ``config`` it ran, one summary per link,
-    each metric column's left-to-right sum over the links (``totals``), a
-    chain's weakest TRS capacity (``bottleneck_capacity_bps``, else None),
-    and the annealer's result if the config has an optimizer section."""
+    each metric column's left-to-right sum over the links (``totals``), and
+    the annealer's result if the config has an optimizer section."""
 
     config: ScenarioConfig
     links: tuple[LinkSummary, ...]
     totals: LinkMetrics
-    bottleneck_capacity_bps: float | None
     optimization: OptResult | None
 
 
@@ -699,16 +697,12 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
         if not math.isfinite(total):
             raise ScenarioValidationError("topology.links", f"the total of {name} overflows")
 
-    bottleneck = None
-    if topology.kind is TopologyKind.CHAIN:
-        bottleneck = path_capacity([s.metrics.capacity_trs_bps for s in summaries])
-
     optimization = None
     if config.optimizer is not None:
         problem = config.optimizer.to_problem(topology)
         optimization = optimize_sa(problem, config.optimizer.schedule, sa_rng(config.seed))
 
-    return RunReport(config, tuple(summaries), totals, bottleneck, optimization)
+    return RunReport(config, tuple(summaries), totals, optimization)
 
 
 def gamma_sweep(config: ScenarioConfig, gammas: list[float]) -> list[tuple[float, RunReport]]:
@@ -817,20 +811,17 @@ def dump_json(tree) -> str:
 
 
 def optimization_tree(result: OptResult) -> dict:
-    """JSON-ready tree of an optimizer result (the `optimize` command's output)."""
-    return {
-        "solver": result.solver.value,
-        "feasible": result.feasible,
-        "objective": result.objective,
-        "energy_total_j": result.energy_total_j,
-        "latency_total_s": result.latency_total_s,
-        "evaluations": result.evaluations,
-        "powers_w": list(result.allocation.powers_w),
-    }
+    """JSON-ready tree of an optimizer result (the `optimize` command's output):
+    its fields in order, the solver by name and the allocation as ``powers_w``."""
+    tree = {**vars(result), "solver": result.solver.value}
+    tree["powers_w"] = list(tree.pop("allocation").powers_w)
+    return tree
 
 
 def report_tree(report: RunReport) -> dict:
-    """JSON-ready tree of a run report (stable field order)."""
+    """JSON-ready tree of a run report (stable field order). A chain's
+    bottleneck is its weakest TRS capacity; other topologies have none."""
+    chain = report.config.topology.kind is TopologyKind.CHAIN
     tree = {
         "seed": report.config.seed,
         "n_samples": report.config.n_samples,
@@ -853,7 +844,9 @@ def report_tree(report: RunReport) -> dict:
             "throughput_bps": report.totals.capacity_trs_bps,
             "energy_j": report.totals.energy_trs_j,
             "latency_s": report.totals.latency_trs_s,
-            "bottleneck_capacity_bps": report.bottleneck_capacity_bps,
+            "bottleneck_capacity_bps": (
+                path_capacity([s.metrics.capacity_trs_bps for s in report.links]) if chain else None
+            ),
         },
         "config": report.config.echo(),
     }

@@ -2,8 +2,8 @@
 
 These deliberately avoid the code paths they check: capacity via
 extended-precision decimal arithmetic, ergodic capacity via Gauss-Laguerre
-quadrature and, for Rayleigh fading, via the exponential integral's decimal
-series, log-det via eigenvalues, distributions via analytic CDFs (the Rician
+quadrature, for Rayleigh fading via the exponential integral's decimal
+series and for Rician fading via a trapezoid sum of Hamdi's MGF integral, log-det via eigenvalues, distributions via analytic CDFs (the Rician
 one as a decimal Poisson-Erlang mixture), the
 SA objective's totals via a plain Python loop, the annealer via a chain that
 re-evaluates every link on every move, the grid optimum via one assessment
@@ -91,6 +91,45 @@ def rayleigh_ergodic(snr, prec=60) -> float:
             if abs(term) < tiny * abs(e1):
                 break
         return float(x.exp() * e1 / Decimal(2).ln())
+
+
+def mgf_ergodic(snr, k, omega) -> float:
+    """E[log2(1 + snr*|h|^2)] under Rician fading with K-factor ``k`` and
+    E|h|^2 = ``omega`` (K = 0 is Rayleigh), by Hamdi's lemma:
+
+        (1/ln 2) * integral_0^inf e^-s (1 - M(-snr*s)) / s ds,
+
+    with the Rician MGF M(-x) = (K+1)/(K+1+x*omega) * exp(-K*x*omega/(K+1+x*omega)).
+    In y = ln s the integrand is e^-s (1 - M(-snr*s)), and y runs over
+    [-60, 5]: the rest adds under snr * omega * e^-60, 2e-22 at 40 dB and
+    omega = 2.5. 1 - M is taken as
+    -expm1(-(log1p(x*omega/(K+1)) + K*x*omega/(K+1+x*omega))), which keeps
+    its relative precision where x is small. The trapezoid sum halves its
+    step until two estimates agree to 1e-13; from 128 intervals that takes
+    two halvings from -10 to 40 dB, and twelve without agreement raise."""
+    lo, hi, tol = -60.0, 5.0, 1e-13
+
+    def integrand(y):
+        s = np.exp(y)
+        x = snr * s * omega
+        exponent = np.log1p(x / (k + 1.0)) + k * x / (k + 1.0 + x)
+        return np.exp(-s) * -np.expm1(-exponent)
+
+    intervals = 128
+    step = (hi - lo) / intervals
+    ends = integrand(np.array([lo, hi]))
+    # The sum of the integrand over the interior points of the current grid.
+    inner = math.fsum(integrand(lo + step * np.arange(1, intervals)).tolist())
+    estimate = step * (0.5 * (ends[0] + ends[1]) + inner)
+    for _ in range(12):
+        # Halving the step adds the midpoints of the current intervals.
+        inner += math.fsum(integrand(lo + step * (np.arange(intervals) + 0.5)).tolist())
+        intervals *= 2
+        step = (hi - lo) / intervals
+        previous, estimate = estimate, step * (0.5 * (ends[0] + ends[1]) + inner)
+        if abs(estimate - previous) <= tol * abs(estimate):
+            return float(estimate / math.log(2.0))
+    raise ArithmeticError(f"no convergence to {tol} in {intervals} intervals at snr {snr}")
 
 
 def rician_cdf(t, k, omega, prec=50, terms=400) -> float:

@@ -28,6 +28,7 @@ from oracles import (
     decimal_capacity,
     gauss_laguerre_ergodic,
     ks_statistic_exponential,
+    mgf_ergodic,
     pivoted_mean,
     rayleigh_ergodic,
     rician_cdf,
@@ -509,3 +510,19 @@ class TestRayleighOracle:
         # -1/snr closes in on the weight's support.
         snr = 10 ** (snr_db / 10)
         assert rayleigh_ergodic(snr) == pytest.approx(gauss_laguerre_ergodic(snr), rel=rel)
+
+
+class TestMgfOracle:
+    @pytest.mark.parametrize("omega", [1.0, 2.5])
+    @pytest.mark.parametrize("snr_db", range(-10, 41, 10))
+    def test_is_the_rayleigh_closed_form_at_k_zero(self, snr_db, omega):
+        snr = 10 ** (snr_db / 10)
+        assert mgf_ergodic(snr, 0.0, omega) == pytest.approx(rayleigh_ergodic(snr * omega), rel=1e-14)
+
+    @pytest.mark.parametrize("snr_db", [-10, 10, 40])
+    def test_tends_to_the_awgn_capacity_as_k_grows(self, snr_db):
+        # |h|^2 has variance about 2 omega^2 / K, so the gap to log2(1 + snr * omega)
+        # is below 1 / K of it.
+        snr, omega = 10 ** (snr_db / 10), 2.5
+        awgn = math.log1p(snr * omega) / math.log(2.0)
+        assert mgf_ergodic(snr, 1e8, omega) == pytest.approx(awgn, rel=1e-7)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 import qwsnsim
 from qwsnsim.channel import MAX_SAMPLES
 from qwsnsim.cli import main
-from qwsnsim.optimizer import MAX_ITERATIONS
+from qwsnsim.optimizer import MAX_ITERATIONS, OptResult
 from qwsnsim.network import network_totals
 from qwsnsim.scenario import emit_report, load_scenario, run_scenario
 
@@ -143,6 +144,12 @@ class TestOptimize:
         assert tree["solver"] == "simulated_annealing"
         assert tree["feasible"] is True
         assert len(tree["powers_w"]) == 2
+
+    def test_keys_are_the_result_fields_in_order(self, config_file, capsys):
+        assert main(["optimize", "--config", config_file(OPTIMIZABLE)]) == 0
+        tree = json.loads(capsys.readouterr().out)
+        fields = [f.name for f in dataclasses.fields(OptResult)]
+        assert list(tree) == ["powers_w" if f == "allocation" else f for f in fields]
 
     def test_deterministic_given_seed(self, config_file, capsys):
         cfg = config_file(OPTIMIZABLE)

@@ -39,6 +39,7 @@ from qwsnsim.network import Link, Node
 from qwsnsim.optimizer import ErgodicMean, PowerProblem
 from qwsnsim.scenario import (
     CSV_HEADER,
+    SWEEP_CSV_HEADER,
     _CONVERTER_ERRORS,
     MAX_FLOW_DEPTH,
     ScenarioConfig,
@@ -55,7 +56,14 @@ from qwsnsim.scenario import (
     simulate_link,
 )
 
-from oracles import capacity_reference, gauss_laguerre_ergodic, pivoted_mean, rayleigh_ergodic
+from oracles import (
+    capacity_reference,
+    decimal_capacity,
+    gauss_laguerre_ergodic,
+    mgf_ergodic,
+    pivoted_mean,
+    rayleigh_ergodic,
+)
 
 MINIMAL = """
 topology:
@@ -107,6 +115,31 @@ topology:
       fading: {kind: rician, mean_power: 1.0, k_factor: 3.0}
       gamma: 4.0
 monte_carlo: {n_samples: 2000, seed: 99}
+"""
+
+# Hop a-b carries 2 * log2(4) = 4 bit/s with TRS, hop b-c 3 * log2(2) = 3.
+TWO_HOP_CHAIN = """
+topology:
+  kind: chain
+  nodes:
+    - {id: a, tx_power_w: 1.0, packet_length_bits: 100}
+    - {id: b, tx_power_w: 1.0, packet_length_bits: 100}
+    - {id: c, tx_power_w: 1.0, packet_length_bits: 100}
+  links:
+    - {src: a, dst: b, bandwidth_hz: 1.0, signal_power_w: 3.0, noise_power_w: 1.0, gamma: 2.0}
+    - {src: b, dst: c, bandwidth_hz: 1.0, signal_power_w: 1.0, noise_power_w: 1.0, gamma: 3.0}
+"""
+
+STAR = """
+topology:
+  kind: star
+  nodes:
+    - {id: hub, tx_power_w: 1.0, packet_length_bits: 100}
+    - {id: a, tx_power_w: 1.0, packet_length_bits: 100}
+    - {id: b, tx_power_w: 1.0, packet_length_bits: 100}
+  links:
+    - {src: hub, dst: a, bandwidth_hz: 1.0, signal_power_w: 3.0, noise_power_w: 1.0}
+    - {src: b, dst: hub, bandwidth_hz: 1.0, signal_power_w: 1.0, noise_power_w: 1.0}
 """
 
 WITH_OPTIMIZER = """
@@ -916,9 +949,20 @@ class TestRunScenario:
             for ratio in row["trs_ratios"].values():
                 assert ratio == pytest.approx(link.gain.gamma, rel=1e-12)
 
-    def test_chain_report_has_bottleneck(self):
-        report = run_scenario(load_scenario(MINIMAL))
-        assert report.bottleneck_capacity_bps == report.links[0].metrics.capacity_trs_bps
+    # The index of the chain's weakest hop, or None where no bottleneck is reported.
+    @pytest.mark.parametrize(
+        "document, weakest",
+        [(MINIMAL, 0), (TWO_HOP_CHAIN, 1), (TWO_LINK_MESH, None), (STAR, None)],
+        ids=["one-hop-chain", "two-hop-chain", "mesh", "star"],
+    )
+    def test_chain_report_has_bottleneck(self, document, weakest):
+        tree = report_tree(run_scenario(load_scenario(document)))
+        capacities = [row["capacity_trs_bps"] for row in tree["links"]]
+        if weakest is None:
+            assert tree["totals"]["bottleneck_capacity_bps"] is None
+        else:
+            assert tree["totals"]["bottleneck_capacity_bps"] == capacities[weakest]
+            assert capacities[weakest] == min(capacities)
 
     def test_all_samples_outage(self):
         dead = MINIMAL.replace("signal_power_w: 1.0", "signal_power_w: 0.0")
@@ -1089,30 +1133,92 @@ class TestOutageBoundary:
         assert _means(summary.metrics) == means
 
 
-# The ergodic-rate gate: a Rayleigh link's reported time L / C_hat lies within
-# Z delta-method standard errors, L * s_C / (sqrt(n) * C^2), of L / C, where C
-# is the exact ergodic capacity. A mean of the per-draw times L / C_i has no
-# such bound: E[L / C_i] is infinite.
+# The ergodic-rate gates. A faded link's reported capacity C_hat lies within Z
+# standard errors, s_C / sqrt(n), of the exact ergodic capacity C, and its
+# reported time L / C_hat within Z delta-method standard errors,
+# L * s_C / (sqrt(n) * C^2), of L / C; s_C is recomputed from the link's own
+# draws. A mean of the per-draw times L / C_i has no such bound: E[L / C_i]
+# is infinite.
 ERGODIC_Z = 5.0
 ERGODIC_SEED = 2025
+
+# The Rician (K, omega) pairs the gates cover; K = 0 is Rayleigh, drawn the Rician way.
+RICIAN_GATE = [(k, omega) for k in (0.0, 1.0, 3.0, 10.0, 30.0) for omega in (1.0, 2.5)]
 
 
 @pytest.mark.parametrize("n", [1_000, 10_000, 100_000])
 @pytest.mark.parametrize("snr_db", [0, 10, 23])
-def test_rayleigh_time_is_the_ergodic_rate_time(snr_db, n):
+@pytest.mark.parametrize(
+    "k, omega", [(None, 1.0), *RICIAN_GATE],
+    ids=["rayleigh", *(f"rician-K{k:g}-omega{omega:g}" for k, omega in RICIAN_GATE)],
+)
+def test_faded_time_is_the_ergodic_rate_time(k, omega, snr_db, n):
     bandwidth, noise, length = 1e6, 1e-9, 1000.0
     signal = 10 ** (snr_db / 10) * noise
+    if k is None:
+        fading, spec = "{kind: rayleigh}", FadingSpec.rayleigh()
+        exact = bandwidth * rayleigh_ergodic(signal / noise)
+    else:
+        fading = f"{{kind: rician, k_factor: {k}, mean_power: {omega}}}"
+        spec = FadingSpec.rician(k, omega)
+        exact = bandwidth * mgf_ergodic(signal / noise, k, omega)
     text = (
         RAYLEIGH.replace("signal_power_w: 10.0", f"signal_power_w: {signal:.17e}")
         .replace("noise_power_w: 1.0", f"noise_power_w: {noise:.17e}")
+        .replace("{kind: rayleigh}", fading)
         .replace("{n_samples: 100000, seed: 314}", f"{{n_samples: {n}, seed: {ERGODIC_SEED}}}")
     )
     summary = run_scenario(load_scenario(text)).links[0]
-    exact = bandwidth * rayleigh_ergodic(signal / noise)
-    h2 = sample_h_squared(FadingSpec.rayleigh(), link_rng(ERGODIC_SEED, 0), n)
+    h2 = sample_h_squared(spec, link_rng(ERGODIC_SEED, 0), n)
     spread = np.std(capacity_reference(bandwidth, signal * h2, noise, 0.0), ddof=1)
     stderr = length * spread / (math.sqrt(n) * exact**2)
     assert abs(summary.metrics.tx_time_s - length / exact) <= ERGODIC_Z * stderr
+
+
+def test_every_capacity_is_the_exact_ergodic_capacity():
+    # One scenario, one link per fading law and SNR: AWGN without and with
+    # interference, Rayleigh at two mean powers, and every Rician pair of the
+    # gate, each from -10 to 40 dB.
+    bandwidth, noise, n = 1e6, 1e-9, 20_000
+    laws = [({"kind": "awgn"}, 0.0), ({"kind": "awgn"}, 0.5)]
+    laws += [({"kind": "rayleigh", "mean_power": omega}, 0.0) for omega in (1.0, 2.5)]
+    laws += [({"kind": "rician", "k_factor": k, "mean_power": omega}, 0.0) for k, omega in RICIAN_GATE]
+    links = []
+    for fading, share in laws:
+        for snr_db in range(-10, 41, 10):
+            denominator = noise * (1.0 + share)
+            links.append({
+                "src": f"s{len(links)}",
+                "dst": "sink",
+                "bandwidth_hz": bandwidth,
+                "signal_power_w": 10 ** (snr_db / 10) * denominator,
+                "noise_power_w": noise,
+                "interference_power_w": noise * share,
+                "fading": fading,
+            })
+    nodes = [{"id": link["src"], "tx_power_w": 1.0, "packet_length_bits": 1000} for link in links]
+    nodes.append({"id": "sink", "tx_power_w": 1.0, "packet_length_bits": 1000})
+    config = load_scenario(json.dumps({
+        "topology": {"kind": "mesh", "nodes": nodes, "links": links},
+        "monte_carlo": {"n_samples": n, "seed": ERGODIC_SEED},
+    }))
+    report = run_scenario(config)
+    assert len(report.links) == 84
+    for i, (link, summary) in enumerate(zip(config.topology.links, report.links)):
+        budget, spec = link.budget, link.fading
+        capacity = summary.metrics.capacity_bps
+        assert summary.outage_count == 0
+        bandwidth, signal, noise_w, interference = vars(budget).values()
+        if spec.kind is FadingKind.AWGN:
+            exact = decimal_capacity(bandwidth, signal, noise_w, interference)
+            assert capacity == pytest.approx(exact, rel=1e-14), i
+            continue
+        snr = signal / (noise_w + interference)
+        exact = bandwidth * mgf_ergodic(snr, spec.k_factor or 0.0, spec.mean_power)
+        h2 = sample_h_squared(spec, link_rng(ERGODIC_SEED, i), n)
+        caps = capacity_reference(bandwidth, signal * h2, noise_w, interference)
+        z = abs(capacity - exact) / (np.std(caps, ddof=1) / math.sqrt(n))
+        assert z <= ERGODIC_Z, (i, spec, z)
 
 
 def _reference_link(node, link, h2):
@@ -1519,6 +1625,19 @@ class TestConfigEcho:
         )
         assert section.to_problem(config.topology) == expected
 
-    def test_csv_header_is_the_readme_contract(self):
+    @pytest.mark.parametrize(
+        "first, header", [("link_id,", CSV_HEADER), ("gamma,", SWEEP_CSV_HEADER)]
+    )
+    def test_csv_header_is_the_readme_contract(self, first, header):
         readme = (ROOT / "README.md").read_text().splitlines()
-        assert [line for line in readme if line.startswith("link_id,")] == [CSV_HEADER]
+        assert [line for line in readme if line.startswith(first)] == [header]
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(compile(code, "README.md", "exec"), names)
+    assert names["boosted"] == 2 * names["base"]
+    assert math.isfinite(names["mean"])
