@@ -61,14 +61,6 @@ class MimoChannel:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "norm_sq", norm_sq)
 
-    @property
-    def n_tx(self) -> int:
-        return self.h.shape[1]
-
-    @property
-    def n_rx(self) -> int:
-        return self.h.shape[0]
-
 
 def hermitian_logdet(m: np.ndarray) -> float:
     """log2(det(M)) of a Hermitian positive-definite matrix.

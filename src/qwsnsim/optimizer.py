@@ -133,7 +133,6 @@ class KktDiagnostics:
     stationarity_residual: float
     primal_violation: float
     complementary_slackness: float
-    multipliers: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -360,7 +359,7 @@ def _reflect(value: float, lo: float, hi: float) -> float:
 @_quiet_overflow()
 def optimize_sa(
     problem: PowerProblem,
-    schedule: SaSchedule | None = None,
+    schedule: SaSchedule,
     rng: np.random.Generator | int = 0,
 ) -> OptResult:
     """Simulated annealing over the power box.
@@ -377,8 +376,6 @@ def optimize_sa(
     its totals: a link's terms depend only on its source's power, so they
     are the totals ``_Evaluator.totals`` gives at its powers, bit for bit.
     """
-    if schedule is None:
-        schedule = SaSchedule()
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     evaluator = _Evaluator(problem)
@@ -485,4 +482,4 @@ def kkt_residual(
     diagnostics = (stationarity, primal_violation, complementary)
     if not all(map(math.isfinite, diagnostics)):
         raise ValueError(f"KKT diagnostics {diagnostics} at allocation {alloc.powers_w}")
-    return KktDiagnostics(*diagnostics, multipliers=lam)
+    return KktDiagnostics(*diagnostics)

@@ -348,16 +348,16 @@ class ScenarioConfig:
 class LinkSummary:
     """One link's mean metrics over its non-outage draws, and its outage count."""
 
-    link_id: str
     metrics: LinkMetrics
     outage_count: int
 
 
 @dataclass(frozen=True)
 class RunReport:
-    """What one run computed: the ``config`` it ran, one summary per link,
-    each metric column's left-to-right sum over the links (``totals``), and
-    the annealer's result if the config has an optimizer section."""
+    """What one run computed: the ``config`` it ran, one summary per link in
+    the config's link order, each metric column's left-to-right sum over the
+    links (``totals``), and the annealer's result if the config has an
+    optimizer section."""
 
     config: ScenarioConfig
     links: tuple[LinkSummary, ...]
@@ -690,7 +690,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
                 "TRS ratios undefined: mean times and energies must be finite and > 0, "
                 "got {} s, TRS {} s, {} J, TRS {} J".format(*means),
             )
-        summaries.append(LinkSummary(link.id, metrics, outages))
+        summaries.append(LinkSummary(metrics, outages))
 
     totals = network_totals([s.metrics for s in summaries])
     for name, total in vars(totals).items():
@@ -730,6 +730,8 @@ def gamma_sweep(config: ScenarioConfig, gammas: list[float]) -> list[tuple[float
 
 CSV_HEADER = ",".join(("link_id", *LinkMetrics.__dataclass_fields__, "outages"))
 SWEEP_CSV_HEADER = "gamma,total_throughput_bps,total_energy_j,total_latency_s"
+# The characters that make RFC 4180 quote a field.
+_CSV_QUOTED = re.compile('[,"\r\n]')
 
 
 def _fmt(value: float) -> str:
@@ -737,9 +739,12 @@ def _fmt(value: float) -> str:
 
 
 def _csv(header: str, rows) -> str:
-    """``header``, then one line per ``(label, numbers, *cells)`` row."""
+    """``header``, then one line per ``(label, numbers, *cells)`` row; the
+    label, the only text cell, is quoted as RFC 4180 says."""
     lines = [header]
     for label, numbers, *cells in rows:
+        if _CSV_QUOTED.search(label):
+            label = '"' + label.replace('"', '""') + '"'
         lines.append(",".join([label, *map(_fmt, numbers), *cells]))
     return "\n".join(lines) + "\n"
 
@@ -827,7 +832,7 @@ def report_tree(report: RunReport) -> dict:
         "n_samples": report.config.n_samples,
         "links": [
             {
-                "link_id": s.link_id,
+                "link_id": link.id,
                 **vars(m := s.metrics),
                 "outages": s.outage_count,
                 "samples_used": report.config.n_samples - s.outage_count,
@@ -838,7 +843,7 @@ def report_tree(report: RunReport) -> dict:
                     "latency_reduction": m.latency_s / m.latency_trs_s,
                 },
             }
-            for s in report.links
+            for link, s in zip(report.config.topology.links, report.links)
         ],
         "totals": {
             "throughput_bps": report.totals.capacity_trs_bps,
@@ -860,7 +865,8 @@ def emit_report(report: RunReport, output_format: str) -> str:
     row carries ``report.totals``; optimizer results appear only in JSON."""
     if _is_json(output_format):
         return dump_json(report_tree(report))
-    rows = [(s.link_id, vars(s.metrics).values(), str(s.outage_count)) for s in report.links]
+    links = zip(report.config.topology.links, report.links)
+    rows = [(link.id, vars(s.metrics).values(), str(s.outage_count)) for link, s in links]
     outages = left_sum(s.outage_count for s in report.links)
     rows.append(("TOTALS", vars(report.totals).values(), str(outages)))
     return _csv(CSV_HEADER, rows)

@@ -259,6 +259,10 @@ class TestStableMean:
         alias = values.copy()
         assert stable_mean(alias, alias) == fresh
 
+    def test_empty_array_is_refused(self):
+        with pytest.raises(ValueError, match="^mean of empty array$"):
+            stable_mean(np.array([]))
+
 
 class TestTrsGain:
     def test_gain_below_one_rejected(self):

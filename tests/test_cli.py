@@ -1,6 +1,8 @@
 import copy
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -118,6 +120,26 @@ class TestSimulate:
         bad = GOOD.replace("gamma: 2.0", "gamma: 0.5")
         assert main(["simulate", "--config", config_file(bad)]) == 1
         assert "gamma" in capsys.readouterr().err
+
+    def test_empty_node_list_exits_1(self, config_file, capsys):
+        doc = "topology: {kind: mesh, nodes: []}\n"
+        assert main(["simulate", "--config", config_file(doc)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: topology.nodes: expected a non-empty list\n"
+
+    def test_csv_reads_back_ids_holding_commas_quotes_and_line_breaks(self, config_file, capsys):
+        ids = ["s,1", 'r"2\nx', "c\r", '"', "a\r\nb", "plain"]
+        nodes = [{"id": i, "tx_power_w": 1.0, "packet_length_bits": 100} for i in ids]
+        links = [
+            {"src": a, "dst": b, "bandwidth_hz": 1.0, "signal_power_w": 1.0, "noise_power_w": 1.0}
+            for a, b in zip(ids, ids[1:])
+        ]
+        doc = json.dumps({"topology": {"kind": "chain", "nodes": nodes, "links": links}})
+        assert main(["simulate", "--config", config_file(doc, "ids.json")]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out, newline="")))
+        assert [len(row) for row in rows] == [10] * (len(links) + 2)
+        labels = [f"{a}->{b}" for a, b in zip(ids, ids[1:])]
+        assert [row[0] for row in rows] == ["link_id", *labels, "TOTALS"]
 
     def test_parse_error_exits_1(self, config_file):
         assert main(["simulate", "--config", config_file("topology: [oops")]) == 1

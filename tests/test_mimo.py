@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -216,6 +217,12 @@ class TestMimoCapacity:
         # Its Gram matrix used to overflow in the matrix product.
         with pytest.raises(ValueError, match="^channel matrix entries too large"):
             MimoChannel(1e160 * np.eye(2), 1.0)
+
+    @pytest.mark.parametrize("shape", [(0, 2), (2, 0), (0, 0)])
+    def test_empty_channel_matrix_is_refused(self, shape):
+        message = f"channel matrix must be non-empty, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MimoChannel(np.zeros(shape), 1.0)
 
     def test_norm_is_the_frobenius_norm_squared(self):
         h = np.array([[1.0, 2j], [-3.0, 0.5 + 0.5j]])
