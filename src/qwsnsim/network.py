@@ -29,6 +29,12 @@ class Node:
     packet_length_bits: float
 
     def __post_init__(self):
+        # A link's id is "src->dst", so such an id would make two links
+        # print alike: a->(b->c) and (a->b)->c.
+        if "->" in self.id:
+            raise ValueError(
+                f"id must not contain '->', which separates a link's nodes, got {self.id!r}"
+            )
         check_real("tx_power_w", self.tx_power_w, 0)
         check_real("packet_length_bits", self.packet_length_bits, 0, strict=True)
 

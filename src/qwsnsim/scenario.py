@@ -29,11 +29,12 @@ A scenario is a YAML/JSON document::
                                               #     n_samples: N, seed: S}
     output: {path: report.csv, format: csv}   # optional, default stdout/csv
 
-Unknown keys are rejected so typos never silently fall back to defaults; a
-null value means the default, as an omitted key does. Every Monte-Carlo
-stream is derived from (seed, link index), so adding a link never perturbs
-the draws of existing links, and a fixed seed fully determines every output
-byte.
+Unknown keys are rejected, so a misspelt key never silently falls back to
+its default; a key repeated in one mapping keeps its last value, as in
+PyYAML. A null value means the default, as an omitted key does. Every
+Monte-Carlo stream is derived from (seed, link index), so adding a link never
+perturbs the draws of existing links, and a fixed seed fully determines every
+output byte.
 """
 
 from __future__ import annotations
@@ -51,6 +52,15 @@ import numpy as np
 import yaml
 from yaml.composer import ComposerError
 from yaml.constructor import ConstructorError
+from yaml.events import (
+    AliasEvent,
+    DocumentStartEvent,
+    MappingEndEvent,
+    MappingStartEvent,
+    ScalarEvent,
+    SequenceEndEvent,
+    StreamEndEvent,
+)
 from yaml.nodes import MappingNode, ScalarNode
 from yaml.scanner import ScannerError
 
@@ -101,13 +111,19 @@ _CONVERTED = frozenset(
     _YAML + name for name in ("int", "float", "bool", "null", "timestamp", "binary")
 )
 # Keys that make PyYAML flatten a mapping before building it.
-_FLATTEN = frozenset((_YAML + "merge", _YAML + "value"))
+_VALUE = _YAML + "value"
+_FLATTEN = frozenset((_YAML + "merge", _VALUE))
 
 
 # What PyYAML's scalar converters raise on a value they cannot read, e.g.
 # KeyError for ``!!bool maybe``, IndexError for ``!!int ''``, ValueError for
 # ``!!int x`` and AttributeError for ``!!timestamp x``.
 _CONVERTER_ERRORS = (LookupError, ValueError, AttributeError)
+
+
+class _Unbuilt(Exception):
+    """A scalar tag the loaders do not build, or an event ``_EventLoader``
+    leaves to the composing loader."""
 
 
 def _malformed(node) -> ConstructorError:
@@ -125,7 +141,9 @@ _TOO_DEEP = f"collections nest deeper than {MAX_FLOW_DEPTH} levels"
 
 class _ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """SafeLoader that also accepts unsigned exponents like 2.0e6, and builds
-    documents itself.
+    documents itself from the composed node graph. ``load_scenario`` reaches
+    it only through ``_EventLoader``, for the documents that one leaves to
+    it: those with tags, those that fail, and a few rare forms.
 
     Stock YAML 1.1 resolution insists on a signed exponent and would hand
     such scalars back as strings. The libyaml parser is used when PyYAML was
@@ -178,10 +196,32 @@ class _ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
             raise ScannerError(None, None, _TOO_DEEP, self.get_mark())
         super().fetch_flow_collection_start(token_class)
 
+    def construct_plain_scalar(self, tag, value, mark):
+        """The object a scalar of ``tag`` at ``mark`` builds: a ``str``, or
+        what PyYAML's converter for ``tag`` gives. Raises one of
+        ``_CONVERTER_ERRORS`` when the converter cannot read ``value``, and
+        ``_Unbuilt`` for a tag the loader does not build."""
+        if tag == _STR:
+            return value
+        if tag == _FLOAT:
+            # float() reads every finite YAML float it accepts as PyYAML's
+            # converter does, at a tenth of the cost. The converter keeps the
+            # rest: .inf, .nan, 1:30, 1__0, ...
+            try:
+                number = float(value)
+            except ValueError:
+                pass
+            else:
+                if math.isfinite(number):
+                    return number
+        if tag in _CONVERTED:
+            return self.yaml_constructors[tag](self, ScalarNode(tag, value, mark))
+        raise _Unbuilt
+
     def construct_document(self, root):
         built = {}  # container node -> its object, so aliases share it
         queue = deque()
-        convert = self.yaml_constructors
+        scalar = self.construct_plain_scalar
 
         # Not recursive on purpose: a closure that calls itself is a
         # reference cycle, which keeps the whole node graph alive until the
@@ -189,24 +229,12 @@ class _ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
         def build(node):
             cls, tag = node.__class__, node.tag
             if cls is ScalarNode:
-                if tag == _STR:
-                    return node.value
-                if tag == _FLOAT:
-                    # float() reads every finite YAML float it accepts as
-                    # PyYAML's converter does, at a tenth of the cost. The
-                    # converter keeps the rest: .inf, .nan, 1:30, 1__0, ...
-                    try:
-                        number = float(node.value)
-                    except ValueError:
-                        pass
-                    else:
-                        if math.isfinite(number):
-                            return number
-                if tag in _CONVERTED:
-                    try:
-                        return convert[tag](self, node)
-                    except _CONVERTER_ERRORS:
-                        raise _malformed(node) from None
+                try:
+                    return scalar(tag, node.value, node.start_mark)
+                except _CONVERTER_ERRORS:
+                    raise _malformed(node) from None
+                except _Unbuilt:
+                    pass
             elif node in built:
                 return built[node]
             elif tag == (_MAP if cls is MappingNode else _SEQ):
@@ -252,6 +280,146 @@ _ScenarioLoader.add_implicit_resolver(
     ),
     list("-+0123456789."),
 )
+
+
+_NO_KEY = object()  # an open mapping's pending key, before its key is read
+_MERGE = object()  # the pending key "<<", whose value the mapping merges
+
+
+class _EventLoader(_ScenarioLoader):
+    """``_ScenarioLoader`` that builds a document straight from the parser's
+    events, with no node graph in between. ``yaml.load`` must pass it the
+    whole text, a ``str`` or ``bytes``, since a fallback reads it again.
+
+    It builds one document of mappings, lists and scalars, tagged ``!`` or
+    not at all, as ``_ScenarioLoader`` does: its scalars through the same
+    memoized ``resolve`` and ``construct_plain_scalar``, an alias as its
+    anchor's object, a key repeated in a mapping as its last value, and merge
+    keys (``<<``) as PyYAML flattens them. A mapping's merged entries come
+    before its own, and of a list of merged mappings the earlier one wins. A
+    collection with ``MAX_FLOW_DEPTH`` others above it is left to the
+    composer, which refuses its children.
+
+    At the first event it does not build, it drops what it built and returns
+    what ``_ScenarioLoader`` gives for the same text, which parses it again.
+    Those events are: another tag; a collection, or an alias to one, as a
+    key; an alias to an undefined anchor, or a repeated anchor; ``<<`` or
+    ``=`` anchored or outside a key; a merge of a collection still open, or
+    of anything but a mapping or a list of mappings; a scalar a converter
+    refuses; a nesting too deep; a second document; an empty stream; and a
+    scanner or parser error.
+    """
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self._text = stream
+
+    def get_single_data(self):
+        try:
+            return self._build_document()
+        except (_Unbuilt, yaml.YAMLError):
+            pass
+        loader = _ScenarioLoader(self._text)
+        try:
+            return loader.get_single_data()
+        finally:
+            loader.dispose()
+
+    def _build_document(self):
+        get_event, resolve = self.get_event, self.resolve
+        scalar = self.construct_plain_scalar
+        anchors = {}
+        get_event()  # StreamStartEvent
+        if get_event().__class__ is not DocumentStartEvent:
+            raise _Unbuilt  # an empty stream
+        # The innermost open collection, its pending key and the mappings it
+        # merges, and the same triple for each collection around it.
+        top, key, merged, outer = None, _NO_KEY, None, []
+        while True:
+            event = get_event()
+            cls = event.__class__
+            if cls is MappingEndEvent or cls is SequenceEndEvent:
+                if merged is not None:
+                    # PyYAML writes the merged entries before the mapping's.
+                    own = top.copy()
+                    top.clear()
+                    for source in merged:
+                        top.update(source)
+                    top.update(own)
+                value = top
+                top, key, merged = outer.pop()
+            elif cls is AliasEvent:
+                try:
+                    value = anchors[event.anchor]
+                except KeyError:
+                    raise _Unbuilt from None
+                if key is _NO_KEY and top.__class__ is dict and value.__class__ in (dict, list):
+                    raise _Unbuilt
+            # The composer resolves a scalar or collection tagged "!" as an
+            # untagged one.
+            elif event.tag not in (None, "!"):
+                raise _Unbuilt
+            else:
+                if cls is ScalarEvent:
+                    text = event.value
+                    tag = resolve(ScalarNode, text, event.implicit)
+                    if tag in _FLATTEN:
+                        if event.anchor is not None or key is not _NO_KEY:
+                            raise _Unbuilt
+                        if top.__class__ is not dict:
+                            raise _Unbuilt
+                        value = "=" if tag == _VALUE else _MERGE
+                    else:
+                        try:
+                            value = scalar(tag, text, event.start_mark)
+                        except _CONVERTER_ERRORS:
+                            raise _Unbuilt from None
+                elif len(outer) == MAX_FLOW_DEPTH or key is _NO_KEY and top.__class__ is dict:
+                    raise _Unbuilt
+                else:
+                    value = {} if cls is MappingStartEvent else []
+                anchor = event.anchor
+                if anchor is not None:
+                    if anchor in anchors:
+                        raise _Unbuilt
+                    anchors[anchor] = value
+                if cls is not ScalarEvent:
+                    outer.append((top, key, merged))
+                    top, key, merged = value, _NO_KEY, None
+                    continue
+            if top is None:
+                break
+            if top.__class__ is list:
+                top.append(value)
+            elif key is _NO_KEY:
+                key = value
+            elif key is _MERGE:
+                merged = (merged or []) + _merge_sources(value, top, outer)
+                key = _NO_KEY
+            else:
+                top[key] = value
+                key = _NO_KEY
+        get_event()  # DocumentEndEvent
+        if get_event().__class__ is not StreamEndEvent:
+            raise _Unbuilt  # a second document
+        return value
+
+
+def _merge_sources(value, top, outer):
+    """The mappings a merge key's ``value`` merges into ``top``, in the order
+    PyYAML writes their entries: ``value`` itself, or a list's mappings last
+    to first. Neither ``value`` nor a mapping in it may be ``top`` or an
+    ``outer`` collection, which are still open."""
+    if value.__class__ is dict:
+        sources = [value]
+    elif value.__class__ is list and all(item.__class__ is dict for item in value):
+        sources = value[::-1]
+    else:
+        raise _Unbuilt
+    opened = [top, *(collection for collection, _, _ in outer)]
+    if any(item is collection for item in (value, *sources) for collection in opened):
+        raise _Unbuilt
+    return sources
 
 
 @dataclass(frozen=True)
@@ -541,6 +709,11 @@ _SCENARIO = _Table(
 def load_scenario(text: str) -> ScenarioConfig:
     """Parse and fully validate a scenario document.
 
+    A document is built from the parser's events, anchors, aliases and
+    merge keys included; one with tags, or one that fails to parse, is
+    parsed a second time by the composing loader (see ``_EventLoader``).
+    Both happen in one ``yaml.load`` call.
+
     Raises ScenarioParseError for malformed documents, those with a node
     under more than MAX_FLOW_DEPTH collections included (the parser stops
     there), and ScenarioValidationError (with the offending field path) for
@@ -551,7 +724,7 @@ def load_scenario(text: str) -> ScenarioConfig:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        raw = yaml.load(text, Loader=_ScenarioLoader)
+        raw = yaml.load(text, Loader=_EventLoader)
     except yaml.YAMLError as exc:
         raise ScenarioParseError(f"malformed scenario document: {exc}") from None
     finally:

@@ -141,6 +141,20 @@ class TestSimulate:
         labels = [f"{a}->{b}" for a, b in zip(ids, ids[1:])]
         assert [row[0] for row in rows] == ["link_id", *labels, "TOTALS"]
 
+    def test_node_id_holding_the_link_arrow_exits_1(self, config_file, capsys):
+        # a->(b->c) and (a->b)->c would both print as a->b->c.
+        ids = ["a", "b->c", "a->b", "c"]
+        nodes = [{"id": i, "tx_power_w": 1.0, "packet_length_bits": 100} for i in ids]
+        links = [
+            {"src": a, "dst": b, "bandwidth_hz": 1.0, "signal_power_w": 1.0, "noise_power_w": 1.0}
+            for a, b in (("a", "b->c"), ("a->b", "c"))
+        ]
+        doc = json.dumps({"topology": {"kind": "mesh", "nodes": nodes, "links": links}})
+        assert main(["simulate", "--config", config_file(doc, "arrows.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: topology.nodes[1]: id must not contain '->'"), err
+        assert "'b->c'" in err
+
     def test_parse_error_exits_1(self, config_file):
         assert main(["simulate", "--config", config_file("topology: [oops")]) == 1
 

@@ -271,6 +271,14 @@ def test_node_refuses_an_int_beyond_the_float_range(field):
     Node("a", **{"tx_power_w": 1.0, "packet_length_bits": 1.0, field: int(sys.float_info.max)})
 
 
+def test_node_refuses_an_id_holding_the_link_arrow():
+    # Otherwise a->(b->c) and (a->b)->c would share the link id a->b->c.
+    for node_id in ("b->c", "->", "a->"):
+        with pytest.raises(ValueError, match="^id must not contain '->'"):
+            Node(node_id, 1.0, 100.0)
+    Node("a-b>c", 1.0, 100.0)
+
+
 @st.composite
 def _chain_candidates(draw):
     """Node ids and directed (src, dst) pairs: either any pairs, or the

@@ -43,6 +43,7 @@ from qwsnsim.scenario import (
     _CONVERTER_ERRORS,
     MAX_FLOW_DEPTH,
     ScenarioConfig,
+    _EventLoader,
     _malformed,
     _ScenarioLoader,
     dump_json,
@@ -436,6 +437,15 @@ def gc_state():
 class TestLoadPausesTheCollector:
     CASES = [
         pytest.param(MINIMAL, None, id="loaded"),
+        pytest.param(
+            MINIMAL.replace("- {id: a", "- &a {id: a").replace("- {id: b,", "- {<<: *a, id: b,"),
+            None,
+            id="merged",
+        ),
+        # A tagged document is parsed twice, both times inside yaml.load.
+        pytest.param(
+            MINIMAL.replace("bandwidth_hz: 1.0", "bandwidth_hz: !!float 1"), None, id="tagged"
+        ),
         pytest.param("topology: [unclosed", ScenarioParseError, id="malformed"),
         pytest.param(
             MINIMAL.replace("src: a", "src: ghost"), ScenarioValidationError, id="invalid"
@@ -653,6 +663,248 @@ class TestDocumentConstruction:
         doc = yaml.load("{a: &x {k: [1]}, b: *x, c: &y [*y]}", Loader=_ScenarioLoader)
         assert doc["a"] is doc["b"]
         assert doc["c"][0] is doc["c"]
+
+
+def _loader_of_load_scenario():
+    """The loader class ``load_scenario`` passes to ``yaml.load``."""
+    loaders = []
+    load = yaml.load
+
+    def recording(text, Loader):
+        loaders.append(Loader)
+        return load(text, Loader=Loader)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("qwsnsim.scenario.yaml.load", recording)
+        load_scenario(MINIMAL)
+    (loader,) = loaders
+    return loader
+
+
+def _outcome_and_reparses(loader_class, text):
+    """``_outcome`` of ``loader_class`` on ``text``, and how many times a
+    composing ``_ScenarioLoader`` parsed it again inside that load."""
+    reparses = []
+    get_single_data = _ScenarioLoader.get_single_data
+
+    def recording(self):
+        reparses.append(self)
+        return get_single_data(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_ScenarioLoader, "get_single_data", recording)
+        outcome = _outcome(loader_class(text))
+    return outcome, len(reparses)
+
+
+# Scalars and keys the event path builds: no tag but "!", and every converter
+# reads them.
+_PLAIN_SCALARS = [s for s in _SCALARS if not s.startswith("!")] + ["! 1", "! x", "'2.0e6'"]
+_PLAIN_KEYS = [k for k in _KEYS if k != "!!str <<"]
+# What the event path leaves to the composing loader, one draw in ten.
+_UNBUILT_SCALARS = ["*nowhere ", "<<", "=", "!!str x", "!foo x", "0b_", "!!int x"]
+_UNBUILT_KEYS = ["[k]", "{k: v}", "&m <<", "!!str k"]
+
+
+@st.composite
+def event_documents(draw, triggers, depth=3):
+    """Flow-style YAML without tags, which the event path builds itself:
+    anchored scalars and collections, aliases (recursive ones too, and keys
+    that alias scalars) and merge keys of closed mappings. With ``triggers``,
+    one scalar, key or merge in ten is one it does not build."""
+    names, scalars, collections, mappings, opened = [], [], [], [], []
+
+    def unbuilt(choices):
+        if triggers and draw(st.integers(0, 9)) == 0:
+            return draw(st.sampled_from(choices))
+        return None
+
+    def anchor(kind):
+        names.append(f"a{len(names)}")
+        kind.append(names[-1])
+        return f"&{names[-1]} "
+
+    def scalar(plain, aliased):
+        if aliased and draw(st.integers(0, 3)) == 0:
+            return f"*{draw(st.sampled_from(aliased))} "  # a colon may follow
+        text = draw(st.sampled_from(plain))
+        if text != "=" and draw(st.integers(0, 3)) == 0:
+            return anchor(scalars) + text
+        return text
+
+    def merge(depth):
+        # An open collection, or what is not a mapping or a list of them.
+        trigger = unbuilt(["1", "[1]", *(f"*{name} " for name in opened)])
+        if trigger:
+            return trigger
+        if mappings and draw(st.booleans()):
+            chosen = draw(st.lists(st.sampled_from(mappings), min_size=1, max_size=2))
+            aliases = [f"*{name} " for name in chosen]
+            return aliases[0] if len(aliases) == 1 else f"[{', '.join(aliases)}]"
+        return node(depth, "map")
+
+    def node(depth, kind=None):
+        kind = kind or draw(st.sampled_from(["scalar", "seq", "map"][: 3 if depth > 0 else 1]))
+        if kind == "scalar":
+            return unbuilt(_UNBUILT_SCALARS) or scalar(_PLAIN_SCALARS, scalars + collections)
+        prefix = ""
+        if draw(st.booleans()):
+            prefix = anchor(collections)
+            opened.append(collections[-1])
+        items = []
+        for _ in range(draw(st.integers(0, 3))):
+            if kind == "seq":
+                items.append(node(depth - 1))
+            elif draw(st.integers(0, 4)) == 0:
+                items.append(f"<<: {merge(depth - 1)}")
+            else:
+                key = unbuilt(_UNBUILT_KEYS) or scalar(_PLAIN_KEYS, scalars)
+                items.append(f"{key}: {node(depth - 1)}")
+        if prefix:
+            closed = opened.pop()
+            if kind == "map":
+                mappings.append(closed)
+        brackets = "[]" if kind == "seq" else "{}"
+        return f"{prefix}{brackets[0]}{', '.join(items)}{brackets[1]}"
+
+    return node(depth)
+
+
+def _anchored_mesh_text(n_links):
+    """``_mesh_text`` written as the README suggests: each node and link
+    merges the settings of the first."""
+    nodes = "    - &node {id: n0, tx_power_w: 1.5, packet_length_bits: 1000}\n" + "".join(
+        f"    - {{<<: *node, id: n{i}}}\n" for i in range(1, n_links)
+    )
+    links = (
+        "    - &link {src: n0, dst: n1, bandwidth_hz: 1.0e6, signal_power_w: 1.0e-6,"
+        " noise_power_w: 1.0e-9, fading: {kind: rayleigh}}\n"
+    ) + "".join(
+        f"    - {{<<: *link, src: n{i}, dst: n{(i + 1) % n_links}}}\n" for i in range(1, n_links)
+    )
+    return f"topology:\n  kind: mesh\n  nodes:\n{nodes}  links:\n{links}"
+
+
+class TestEventPath:
+    """``load_scenario``'s loader builds documents from the parser's events
+    and leaves tagged documents, failing ones and a few rare forms to
+    ``_ScenarioLoader``."""
+
+    def test_load_scenario_uses_the_event_loader(self):
+        assert _loader_of_load_scenario() is _EventLoader
+
+    @settings(max_examples=300, deadline=None)
+    @given(yaml_documents())
+    def test_same_outcome_as_the_composing_loader(self, text):
+        assert _outcome(_EventLoader(text)) == _outcome(_ScenarioLoader(text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(event_documents(triggers=True))
+    def test_same_outcome_on_mostly_untagged_documents(self, text):
+        assert _outcome(_EventLoader(text)) == _outcome(_ScenarioLoader(text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(event_documents(triggers=False))
+    def test_untagged_documents_are_parsed_once(self, text):
+        assert _outcome_and_reparses(_EventLoader, text) == (_outcome(_ScenarioLoader(text)), 0)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{a: &x 1, b: *x, *x : 2}",
+            "[&x [1], *x]",
+            "&a [*a, {b: *a}]",
+            "{<<: {a: 1, b: 2}, b: 3}",
+            "{a: 1, <<: {a: 2, b: 3}}",
+            "[&a {x: 1}, &b {x: 2, y: 2}, {<<: [*a, *b]}]",
+            "[&a {x: 1}, &b {x: 2, y: 2}, &l [*a, *b], {<<: *l}]",
+            "[&a {x: 1}, &b {<<: *a, y: 2}, {<<: *b, z: 3}]",
+            "{<<: {a: 1}, <<: {a: 2, b: 2}}",
+            "{<<: [], <<: {}, a: 1}",
+            "[&a {1: x}, {<<: *a, true: y}]",
+            "&m {x: &c {y: *m}, <<: *c}",
+            "{=: 1, <<: {=: 2, a: 3}}",
+            "[&k '<<', {*k : 1}]",
+        ],
+        ids=[
+            "scalar-alias", "list-alias", "recursive-alias", "merge-own-wins",
+            "merge-before-own", "merge-list-earlier-wins", "merge-aliased-list",
+            "nested-merge", "two-merge-keys", "empty-merges", "equal-keys",
+            "merge-of-mapping-holding-open-one", "value-key", "quoted-merge-key",
+        ],
+    )
+    def test_anchors_aliases_and_merges_are_parsed_once(self, text):
+        assert _outcome_and_reparses(_EventLoader, text) == (_outcome(_ScenarioLoader(text)), 0)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[!!str 1]",
+            "[!foo x]",
+            "!!map {a: 1}",
+            "{[1]: 2}",
+            "{{a: 1}: 2}",
+            "[&l [1], {*l : 2}]",
+            "[*x]",
+            "[&a 1, &a 2]",
+            "{&m <<: {a: 1}}",
+            "{&v =: 1}",
+            "[<<]",
+            "{a: =}",
+            "&m {<<: *m}",
+            "&l [{<<: *l}]",
+            "&m {a: &l [*m], <<: *l}",
+            "{<<: 1}",
+            "{<<: [{a: 1}, 1]}",
+            "{a: 0b_}",
+            "[" * (MAX_FLOW_DEPTH + 2) + "]" * (MAX_FLOW_DEPTH + 2),
+            "topology: [unclosed",
+            "a: b: c",
+            "a: 1\n---\nb: 2",
+            "",
+            "# only a comment",
+        ],
+        ids=[
+            "core-tag", "local-tag", "collection-tag", "list-key", "mapping-key",
+            "alias-to-collection-key", "undefined-alias", "repeated-anchor",
+            "anchored-merge-key", "anchored-value-key", "merge-key-as-value",
+            "value-key-as-value", "merge-of-open-mapping", "merge-of-open-list",
+            "merge-of-list-holding-open-mapping", "merge-of-scalar",
+            "merge-of-list-holding-scalar", "refused-scalar", "too-deep",
+            "scanner-error", "parser-error", "second-document", "empty-stream",
+            "comment-only",
+        ],
+    )
+    def test_each_fallback_is_one_reparse_with_the_same_outcome(self, text):
+        assert _outcome_and_reparses(_EventLoader, text) == (_outcome(_ScenarioLoader(text)), 1)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "example_chain.yaml",
+            "example_optimize.yaml",
+            "json-chain",
+            "yaml-mesh-400",
+            "anchored-yaml-mesh-400",
+        ],
+    )
+    def test_scenarios_are_parsed_once(self, name):
+        if name == "json-chain":
+            text = json.dumps({**EVERY_KEY, "topology": {**EVERY_KEY["topology"], "kind": "chain"}})
+        elif name == "yaml-mesh-400":
+            text = _mesh_text(400)
+        elif name == "anchored-yaml-mesh-400":
+            text = _anchored_mesh_text(400)
+            assert load_scenario(text) == load_scenario(_mesh_text(400))
+        else:
+            text = (Path(__file__).parents[1] / "configs" / name).read_text()
+        outcome, reparses = _outcome_and_reparses(_EventLoader, text)
+        assert reparses == 0
+        assert outcome == _outcome(_ScenarioLoader(text))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("qwsnsim.scenario._EventLoader", _ScenarioLoader)
+            composed = load_scenario(text)
+        assert load_scenario(text) == composed
 
 
 # Pieces of plain scalars that the implicit resolvers tell apart: digits,
