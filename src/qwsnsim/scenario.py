@@ -43,7 +43,6 @@ import dataclasses
 import gc
 import math
 import re
-from collections import deque
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Callable
@@ -61,7 +60,7 @@ from yaml.events import (
     SequenceEndEvent,
     StreamEndEvent,
 )
-from yaml.nodes import MappingNode, ScalarNode
+from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 from yaml.scanner import ScannerError
 
 from .channel import (
@@ -110,6 +109,12 @@ _FLOAT = _YAML + "float"
 _CONVERTED = frozenset(
     _YAML + name for name in ("int", "float", "bool", "null", "timestamp", "binary")
 )
+# Each node class and the tags the loader builds for it.
+_BUILT = {
+    ScalarNode: _CONVERTED | {_STR},
+    SequenceNode: frozenset((_SEQ,)),
+    MappingNode: frozenset((_MAP,)),
+}
 # Keys that make PyYAML flatten a mapping before building it.
 _VALUE = _YAML + "value"
 _FLATTEN = frozenset((_YAML + "merge", _VALUE))
@@ -122,8 +127,7 @@ _CONVERTER_ERRORS = (LookupError, ValueError, AttributeError)
 
 
 class _Unbuilt(Exception):
-    """A scalar tag the loaders do not build, or an event ``_EventLoader``
-    leaves to the composing loader."""
+    """An event ``_EventLoader`` leaves to the composing loader."""
 
 
 def _malformed(node) -> ConstructorError:
@@ -140,10 +144,11 @@ _TOO_DEEP = f"collections nest deeper than {MAX_FLOW_DEPTH} levels"
 
 
 class _ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """SafeLoader that also accepts unsigned exponents like 2.0e6, and builds
-    documents itself from the composed node graph. ``load_scenario`` reaches
-    it only through ``_EventLoader``, for the documents that one leaves to
-    it: those with tags, those that fail, and a few rare forms.
+    """SafeLoader that also accepts unsigned exponents like 2.0e6.
+    ``load_scenario`` reaches it only through ``_EventLoader``, for the
+    documents that one leaves to it: those with tags, those that fail, and a
+    few rare forms. PyYAML's own composer and constructor then parse the
+    text a second time.
 
     Stock YAML 1.1 resolution insists on a signed exponent and would hand
     such scalars back as strings. The libyaml parser is used when PyYAML was
@@ -152,16 +157,11 @@ class _ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     repeats most of its scalars (keys, kinds, common values): about one in
     three is new.
 
-    PyYAML's generic constructor costs about as much as composing the node
-    graph: bookkeeping on every node and a generator for every mapping and
-    list. ``construct_document`` builds the document in one breadth-first
-    pass instead. It builds strings, lists and mappings, and converts
-    ``!!int``, ``!!float``, ``!!bool``, ``!!null``, ``!!timestamp`` and
-    ``!!binary`` scalars with PyYAML's converters. Any other tag, or a tag on
-    the wrong kind of node, is PyYAML's "could not determine a constructor"
-    error at that node. It fills containers in the order PyYAML's state
-    generators do, so the first error is the same, and aliases, recursive
-    ones included, share one object as they do there.
+    ``construct_object`` adds two rules to PyYAML's constructor, so both
+    fire in its own construction order: a tag ``_BUILT`` does not list for
+    its node's class is PyYAML's "could not determine a constructor" error
+    at that node, and a scalar its converter cannot read is a
+    ``ConstructorError`` there too.
     """
 
     def __init__(self, stream):
@@ -196,76 +196,13 @@ class _ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
             raise ScannerError(None, None, _TOO_DEEP, self.get_mark())
         super().fetch_flow_collection_start(token_class)
 
-    def construct_plain_scalar(self, tag, value, mark):
-        """The object a scalar of ``tag`` at ``mark`` builds: a ``str``, or
-        what PyYAML's converter for ``tag`` gives. Raises one of
-        ``_CONVERTER_ERRORS`` when the converter cannot read ``value``, and
-        ``_Unbuilt`` for a tag the loader does not build."""
-        if tag == _STR:
-            return value
-        if tag == _FLOAT:
-            # float() reads every finite YAML float it accepts as PyYAML's
-            # converter does, at a tenth of the cost. The converter keeps the
-            # rest: .inf, .nan, 1:30, 1__0, ...
-            try:
-                number = float(value)
-            except ValueError:
-                pass
-            else:
-                if math.isfinite(number):
-                    return number
-        if tag in _CONVERTED:
-            return self.yaml_constructors[tag](self, ScalarNode(tag, value, mark))
-        raise _Unbuilt
-
-    def construct_document(self, root):
-        built = {}  # container node -> its object, so aliases share it
-        queue = deque()
-        scalar = self.construct_plain_scalar
-
-        # Not recursive on purpose: a closure that calls itself is a
-        # reference cycle, which keeps the whole node graph alive until the
-        # cyclic collector runs.
-        def build(node):
-            cls, tag = node.__class__, node.tag
-            if cls is ScalarNode:
-                try:
-                    return scalar(tag, node.value, node.start_mark)
-                except _CONVERTER_ERRORS:
-                    raise _malformed(node) from None
-                except _Unbuilt:
-                    pass
-            elif node in built:
-                return built[node]
-            elif tag == (_MAP if cls is MappingNode else _SEQ):
-                data = built[node] = {} if cls is MappingNode else []
-                queue.append(node)
-                return data
+    def construct_object(self, node, deep=False):
+        if node.tag not in _BUILT[node.__class__]:
             self.construct_undefined(node)  # raises
-
-        document = build(root)
-        while queue:
-            node = queue.popleft()
-            data = built[node]
-            if data.__class__ is list:
-                data.extend([build(item) for item in node.value])
-                continue
-            if any(key.tag in _FLATTEN for key, _ in node.value):
-                self.flatten_mapping(node)
-            for key_node, value_node in node.value:
-                if key_node.tag == _STR and key_node.__class__ is ScalarNode:
-                    key = key_node.value  # most keys; skips the call
-                else:
-                    key = build(key_node)
-                    if key_node.__class__ is not ScalarNode:
-                        raise ConstructorError(
-                            "while constructing a mapping",
-                            node.start_mark,
-                            "found unhashable key",
-                            key_node.start_mark,
-                        )
-                data[key] = build(value_node)
-        return document
+        try:
+            return super().construct_object(node, deep)
+        except _CONVERTER_ERRORS:
+            raise _malformed(node) from None
 
 
 _ScenarioLoader.add_implicit_resolver(
@@ -293,7 +230,7 @@ class _EventLoader(_ScenarioLoader):
 
     It builds one document of mappings, lists and scalars, tagged ``!`` or
     not at all, as ``_ScenarioLoader`` does: its scalars through the same
-    memoized ``resolve`` and ``construct_plain_scalar``, an alias as its
+    memoized ``resolve`` and PyYAML's converters, an alias as its
     anchor's object, a key repeated in a mapping as its last value, and merge
     keys (``<<``) as PyYAML flattens them. A mapping's merged entries come
     before its own, and of a list of merged mappings the earlier one wins. A
@@ -324,6 +261,26 @@ class _EventLoader(_ScenarioLoader):
             return loader.get_single_data()
         finally:
             loader.dispose()
+
+    def construct_plain_scalar(self, tag, value, mark):
+        """The object a scalar of ``tag`` at ``mark`` builds: a ``str``, or
+        what PyYAML's converter for ``tag`` gives. ``tag`` comes from
+        implicit resolution, so it has a converter. Raises one of
+        ``_CONVERTER_ERRORS`` when the converter cannot read ``value``."""
+        if tag == _STR:
+            return value
+        if tag == _FLOAT:
+            # float() reads every finite YAML float it accepts as PyYAML's
+            # converter does, at a tenth of the cost. The converter keeps the
+            # rest: .inf, .nan, 1:30, 1__0, ...
+            try:
+                number = float(value)
+            except ValueError:
+                pass
+            else:
+                if math.isfinite(number):
+                    return number
+        return self.yaml_constructors[tag](self, ScalarNode(tag, value, mark))
 
     def _build_document(self):
         get_event, resolve = self.get_event, self.resolve
@@ -711,7 +668,8 @@ def load_scenario(text: str) -> ScenarioConfig:
 
     A document is built from the parser's events, anchors, aliases and
     merge keys included; one with tags, or one that fails to parse, is
-    parsed a second time by the composing loader (see ``_EventLoader``).
+    parsed a second time by PyYAML's own composer and constructor (see
+    ``_EventLoader``), which takes a tagged mesh about 2.5 times as long.
     Both happen in one ``yaml.load`` call.
 
     Raises ScenarioParseError for malformed documents, those with a node

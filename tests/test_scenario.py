@@ -30,6 +30,7 @@ from qwsnsim.channel import (
     link_rng,
     sample_h_squared,
 )
+from qwsnsim.cli import main
 from qwsnsim.errors import (
     AllSamplesOutageError,
     ScenarioParseError,
@@ -609,7 +610,8 @@ def yaml_documents(draw, depth=3):
 
 
 class TestDocumentConstruction:
-    """``_ScenarioLoader.construct_document`` against PyYAML's own."""
+    """``_ScenarioLoader``'s tag and converter rules against PyYAML's own
+    constructor."""
 
     @settings(max_examples=400, deadline=None)
     @given(yaml_documents())
@@ -906,6 +908,24 @@ class TestEventPath:
             composed = load_scenario(text)
         assert load_scenario(text) == composed
 
+    @pytest.mark.parametrize("name", ["example_chain.yaml", "example_optimize.yaml"])
+    def test_tagged_scenarios_take_the_composing_loader(self, name, tmp_path, capsys):
+        # The tags send the whole document to PyYAML's composer and
+        # constructor, which must read the same scenario as the event path.
+        text = (Path(__file__).parents[1] / "configs" / name).read_text()
+        tagged = text.replace("bandwidth_hz: ", "bandwidth_hz: !!float ")
+        tagged = tagged.replace("n_samples: ", "n_samples: !!int ")
+        assert tagged.count("!!") == 3
+        assert _outcome_and_reparses(_EventLoader, tagged) == (_outcome(_EventLoader(text)), 1)
+        assert load_scenario(tagged) == load_scenario(text)
+        reports = []
+        for document in (tagged, text):
+            path = tmp_path / name
+            path.write_text(document)
+            assert main(["simulate", "--config", str(path), "--format", "json"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
 
 # Pieces of plain scalars that the implicit resolvers tell apart: digits,
 # signs, float and sexagesimal punctuation, the bool and null words, merge and
@@ -966,8 +986,8 @@ def _float_bits(value: float) -> bytes:
 
 
 def _via_loader(text: str):
-    """``text`` as an explicit ``!!float``, read by the scenario loader."""
-    return yaml.load(f"!!float {json.dumps(text)}", Loader=_ScenarioLoader)
+    """``text`` as a scalar the event path resolved as a float, read by it."""
+    return _EventLoader("").construct_plain_scalar(_FLOAT_TAG, text, None)
 
 
 def _via_converter(text: str):
@@ -985,8 +1005,9 @@ _CONVERTER_FLOATS = [
 
 
 class TestFloatPath:
-    """The loader reads a finite float with ``float()``, and leaves the rest
-    to ``SafeConstructor.construct_yaml_float``; both must agree bit for bit."""
+    """The event path reads a finite float with ``float()``, and leaves the
+    rest to ``SafeConstructor.construct_yaml_float``; both must agree bit for
+    bit."""
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -1001,7 +1022,7 @@ class TestFloatPath:
         try:
             expected = _float_bits(_via_converter(text))
         except (LookupError, ValueError):
-            with pytest.raises(yaml.constructor.ConstructorError, match="cannot read"):
+            with pytest.raises(_CONVERTER_ERRORS):
                 _via_loader(text)
         else:
             assert _float_bits(_via_loader(text)) == expected
@@ -1026,7 +1047,7 @@ class TestFloatPath:
 
     def test_ints_stay_on_the_converter(self):
         # YAML 1.1 reads a leading zero as octal.
-        assert yaml.load("[017, 0x1f, 1_000, 190:20:30]", Loader=_ScenarioLoader) == [
+        assert yaml.load("[017, 0x1f, 1_000, 190:20:30]", Loader=_EventLoader) == [
             15, 31, 1000, 685230
         ]
 
