@@ -30,8 +30,8 @@ A scenario is a YAML/JSON document::
     output: {path: report.csv, format: csv}   # optional, default stdout/csv
 
 Unknown keys are rejected, so a misspelt key never silently falls back to
-its default; a key repeated in one mapping keeps its last value, as in
-PyYAML. A null value means the default, as an omitted key does. Every
+its default, and so is a key repeated in one mapping, whose last value PyYAML
+would keep. A null value means the default, as an omitted key does. Every
 Monte-Carlo stream is derived from (seed, link index), so adding a link never
 perturbs the draws of existing links, and a fixed seed fully determines every
 output byte.
@@ -52,7 +52,6 @@ import yaml
 from yaml.composer import ComposerError
 from yaml.constructor import ConstructorError
 from yaml.events import (
-    AliasEvent,
     DocumentStartEvent,
     MappingEndEvent,
     MappingStartEvent,
@@ -116,8 +115,8 @@ _BUILT = {
     MappingNode: frozenset((_MAP,)),
 }
 # Keys that make PyYAML flatten a mapping before building it.
-_VALUE = _YAML + "value"
-_FLATTEN = frozenset((_YAML + "merge", _VALUE))
+_MERGE = _YAML + "merge"
+_FLATTEN = frozenset((_MERGE, _YAML + "value"))
 
 
 # What PyYAML's scalar converters raise on a value they cannot read, e.g.
@@ -146,9 +145,9 @@ _TOO_DEEP = f"collections nest deeper than {MAX_FLOW_DEPTH} levels"
 class _ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """SafeLoader that also accepts unsigned exponents like 2.0e6.
     ``load_scenario`` reaches it only through ``_EventLoader``, for the
-    documents that one leaves to it: those with tags, those that fail, and a
-    few rare forms. PyYAML's own composer and constructor then parse the
-    text a second time.
+    documents that one leaves to it: those with anchors, aliases, merge keys
+    or tags, and those that fail. PyYAML's own composer and constructor then
+    parse the text a second time.
 
     Stock YAML 1.1 resolution insists on a signed exponent and would hand
     such scalars back as strings. The libyaml parser is used when PyYAML was
@@ -161,13 +160,16 @@ class _ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     fire in its own construction order: a tag ``_BUILT`` does not list for
     its node's class is PyYAML's "could not determine a constructor" error
     at that node, and a scalar its converter cannot read is a
-    ``ConstructorError`` there too.
+    ``ConstructorError`` there too. ``construct_mapping`` adds a third: a key
+    repeated among a mapping's own entries, not those a ``<<`` merges in, is
+    a ``ConstructorError`` at the repeat, once PyYAML has built the mapping.
     """
 
     def __init__(self, stream):
         super().__init__(stream)
         self._implicit_tags = {}  # plain scalar -> tag, for this document
         self._depth = 0  # collections above the node being composed
+        self._own_keys = {}  # mapping node -> its key nodes but "<<"
 
     def resolve(self, kind, value, implicit):
         if kind is not ScalarNode or not implicit[0]:
@@ -204,6 +206,26 @@ class _ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
         except _CONVERTER_ERRORS:
             raise _malformed(node) from None
 
+    # PyYAML writes the merged entries into a mapping node the first time it
+    # flattens it, which may come before the node is built.
+    def flatten_mapping(self, node):
+        if node not in self._own_keys:
+            self._own_keys[node] = [key for key, _ in node.value if key.tag != _MERGE]
+        super().flatten_mapping(node)
+
+    def construct_mapping(self, node, deep=False):
+        mapping = super().construct_mapping(node, deep)
+        keys = set()
+        for key_node in self._own_keys[node]:
+            key = self.constructed_objects[key_node]
+            if key in keys:
+                problem = f"found duplicate key {key!r}"
+                raise ConstructorError(
+                    "while constructing a mapping", node.start_mark, problem, key_node.start_mark
+                )
+            keys.add(key)
+        return mapping
+
 
 _ScenarioLoader.add_implicit_resolver(
     "tag:yaml.org,2002:float",
@@ -220,7 +242,6 @@ _ScenarioLoader.add_implicit_resolver(
 
 
 _NO_KEY = object()  # an open mapping's pending key, before its key is read
-_MERGE = object()  # the pending key "<<", whose value the mapping merges
 
 
 class _EventLoader(_ScenarioLoader):
@@ -228,23 +249,18 @@ class _EventLoader(_ScenarioLoader):
     events, with no node graph in between. ``yaml.load`` must pass it the
     whole text, a ``str`` or ``bytes``, since a fallback reads it again.
 
-    It builds one document of mappings, lists and scalars, tagged ``!`` or
-    not at all, as ``_ScenarioLoader`` does: its scalars through the same
-    memoized ``resolve`` and PyYAML's converters, an alias as its
-    anchor's object, a key repeated in a mapping as its last value, and merge
-    keys (``<<``) as PyYAML flattens them. A mapping's merged entries come
-    before its own, and of a list of merged mappings the earlier one wins. A
-    collection with ``MAX_FLOW_DEPTH`` others above it is left to the
-    composer, which refuses its children.
+    It builds one plain document of mappings, lists and scalars, tagged
+    ``!`` or not at all, as ``_ScenarioLoader`` does: its scalars through the
+    same memoized ``resolve`` and PyYAML's converters. A collection with
+    ``MAX_FLOW_DEPTH`` others above it is left to the composer, which refuses
+    its children.
 
     At the first event it does not build, it drops what it built and returns
     what ``_ScenarioLoader`` gives for the same text, which parses it again.
-    Those events are: another tag; a collection, or an alias to one, as a
-    key; an alias to an undefined anchor, or a repeated anchor; ``<<`` or
-    ``=`` anchored or outside a key; a merge of a collection still open, or
-    of anything but a mapping or a list of mappings; a scalar a converter
-    refuses; a nesting too deep; a second document; an empty stream; and a
-    scanner or parser error.
+    Those events are: an alias, or an anchor; another tag; a ``<<`` or ``=``
+    scalar; a collection as a key; a key repeated in one mapping; a scalar a
+    converter refuses; a nesting too deep; a second document; an empty
+    stream; and a scanner or parser error.
     """
 
     def __init__(self, stream):
@@ -285,74 +301,45 @@ class _EventLoader(_ScenarioLoader):
     def _build_document(self):
         get_event, resolve = self.get_event, self.resolve
         scalar = self.construct_plain_scalar
-        anchors = {}
         get_event()  # StreamStartEvent
         if get_event().__class__ is not DocumentStartEvent:
             raise _Unbuilt  # an empty stream
-        # The innermost open collection, its pending key and the mappings it
-        # merges, and the same triple for each collection around it.
-        top, key, merged, outer = None, _NO_KEY, None, []
+        # The innermost open collection and its pending key, and the same
+        # pair for each collection around it.
+        top, key, outer = None, _NO_KEY, []
         while True:
             event = get_event()
             cls = event.__class__
             if cls is MappingEndEvent or cls is SequenceEndEvent:
-                if merged is not None:
-                    # PyYAML writes the merged entries before the mapping's.
-                    own = top.copy()
-                    top.clear()
-                    for source in merged:
-                        top.update(source)
-                    top.update(own)
                 value = top
-                top, key, merged = outer.pop()
-            elif cls is AliasEvent:
-                try:
-                    value = anchors[event.anchor]
-                except KeyError:
-                    raise _Unbuilt from None
-                if key is _NO_KEY and top.__class__ is dict and value.__class__ in (dict, list):
+                top, key = outer.pop()
+            # An alias names its anchor. The composer resolves a scalar or
+            # collection tagged "!" as an untagged one.
+            elif event.anchor is not None or event.tag not in (None, "!"):
+                raise _Unbuilt
+            elif cls is ScalarEvent:
+                text = event.value
+                tag = resolve(ScalarNode, text, event.implicit)
+                if tag in _FLATTEN:
                     raise _Unbuilt
-            # The composer resolves a scalar or collection tagged "!" as an
-            # untagged one.
-            elif event.tag not in (None, "!"):
+                try:
+                    value = scalar(tag, text, event.start_mark)
+                except _CONVERTER_ERRORS:
+                    raise _Unbuilt from None
+            elif len(outer) == MAX_FLOW_DEPTH or key is _NO_KEY and top.__class__ is dict:
                 raise _Unbuilt
             else:
-                if cls is ScalarEvent:
-                    text = event.value
-                    tag = resolve(ScalarNode, text, event.implicit)
-                    if tag in _FLATTEN:
-                        if event.anchor is not None or key is not _NO_KEY:
-                            raise _Unbuilt
-                        if top.__class__ is not dict:
-                            raise _Unbuilt
-                        value = "=" if tag == _VALUE else _MERGE
-                    else:
-                        try:
-                            value = scalar(tag, text, event.start_mark)
-                        except _CONVERTER_ERRORS:
-                            raise _Unbuilt from None
-                elif len(outer) == MAX_FLOW_DEPTH or key is _NO_KEY and top.__class__ is dict:
-                    raise _Unbuilt
-                else:
-                    value = {} if cls is MappingStartEvent else []
-                anchor = event.anchor
-                if anchor is not None:
-                    if anchor in anchors:
-                        raise _Unbuilt
-                    anchors[anchor] = value
-                if cls is not ScalarEvent:
-                    outer.append((top, key, merged))
-                    top, key, merged = value, _NO_KEY, None
-                    continue
+                outer.append((top, key))
+                top, key = ({} if cls is MappingStartEvent else []), _NO_KEY
+                continue
             if top is None:
                 break
             if top.__class__ is list:
                 top.append(value)
             elif key is _NO_KEY:
                 key = value
-            elif key is _MERGE:
-                merged = (merged or []) + _merge_sources(value, top, outer)
-                key = _NO_KEY
+            elif key in top:
+                raise _Unbuilt  # a repeated key
             else:
                 top[key] = value
                 key = _NO_KEY
@@ -360,23 +347,6 @@ class _EventLoader(_ScenarioLoader):
         if get_event().__class__ is not StreamEndEvent:
             raise _Unbuilt  # a second document
         return value
-
-
-def _merge_sources(value, top, outer):
-    """The mappings a merge key's ``value`` merges into ``top``, in the order
-    PyYAML writes their entries: ``value`` itself, or a list's mappings last
-    to first. Neither ``value`` nor a mapping in it may be ``top`` or an
-    ``outer`` collection, which are still open."""
-    if value.__class__ is dict:
-        sources = [value]
-    elif value.__class__ is list and all(item.__class__ is dict for item in value):
-        sources = value[::-1]
-    else:
-        raise _Unbuilt
-    opened = [top, *(collection for collection, _, _ in outer)]
-    if any(item is collection for item in (value, *sources) for collection in opened):
-        raise _Unbuilt
-    return sources
 
 
 @dataclass(frozen=True)
@@ -666,16 +636,16 @@ _SCENARIO = _Table(
 def load_scenario(text: str) -> ScenarioConfig:
     """Parse and fully validate a scenario document.
 
-    A document is built from the parser's events, anchors, aliases and
-    merge keys included; one with tags, or one that fails to parse, is
-    parsed a second time by PyYAML's own composer and constructor (see
-    ``_EventLoader``), which takes a tagged mesh about 2.5 times as long.
+    A plain document is built from the parser's events; one with anchors,
+    aliases, merge keys or tags, or one that fails to parse, is parsed a
+    second time by PyYAML's own composer and constructor (see
+    ``_EventLoader``), which takes such a mesh about 2.5 times as long.
     Both happen in one ``yaml.load`` call.
 
-    Raises ScenarioParseError for malformed documents, those with a node
-    under more than MAX_FLOW_DEPTH collections included (the parser stops
-    there), and ScenarioValidationError (with the offending field path) for
-    constraint violations.
+    Raises ScenarioParseError for malformed documents, a key repeated in one
+    mapping or a node under more than MAX_FLOW_DEPTH collections included
+    (the parser stops there), and ScenarioValidationError (with the
+    offending field path) for constraint violations.
     """
     # The parse allocates some 20 objects per link, none in a cycle, so the
     # cyclic collector's passes over the growing heap are wasted work.

@@ -425,6 +425,52 @@ class TestNestingLimit:
         assert capsys.readouterr().err.startswith(_TOO_DEEP)
 
 
+# A key repeated in one mapping, block and flow style, at the top level and
+# nested: the document, the key, and the line and column of the repeat.
+_REPEATED = {
+    "block-top": (GOOD + "monte_carlo: {seed: 2}\n", "monte_carlo", 16, 1),
+    "block-nested": (GOOD.replace("gamma: 2.0\n", "gamma: 2.0\n      gamma: 3\n"), "gamma", 15, 7),
+    "flow-top": ("{topology: {kind: mesh},\n topology: {kind: chain}}\n", "topology", 2, 2),
+    "flow-nested": (GOOD.replace("seed: 1}", "seed: 1,\n  seed: 2}"), "seed", 16, 3),
+}
+_REPEAT = 'found duplicate key {!r}\n  in "<unicode string>", line {}, column {}'
+# argv[1] is a JSON file mapping scenario files to a text the error of each
+# must hold; its "hide libyaml" hides libyaml, so PyYAML's pure-Python
+# composer runs. Exits 0 if the CLI exits 1 with that text on every file.
+_REFUSAL_SCRIPT = """
+import contextlib, io, json, sys
+import yaml
+expected = json.load(open(sys.argv[1]))
+if expected.pop("hide libyaml"):
+    del yaml.CSafeLoader
+from qwsnsim.cli import main
+for path, error in expected.items():
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["simulate", "--config", path])
+    if code != 1 or error not in err.getvalue():
+        sys.exit(f"{path}: exit {code}, {err.getvalue()!r}")
+"""
+
+
+class TestRepeatedKey:
+    @pytest.mark.parametrize("composer", ["libyaml", "python"])
+    def test_repeat_exits_1_naming_its_line(self, config_file, tmp_path, composer):
+        # Each document and a tagged copy, which PyYAML's composer reads.
+        expected = {"hide libyaml": composer == "python"}
+        for name, (text, key, line, column) in _REPEATED.items():
+            tagged = text.replace("kind: ", "kind: !!str ")
+            assert tagged != text
+            error = _REPEAT.format(key, line, column)
+            for label, document in ((name, text), (f"{name}-tagged", tagged)):
+                expected[config_file(document, f"{label}.yaml")] = error
+        (tmp_path / "expected.json").write_text(json.dumps(expected))
+        env = {**os.environ, "PYTHONPATH": str(Path(qwsnsim.__file__).resolve().parents[1])}
+        argv = [sys.executable, "-c", _REFUSAL_SCRIPT, str(tmp_path / "expected.json")]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+
+
 # Each raised a bare KeyError, IndexError, AttributeError or ValueError out of
 # PyYAML's scalar converters.
 _UNREADABLE_SCALARS = ["!!bool maybe", "!!float ''", "!!int ''", "!!timestamp x", "!!int x"]

@@ -483,31 +483,58 @@ _BUILT_TAGS = {
     SequenceNode: {"tag:yaml.org,2002:seq"},
     MappingNode: {"tag:yaml.org,2002:map"},
 }
+_MERGE_TAG = "tag:yaml.org,2002:merge"
 
 
 class _PyYamlBuilt(_ScenarioLoader):
     """The scenario loader with PyYAML's own document constructor, which
-    builds every tag SafeLoader knows. A scalar a converter cannot read is
-    the same ``ConstructorError``, at the same mark, as in the scenario
-    loader. ``unbuilt`` lists the nodes it reached, in order, whose tag the
-    scenario loader does not build. It keeps the loader's ``resolve``:
+    builds every tag SafeLoader knows and keeps the last of a repeated key. A
+    scalar a converter cannot read is the same ``ConstructorError``, at the
+    same mark, as in the scenario loader. ``refusals`` lists, in the order
+    PyYAML reached them, the errors the scenario loader adds: a node whose
+    tag it does not build, and a mapping that repeats one of its own keys,
+    those a ``<<`` merges in aside. It keeps the loader's ``resolve``:
     ``TestImplicitResolution`` checks that one against PyYAML's."""
 
-    construct_document = SafeConstructor.construct_document
+    flatten_mapping = SafeConstructor.flatten_mapping
 
     def __init__(self, stream):
         super().__init__(stream)
-        self.unbuilt = []
+        self.refusals = []
+
+    def construct_document(self, node):
+        # Each mapping's own keys, read before PyYAML merges into any of them.
+        self.own_keys, seen, stack = {}, set(), [node]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, ScalarNode) or item in seen:
+                continue
+            seen.add(item)
+            if isinstance(item, MappingNode):
+                self.own_keys[item] = [key for key, _ in item.value if key.tag != _MERGE_TAG]
+                stack.extend(child for pair in item.value for child in pair)
+            else:
+                stack.extend(item.value)
+        return SafeConstructor.construct_document(self, node)
 
     def construct_object(self, node, deep=False):
         if node.tag not in _BUILT_TAGS[node.__class__]:
-            self.unbuilt.append(node)
+            self.refusals.append(_undefined(node))
         # Only scalar converters raise these: a container's children are
         # built by calls of their own.
         try:
             return SafeConstructor.construct_object(self, node, deep)
         except _CONVERTER_ERRORS:
             raise _malformed(node) from None
+
+    def construct_mapping(self, node, deep=False):
+        mapping = SafeConstructor.construct_mapping(self, node, deep)
+        keys = [self.constructed_objects[key] for key in self.own_keys[node]]
+        for index, key in enumerate(keys):
+            if key in keys[:index]:
+                self.refusals.append(_repeated(node, self.own_keys[node][index], key))
+                break
+        return mapping
 
 
 def _shape(data):
@@ -544,14 +571,21 @@ def _undefined(node):
     return str(ConstructorError(None, None, message, node.start_mark))
 
 
+def _repeated(mapping, key_node, key):
+    message = f"found duplicate key {key!r}"
+    context = "while constructing a mapping"
+    return str(ConstructorError(context, mapping.start_mark, message, key_node.start_mark))
+
+
 def _assert_as_pyyaml(text):
     """The scenario loader builds what PyYAML builds, or raises the error
-    PyYAML raises, up to the first node whose tag it does not build. There
-    it raises PyYAML's error for an undefined tag."""
+    PyYAML raises, up to the first node whose tag it does not build or the
+    first mapping that repeats an own key. There it raises PyYAML's error for
+    an undefined tag, or its own for the repeat."""
     reference = _PyYamlBuilt(text)
     expected = _outcome(reference)
-    if reference.unbuilt:
-        expected = ConstructorError, _undefined(reference.unbuilt[0])
+    if reference.refusals:
+        expected = ConstructorError, reference.refusals[0]
     assert _outcome(_ScenarioLoader(text)) == expected
 
 
@@ -630,6 +664,9 @@ class TestDocumentConstruction:
             "{[1]: 2, <<: 1}",
             "{{a: 1}: 2}",
             "{a: 1, a: 2}",
+            "{a: [1, 2], b: {1: x, 1.0: y, true: z}}",
+            "{<<: {a: 1, a: 2}, b: {b: 1, <<: {b: 2}, b: 3}}",
+            "{p: {q: &c {<<: {y: 1}, y: 2}}, r: {<<: *c}}",  # r flattens c before c is built
             "[!!int x, !!bool maybe]",
             "[[!!int x], [[!!int y]]]",
             "[2001-12-14, 2001-12-14 21:59:43.10 -5, !!binary aGVsbG8=, {2001-12-14: x}]",
@@ -700,72 +737,58 @@ def _outcome_and_reparses(loader_class, text):
 
 
 # Scalars and keys the event path builds: no tag but "!", and every converter
-# reads them.
+# reads them. Of the keys, 1, 1.0 and true are one dict key.
 _PLAIN_SCALARS = [s for s in _SCALARS if not s.startswith("!")] + ["! 1", "! x", "'2.0e6'"]
-_PLAIN_KEYS = [k for k in _KEYS if k != "!!str <<"]
-# What the event path leaves to the composing loader, one draw in ten.
-_UNBUILT_SCALARS = ["*nowhere ", "<<", "=", "!!str x", "!foo x", "0b_", "!!int x"]
-_UNBUILT_KEYS = ["[k]", "{k: v}", "&m <<", "!!str k"]
+_PLAIN_KEYS = [k for k in _KEYS if k not in ("=", "!!str <<")]
+_DICT_KEY = {"1.0": "1", "true": "1"}
+# What the event path leaves to the composing loader, one draw in ten. "&"
+# stands for an anchor.
+_UNBUILT_SCALARS = ["&", "*nowhere ", "<<", "=", "!!str x", "!foo x", "0b_", "!!int x"]
+_UNBUILT_KEYS = ["&", "[k]", "{k: v}", "<<", "=", "!!str k"]
 
 
 @st.composite
 def event_documents(draw, triggers, depth=3):
-    """Flow-style YAML without tags, which the event path builds itself:
-    anchored scalars and collections, aliases (recursive ones too, and keys
-    that alias scalars) and merge keys of closed mappings. With ``triggers``,
-    one scalar, key or merge in ten is one it does not build."""
-    names, scalars, collections, mappings, opened = [], [], [], [], []
+    """Plain flow-style YAML, which the event path builds itself: no tag but
+    ``!``, no anchor, alias or merge key, and no key twice in one mapping.
+    With ``triggers``, one scalar, key or collection in ten is one it leaves
+    to the composing loader: an anchor, an alias (of an anchor before it, or
+    of none), a tag or another ``_UNBUILT_*`` form, and one mapping in ten
+    gets one more entry, a merge or a repeat of one of its keys."""
+    anchors = []
 
     def unbuilt(choices):
-        if triggers and draw(st.integers(0, 9)) == 0:
-            return draw(st.sampled_from(choices))
-        return None
+        if not triggers or draw(st.integers(0, 9)):
+            return None
+        text = draw(st.sampled_from(choices + [f"*{name} " for name in anchors]))
+        if text == "&":
+            anchors.append(f"a{len(anchors)}")
+            return f"&{anchors[-1]} {draw(st.sampled_from(_PLAIN_SCALARS))}"
+        return text  # an alias may be a key: a space before its colon
 
-    def anchor(kind):
-        names.append(f"a{len(names)}")
-        kind.append(names[-1])
-        return f"&{names[-1]} "
-
-    def scalar(plain, aliased):
-        if aliased and draw(st.integers(0, 3)) == 0:
-            return f"*{draw(st.sampled_from(aliased))} "  # a colon may follow
-        text = draw(st.sampled_from(plain))
-        if text != "=" and draw(st.integers(0, 3)) == 0:
-            return anchor(scalars) + text
-        return text
-
-    def merge(depth):
-        # An open collection, or what is not a mapping or a list of them.
-        trigger = unbuilt(["1", "[1]", *(f"*{name} " for name in opened)])
-        if trigger:
-            return trigger
-        if mappings and draw(st.booleans()):
-            chosen = draw(st.lists(st.sampled_from(mappings), min_size=1, max_size=2))
-            aliases = [f"*{name} " for name in chosen]
-            return aliases[0] if len(aliases) == 1 else f"[{', '.join(aliases)}]"
-        return node(depth, "map")
-
-    def node(depth, kind=None):
-        kind = kind or draw(st.sampled_from(["scalar", "seq", "map"][: 3 if depth > 0 else 1]))
+    def node(depth):
+        kind = draw(st.sampled_from(["scalar", "seq", "map"][: 3 if depth > 0 else 1]))
         if kind == "scalar":
-            return unbuilt(_UNBUILT_SCALARS) or scalar(_PLAIN_SCALARS, scalars + collections)
+            return unbuilt(_UNBUILT_SCALARS) or draw(st.sampled_from(_PLAIN_SCALARS))
         prefix = ""
-        if draw(st.booleans()):
-            prefix = anchor(collections)
-            opened.append(collections[-1])
-        items = []
-        for _ in range(draw(st.integers(0, 3))):
-            if kind == "seq":
-                items.append(node(depth - 1))
-            elif draw(st.integers(0, 4)) == 0:
-                items.append(f"<<: {merge(depth - 1)}")
-            else:
-                key = unbuilt(_UNBUILT_KEYS) or scalar(_PLAIN_KEYS, scalars)
-                items.append(f"{key}: {node(depth - 1)}")
-        if prefix:
-            closed = opened.pop()
-            if kind == "map":
-                mappings.append(closed)
+        if triggers and draw(st.integers(0, 9)) == 0:
+            prefix = draw(st.sampled_from([f"!!{kind} ", "!foo ", f"&a{len(anchors)} "]))
+            if prefix.startswith("&"):
+                anchors.append(prefix[1:-1])
+        if kind == "seq":
+            items = [node(depth - 1) for _ in range(draw(st.integers(0, 3)))]
+        else:
+            keys = draw(
+                st.lists(
+                    st.sampled_from(_PLAIN_KEYS),
+                    max_size=3,
+                    unique_by=lambda key: _DICT_KEY.get(key, key),
+                )
+            )
+            items = [f"{unbuilt(_UNBUILT_KEYS) or key}: {node(depth - 1)}" for key in keys]
+            extra = unbuilt(["<<", *keys])
+            if extra:
+                items.insert(draw(st.integers(0, len(items))), f"{extra}: {node(depth - 1)}")
         brackets = "[]" if kind == "seq" else "{}"
         return f"{prefix}{brackets[0]}{', '.join(items)}{brackets[1]}"
 
@@ -787,10 +810,32 @@ def _anchored_mesh_text(n_links):
     return f"topology:\n  kind: mesh\n  nodes:\n{nodes}  links:\n{links}"
 
 
+def _merging_copy(text):
+    """The scenario ``text`` written as the README suggests: every node and
+    link after the first merges the first one's settings, and reads null,
+    the default, for a key the first has and it lacks."""
+    lines = []
+    for key, value in yaml.load(text, Loader=_ScenarioLoader).items():
+        if key != "topology":
+            lines.append(f"{key}: {json.dumps(value)}")
+            continue
+        lines.append("topology:")
+        for field, entries in value.items():
+            if field not in ("nodes", "links"):
+                lines.append(f"  {field}: {json.dumps(entries)}")
+                continue
+            first, *rest = entries
+            lines += [f"  {field}:", f"    - &{field[:-1]} {json.dumps(first)}"]
+            for entry in rest:
+                own = {k: entry.get(k) for k in {**first, **entry} if entry.get(k) != first.get(k)}
+                lines.append(f"    - {{<<: *{field[:-1]}, {json.dumps(own)[1:]}")
+    return "\n".join(lines) + "\n"
+
+
 class TestEventPath:
-    """``load_scenario``'s loader builds documents from the parser's events
-    and leaves tagged documents, failing ones and a few rare forms to
-    ``_ScenarioLoader``."""
+    """``load_scenario``'s loader builds plain documents from the parser's
+    events and leaves anchors, aliases, merge keys, tags, repeated keys and
+    failing documents to ``_ScenarioLoader``."""
 
     def test_load_scenario_uses_the_event_loader(self):
         assert _loader_of_load_scenario() is _EventLoader
@@ -808,34 +853,6 @@ class TestEventPath:
     @settings(max_examples=300, deadline=None)
     @given(event_documents(triggers=False))
     def test_untagged_documents_are_parsed_once(self, text):
-        assert _outcome_and_reparses(_EventLoader, text) == (_outcome(_ScenarioLoader(text)), 0)
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "{a: &x 1, b: *x, *x : 2}",
-            "[&x [1], *x]",
-            "&a [*a, {b: *a}]",
-            "{<<: {a: 1, b: 2}, b: 3}",
-            "{a: 1, <<: {a: 2, b: 3}}",
-            "[&a {x: 1}, &b {x: 2, y: 2}, {<<: [*a, *b]}]",
-            "[&a {x: 1}, &b {x: 2, y: 2}, &l [*a, *b], {<<: *l}]",
-            "[&a {x: 1}, &b {<<: *a, y: 2}, {<<: *b, z: 3}]",
-            "{<<: {a: 1}, <<: {a: 2, b: 2}}",
-            "{<<: [], <<: {}, a: 1}",
-            "[&a {1: x}, {<<: *a, true: y}]",
-            "&m {x: &c {y: *m}, <<: *c}",
-            "{=: 1, <<: {=: 2, a: 3}}",
-            "[&k '<<', {*k : 1}]",
-        ],
-        ids=[
-            "scalar-alias", "list-alias", "recursive-alias", "merge-own-wins",
-            "merge-before-own", "merge-list-earlier-wins", "merge-aliased-list",
-            "nested-merge", "two-merge-keys", "empty-merges", "equal-keys",
-            "merge-of-mapping-holding-open-one", "value-key", "quoted-merge-key",
-        ],
-    )
-    def test_anchors_aliases_and_merges_are_parsed_once(self, text):
         assert _outcome_and_reparses(_EventLoader, text) == (_outcome(_ScenarioLoader(text)), 0)
 
     @pytest.mark.parametrize(
@@ -865,6 +882,22 @@ class TestEventPath:
             "a: 1\n---\nb: 2",
             "",
             "# only a comment",
+            "{a: &x 1, b: *x, *x : 2}",
+            "[&x [1], *x]",
+            "&a [*a, {b: *a}]",
+            "{<<: {a: 1, b: 2}, b: 3}",
+            "{a: 1, <<: {a: 2, b: 3}}",
+            "[&a {x: 1}, &b {x: 2, y: 2}, {<<: [*a, *b]}]",
+            "[&a {x: 1}, &b {x: 2, y: 2}, &l [*a, *b], {<<: *l}]",
+            "[&a {x: 1}, &b {<<: *a, y: 2}, {<<: *b, z: 3}]",
+            "{<<: {a: 1}, <<: {a: 2, b: 2}}",
+            "{<<: [], <<: {}, a: 1}",
+            "[&a {1: x}, {<<: *a, true: y}]",
+            "&m {x: &c {y: *m}, <<: *c}",
+            "{=: 1, <<: {=: 2, a: 3}}",
+            "[&k '<<', {*k : 1}]",
+            "{a: 1, b: 2, a: 3}",
+            "[{1: x, true: y}]",
         ],
         ids=[
             "core-tag", "local-tag", "collection-tag", "list-key", "mapping-key",
@@ -874,7 +907,11 @@ class TestEventPath:
             "merge-of-list-holding-open-mapping", "merge-of-scalar",
             "merge-of-list-holding-scalar", "refused-scalar", "too-deep",
             "scanner-error", "parser-error", "second-document", "empty-stream",
-            "comment-only",
+            "comment-only", "scalar-alias", "list-alias", "recursive-alias",
+            "merge-own-wins", "merge-before-own", "merge-list-earlier-wins",
+            "merge-aliased-list", "nested-merge", "two-merge-keys", "empty-merges",
+            "equal-keys", "merge-of-mapping-holding-open-one", "value-key",
+            "quoted-merge-key", "repeated-key", "repeated-equal-key",
         ],
     )
     def test_each_fallback_is_one_reparse_with_the_same_outcome(self, text):
@@ -887,7 +924,6 @@ class TestEventPath:
             "example_optimize.yaml",
             "json-chain",
             "yaml-mesh-400",
-            "anchored-yaml-mesh-400",
         ],
     )
     def test_scenarios_are_parsed_once(self, name):
@@ -895,9 +931,6 @@ class TestEventPath:
             text = json.dumps({**EVERY_KEY, "topology": {**EVERY_KEY["topology"], "kind": "chain"}})
         elif name == "yaml-mesh-400":
             text = _mesh_text(400)
-        elif name == "anchored-yaml-mesh-400":
-            text = _anchored_mesh_text(400)
-            assert load_scenario(text) == load_scenario(_mesh_text(400))
         else:
             text = (Path(__file__).parents[1] / "configs" / name).read_text()
         outcome, reparses = _outcome_and_reparses(_EventLoader, text)
@@ -908,23 +941,31 @@ class TestEventPath:
             composed = load_scenario(text)
         assert load_scenario(text) == composed
 
+    def test_the_readme_form_is_one_reparse(self):
+        text = _anchored_mesh_text(400)
+        assert _outcome_and_reparses(_EventLoader, text) == (_outcome(_ScenarioLoader(text)), 1)
+        assert load_scenario(text) == load_scenario(_mesh_text(400))
+
     @pytest.mark.parametrize("name", ["example_chain.yaml", "example_optimize.yaml"])
     def test_tagged_scenarios_take_the_composing_loader(self, name, tmp_path, capsys):
-        # The tags send the whole document to PyYAML's composer and
-        # constructor, which must read the same scenario as the event path.
+        # Tags, or the README's merge keys, send the whole document to
+        # PyYAML's composer and constructor, which must read the same
+        # scenario as the event path.
         text = (Path(__file__).parents[1] / "configs" / name).read_text()
         tagged = text.replace("bandwidth_hz: ", "bandwidth_hz: !!float ")
         tagged = tagged.replace("n_samples: ", "n_samples: !!int ")
         assert tagged.count("!!") == 3
-        assert _outcome_and_reparses(_EventLoader, tagged) == (_outcome(_EventLoader(text)), 1)
-        assert load_scenario(tagged) == load_scenario(text)
+        merging = _merging_copy(text)
+        assert merging.count("<<: *") == 2 + (name == "example_chain.yaml")
         reports = []
-        for document in (tagged, text):
+        for document in (tagged, merging, text):
+            assert _outcome_and_reparses(_EventLoader, document)[1] == (document != text)
+            assert load_scenario(document) == load_scenario(text)
             path = tmp_path / name
             path.write_text(document)
             assert main(["simulate", "--config", str(path), "--format", "json"]) == 0
             reports.append(capsys.readouterr().out)
-        assert reports[0] == reports[1]
+        assert reports[0] == reports[1] == reports[2]
 
 
 # Pieces of plain scalars that the implicit resolvers tell apart: digits,
