@@ -114,9 +114,6 @@ _BUILT = {
     SequenceNode: frozenset((_SEQ,)),
     MappingNode: frozenset((_MAP,)),
 }
-# Keys that make PyYAML flatten a mapping before building it.
-_MERGE = _YAML + "merge"
-_FLATTEN = frozenset((_MERGE, _YAML + "value"))
 
 
 # What PyYAML's scalar converters raise on a value they cannot read, e.g.
@@ -160,9 +157,11 @@ class _ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     fire in its own construction order: a tag ``_BUILT`` does not list for
     its node's class is PyYAML's "could not determine a constructor" error
     at that node, and a scalar its converter cannot read is a
-    ``ConstructorError`` there too. ``construct_mapping`` adds a third: a key
-    repeated among a mapping's own entries, not those a ``<<`` merges in, is
-    a ``ConstructorError`` at the repeat, once PyYAML has built the mapping.
+    ``ConstructorError`` there too. ``construct_document`` adds a third, once
+    PyYAML has built the document: a key repeated among a mapping's own
+    entries, not those a ``<<`` brings in, is a ``ConstructorError`` at the
+    repeat, in the first such mapping in the text. A mapping that is only
+    merged in is checked too.
     """
 
     def __init__(self, stream):
@@ -207,24 +206,27 @@ class _ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
             raise _malformed(node) from None
 
     # PyYAML writes the merged entries into a mapping node the first time it
-    # flattens it, which may come before the node is built.
+    # flattens it, which may come before the node is built, and a mapping it
+    # only merges in is flattened but never built.
     def flatten_mapping(self, node):
         if node not in self._own_keys:
-            self._own_keys[node] = [key for key, _ in node.value if key.tag != _MERGE]
+            self._own_keys[node] = [key for key, _ in node.value if key.tag != _YAML + "merge"]
         super().flatten_mapping(node)
 
-    def construct_mapping(self, node, deep=False):
-        mapping = super().construct_mapping(node, deep)
-        keys = set()
-        for key_node in self._own_keys[node]:
-            key = self.constructed_objects[key_node]
-            if key in keys:
-                problem = f"found duplicate key {key!r}"
-                raise ConstructorError(
-                    "while constructing a mapping", node.start_mark, problem, key_node.start_mark
-                )
-            keys.add(key)
-        return mapping
+    def construct_document(self, node):
+        built = self.constructed_objects  # PyYAML empties it once done
+        data = super().construct_document(node)
+        # Every mapping has been flattened, and every key built.
+        for owner in sorted(self._own_keys, key=lambda mapping: mapping.start_mark.index):
+            keys = set()
+            for key_node in self._own_keys[owner]:
+                key = built[key_node]
+                if key in keys:
+                    context = "while constructing a mapping"
+                    problem = f"found duplicate key {key!r}"
+                    raise ConstructorError(context, owner.start_mark, problem, key_node.start_mark)
+                keys.add(key)
+        return data
 
 
 _ScenarioLoader.add_implicit_resolver(
@@ -280,9 +282,9 @@ class _EventLoader(_ScenarioLoader):
 
     def construct_plain_scalar(self, tag, value, mark):
         """The object a scalar of ``tag`` at ``mark`` builds: a ``str``, or
-        what PyYAML's converter for ``tag`` gives. ``tag`` comes from
-        implicit resolution, so it has a converter. Raises one of
-        ``_CONVERTER_ERRORS`` when the converter cannot read ``value``."""
+        what PyYAML's converter for ``tag`` gives. Raises one of
+        ``_CONVERTER_ERRORS`` when the converter cannot read ``value``, or
+        ``KeyError`` for the tags of ``<<`` and ``=``, which have none."""
         if tag == _STR:
             return value
         if tag == _FLOAT:
@@ -320,8 +322,6 @@ class _EventLoader(_ScenarioLoader):
             elif cls is ScalarEvent:
                 text = event.value
                 tag = resolve(ScalarNode, text, event.implicit)
-                if tag in _FLATTEN:
-                    raise _Unbuilt
                 try:
                     value = scalar(tag, text, event.start_mark)
                 except _CONVERTER_ERRORS:

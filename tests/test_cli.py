@@ -432,6 +432,7 @@ _REPEATED = {
     "block-nested": (GOOD.replace("gamma: 2.0\n", "gamma: 2.0\n      gamma: 3\n"), "gamma", 15, 7),
     "flow-top": ("{topology: {kind: mesh},\n topology: {kind: chain}}\n", "topology", 2, 2),
     "flow-nested": (GOOD.replace("seed: 1}", "seed: 1,\n  seed: 2}"), "seed", 16, 3),
+    "merged-in": ("{<<: {topology: {kind: mesh},\n topology: {kind: chain}}}\n", "topology", 2, 2),
 }
 _REPEAT = 'found duplicate key {!r}\n  in "<unicode string>", line {}, column {}'
 # argv[1] is a JSON file mapping scenario files to a text the error of each
