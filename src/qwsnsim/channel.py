@@ -17,9 +17,10 @@ from .numeric import check_count, check_real, stable_mean
 
 _LN2 = math.log(2.0)
 
-# Fading draws per link that a scenario may ask for. A run works in one
-# float64 workspace of 2 rows of this many (160 MB at the ceiling); a larger
-# count is a typo, not a simulation.
+# Fading draws per link that a scenario may ask for; a larger count is a
+# typo, not a simulation. A run draws into one float64 workspace of 2 rows of
+# this many, 160 MB at the ceiling; a link with outages allocates its mask and
+# usable capacities on top (a Rician one raises the peak by 245 MiB in all).
 MAX_SAMPLES = 10**7
 
 

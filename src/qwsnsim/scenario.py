@@ -40,7 +40,6 @@ output byte.
 from __future__ import annotations
 
 import dataclasses
-import gc
 import math
 import re
 from dataclasses import dataclass
@@ -647,17 +646,10 @@ def load_scenario(text: str) -> ScenarioConfig:
     (the parser stops there), and ScenarioValidationError (with the
     offending field path) for constraint violations.
     """
-    # The parse allocates some 20 objects per link, none in a cycle, so the
-    # cyclic collector's passes over the growing heap are wasted work.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
     try:
         raw = yaml.load(text, Loader=_EventLoader)
     except yaml.YAMLError as exc:
         raise ScenarioParseError(f"malformed scenario document: {exc}") from None
-    finally:
-        if gc_was_enabled:
-            gc.enable()
     if raw is None:
         raise ScenarioParseError("empty scenario document")
     return _read(raw, _SCENARIO, "")
@@ -673,9 +665,7 @@ def sa_rng(seed: int) -> np.random.Generator:
     return link_rng(seed, _SA_STREAM)
 
 
-def simulate_link(
-    node: Node, link: Link, h_squared: np.ndarray, work: np.ndarray | None = None
-) -> tuple[LinkMetrics, int]:
+def simulate_link(node: Node, link: Link, h_squared: np.ndarray) -> tuple[LinkMetrics, int]:
     """One link's metrics over an array of fading draws, at its ergodic rate.
 
     This is the one place a link's capacity becomes its time, energy and TRS
@@ -689,38 +679,31 @@ def simulate_link(
     Raises AllSamplesOutageError when nothing is left to average, and
     ValueError when the mean TRS capacity overflows.
 
-    ``work``, a C-contiguous float64 array of shape ``(2,) + h_squared.shape``,
-    holds the capacities in row 0 and, when some draws are outages, the
-    usable ones in row 1; its contents are overwritten. ``h_squared`` may be
-    one of its rows.
+    The capacities are computed in the draws' own buffer: a C-contiguous,
+    writeable float64 ``h_squared`` holds scratch values afterwards, as
+    ``received_capacity``'s array argument does. Any other input (a list, a
+    strided or read-only view, another dtype) is copied first and left as it
+    was.
     """
-    h2 = np.asarray(h_squared, dtype=float)
-    if work is None:
-        work = np.empty((2,) + h2.shape)
-    elif work.shape != (2,) + h2.shape or not work.flags.c_contiguous:
-        # Along a row of any other layout numpy may not sum pairwise, as
-        # stable_mean's 1-D sum does.
-        raise ValueError(
-            f"work must have shape {(2,) + h2.shape} and be C-contiguous, got {work.shape}"
-        )
-    caps, scratch = work.reshape(2, -1)
+    # In C order the capacities lie in one contiguous row: along a strided
+    # one numpy may not sum pairwise, as stable_mean's 1-D sum does.
+    caps = np.require(h_squared, float, "CW").reshape(-1)
     length, power = node.packet_length_bits, node.tx_power_w
     # Overflow and 0/0 are expected here: they mark outages, or a mean that is
     # rejected below.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        faded_capacity_samples(link.budget, h2.reshape(-1), out=caps)
+        faded_capacity_samples(link.budget, caps, out=caps)
         # P * (L / C) falls as C grows, so when the least capacity is usable
         # every draw is. A NaN capacity makes the least NaN; no draws, inf.
         least = float(caps.min(initial=math.inf))
         outages = 0
         if not (0 < least < math.inf and math.isfinite(power * (length / least))):
-            energies = np.multiply(power, np.divide(length, caps, out=scratch), out=scratch)
-            usable = np.isfinite(energies) & (caps > 0)
+            usable = np.isfinite(power * (length / caps)) & (caps > 0)
             used = int(np.count_nonzero(usable))
             if used == 0:
                 raise AllSamplesOutageError(link.id)
             outages = caps.size - used
-            caps = np.compress(usable, caps, out=scratch[:used])
+            caps = caps[usable]
         mean_cap = stable_mean(caps, caps)
     gamma = link.gain.gamma
     mean_cap_trs = gamma * mean_cap
@@ -769,17 +752,17 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
         raise ScenarioValidationError("topology.links", "scenario needs at least one link")
     nodes = {n.id: n for n in topology.nodes}
 
-    # Every link draws and reduces in the same two rows, so no per-link array
-    # is fresh memory whose pages fault in on first touch. The draws land in
-    # row 0 (row 1 is the Rician scratch), and simulate_link turns them into
-    # its capacities in place.
+    # Every link draws into the same two rows, so no per-link array is fresh
+    # memory whose pages fault in on first touch. The draws land in row 0,
+    # which simulate_link turns into their capacities; row 1 is the Rician
+    # scratch.
     work = np.empty((2, config.n_samples))
     summaries = []
     for i, link in enumerate(links):
         rng = link_rng(config.seed, i)
         h2 = sample_h_squared(link.fading, rng, size=config.n_samples, out=work)
         try:
-            metrics, outages = simulate_link(nodes[link.src], link, h2, work=work)
+            metrics, outages = simulate_link(nodes[link.src], link, h2)
         except ValueError as exc:
             raise ScenarioValidationError(f"topology.links[{i}]", str(exc)) from exc
         # A zero transmit power, or a packet time that underflows, leaves 0/0

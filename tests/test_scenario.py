@@ -435,45 +435,6 @@ def gc_state():
         gc.disable()
 
 
-class TestLoadPausesTheCollector:
-    CASES = [
-        pytest.param(MINIMAL, None, id="loaded"),
-        pytest.param(
-            MINIMAL.replace("- {id: a", "- &a {id: a").replace("- {id: b,", "- {<<: *a, id: b,"),
-            None,
-            id="merged",
-        ),
-        # A tagged document is parsed twice, both times inside yaml.load.
-        pytest.param(
-            MINIMAL.replace("bandwidth_hz: 1.0", "bandwidth_hz: !!float 1"), None, id="tagged"
-        ),
-        pytest.param("topology: [unclosed", ScenarioParseError, id="malformed"),
-        pytest.param(
-            MINIMAL.replace("src: a", "src: ghost"), ScenarioValidationError, id="invalid"
-        ),
-    ]
-
-    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
-    @pytest.mark.parametrize("text, error", CASES)
-    def test_collector_left_as_found(self, gc_state, monkeypatch, enabled, text, error):
-        (gc.enable if enabled else gc.disable)()
-        during = []
-        load = yaml.load
-
-        def recording_load(*args, **kwargs):
-            during.append(gc.isenabled())
-            return load(*args, **kwargs)
-
-        monkeypatch.setattr("qwsnsim.scenario.yaml.load", recording_load)
-        if error is None:
-            load_scenario(text)
-        else:
-            with pytest.raises(error):
-                load_scenario(text)
-        assert during == [False]
-        assert gc.isenabled() is enabled
-
-
 # The tags the scenario loader builds, by node kind.
 _BUILT_TAGS = {
     ScalarNode: {
@@ -1569,59 +1530,51 @@ def _means(metrics):
     return [getattr(metrics, name) for name in names]
 
 
-WORKSPACE_LINKS = [
+KERNEL_LINKS = [
     Link("a", "b", LinkBudget(2e6, 1e-6, 4e-9, 1e-9), FadingSpec.rayleigh(), TrsGain(2.0)),
     Link("a", "b", LinkBudget(1e3, 2.0, 1.0, 0.1), FadingSpec.rician(3.0, 1.5), TrsGain(3.7)),
 ]
 
 
-class TestSimulateLinkWorkspace:
+class TestSimulateLinkInPlace:
     NODE = Node("a", 0.7, 1000.0)
 
     @pytest.mark.parametrize("size", [1, 2, 1000, 80_000])
-    @pytest.mark.parametrize("link", WORKSPACE_LINKS, ids=["rayleigh", "rician"])
-    def test_work_matches_fresh_arrays_bit_for_bit(self, link, size):
+    @pytest.mark.parametrize("link", KERNEL_LINKS, ids=["rayleigh", "rician"])
+    def test_in_place_matches_fresh_arrays_bit_for_bit(self, link, size):
         h2 = sample_h_squared(link.fading, np.random.default_rng(size), size)
         expected = _reference_link(self.NODE, link, h2)
         metrics, outages = simulate_link(self.NODE, link, h2)
         assert (_means(metrics), outages) == expected
-        work = np.full((2, size), np.nan)
-        assert simulate_link(self.NODE, link, h2, work=work) == (metrics, outages)
 
-    @pytest.mark.parametrize("row", range(2))
-    def test_draws_may_alias_any_row(self, row):
-        link = WORKSPACE_LINKS[1]
-        h2 = sample_h_squared(link.fading, np.random.default_rng(8), 5000)
-        expected = simulate_link(self.NODE, link, h2)
-        work = np.full((2, h2.size), np.nan)
-        work[row] = h2
-        assert simulate_link(self.NODE, link, work[row], work=work) == expected
-
-    def test_outage_path_in_the_workspace(self):
+    def test_outage_path_in_place(self):
         # A zero draw has zero capacity, hence an infinite time: an outage,
-        # dropped from the mean capacity through the compressed row.
-        link = WORKSPACE_LINKS[0]
+        # dropped from the mean capacity.
+        link = KERNEL_LINKS[0]
         h2 = sample_h_squared(link.fading, np.random.default_rng(9), 3000)
         h2[::7] = 0.0
         expected = _reference_link(self.NODE, link, h2)
         assert expected[1] == 429
-        for row in (None, 0, 1):
-            work = np.full((2, h2.size), np.nan)
-            draws = h2
-            if row is not None:
-                work[row] = h2
-                draws = work[row]
-            metrics, outages = simulate_link(self.NODE, link, draws, work=work)
-            assert (_means(metrics), outages) == expected
+        metrics, outages = simulate_link(self.NODE, link, h2)
+        assert (_means(metrics), outages) == expected
 
-    def test_work_of_the_wrong_shape_rejected(self):
-        link = WORKSPACE_LINKS[0]
-        for shape in ((1, 10), (2, 9), (3, 10), (2, 10, 1)):
-            with pytest.raises(ValueError, match="work must have shape"):
-                simulate_link(self.NODE, link, np.ones(10), work=np.empty(shape))
-        for work in (np.empty((2, 10), order="F"), np.empty((2, 20))[:, ::2]):
-            with pytest.raises(ValueError, match="C-contiguous"):
-                simulate_link(self.NODE, link, np.ones(10), work=work)
+    def test_only_a_contiguous_writeable_float64_array_is_overwritten(self):
+        link = KERNEL_LINKS[1]
+        # Draws a float32 holds exactly, so every input below is the same draws.
+        draws = sample_h_squared(link.fading, np.random.default_rng(8), 5000)
+        draws = draws.astype(np.float32).astype(float)
+        expected = _reference_link(self.NODE, link, draws)
+        overwritten = draws.copy()
+        metrics, outages = simulate_link(self.NODE, link, overwritten)
+        assert (_means(metrics), outages) == expected
+        assert not np.array_equal(overwritten, draws)
+        strided = np.repeat(draws, 2)[::2]
+        read_only = draws.copy()
+        read_only.flags.writeable = False
+        for kept in (draws.tolist(), strided, read_only, draws.astype(np.float32)):
+            before = copy.deepcopy(kept)
+            assert simulate_link(self.NODE, link, kept) == (metrics, outages)
+            assert np.array_equal(kept, before)
 
 
 _FAULTS_SCRIPT = """
@@ -1666,6 +1619,57 @@ def test_links_reuse_the_workspace_pages():
     assert done.returncode == 0, done.stderr
     short, long = map(int, done.stdout.split())
     assert (long - short) / 14 < 16, (short, long)
+
+
+_PEAK_SCRIPT = """
+import json, resource, sys
+from qwsnsim.scenario import load_scenario, run_scenario
+
+node = {"tx_power_w": 1.0, "packet_length_bits": 100}
+config = load_scenario(json.dumps({
+    "topology": {"kind": "chain", "nodes": [{"id": "a", **node}, {"id": "b", **node}],
+                 "links": [{"src": "a", "dst": "b", **json.loads(sys.argv[1])}]},
+    "monte_carlo": {"n_samples": 10**7, "seed": 3},
+}))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+outages = run_scenario(config).links[0].outage_count
+print(outages, (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in KiB")
+@pytest.mark.parametrize(
+    "link, outages, bound_mib",
+    [
+        # The two workspace rows, 152.6 MiB at the ceiling. The peaks were
+        # measured on Linux x86-64 with numpy 2.4.6: 159 MiB here.
+        pytest.param(
+            {"bandwidth_hz": 1e6, "signal_power_w": 1e-6, "noise_power_w": 1e-9,
+             "fading": {"kind": "rician", "k_factor": 3.0}},
+            0, 180, id="rician-no-outages",
+        ),
+        # Row 0 (Rayleigh leaves row 1 untouched), the temporary energies and
+        # the usable capacities: measured 170 MiB.
+        pytest.param(
+            {"bandwidth_hz": 1e-10, "signal_power_w": 5.5e-287, "noise_power_w": 1e10,
+             "fading": {"kind": "rayleigh"}},
+            5_038_251, 190, id="rayleigh-half-outages",
+        ),
+    ],
+)
+def test_run_memory_at_the_sample_ceiling(link, outages, bound_mib):
+    # A fresh process, so the peak is this run's alone. Each bound is the
+    # measured peak plus 20 MiB; a fresh 76 MiB capacity array per link
+    # exceeds either.
+    env = {**os.environ, "PYTHONPATH": str(Path(qwsnsim.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK_SCRIPT, json.dumps(link)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    got, peak = done.stdout.split()
+    assert int(got) == outages
+    assert float(peak) < bound_mib, peak
 
 
 class TestGammaSweep:
