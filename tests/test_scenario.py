@@ -1534,23 +1534,40 @@ KERNEL_LINKS = [
     Link("a", "b", LinkBudget(2e6, 1e-6, 4e-9, 1e-9), FadingSpec.rayleigh(), TrsGain(2.0)),
     Link("a", "b", LinkBudget(1e3, 2.0, 1.0, 0.1), FadingSpec.rician(3.0, 1.5), TrsGain(3.7)),
 ]
+_KERNEL_IDS = ["rayleigh", "rician"]
+
+
+def _float32_exact_draws(link, size):
+    # Draws a float32 holds exactly, so every input kind below is the same draws.
+    draws = sample_h_squared(link.fading, np.random.default_rng(8), size)
+    return draws.astype(np.float32).astype(float)
+
+
+def _strided(draws):
+    return np.repeat(draws, 2)[::2]
+
+
+def _read_only(draws):
+    kept = draws.copy()
+    kept.flags.writeable = False
+    return kept
 
 
 class TestSimulateLinkInPlace:
     NODE = Node("a", 0.7, 1000.0)
 
     @pytest.mark.parametrize("size", [1, 2, 1000, 80_000])
-    @pytest.mark.parametrize("link", KERNEL_LINKS, ids=["rayleigh", "rician"])
+    @pytest.mark.parametrize("link", KERNEL_LINKS, ids=_KERNEL_IDS)
     def test_in_place_matches_fresh_arrays_bit_for_bit(self, link, size):
         h2 = sample_h_squared(link.fading, np.random.default_rng(size), size)
         expected = _reference_link(self.NODE, link, h2)
         metrics, outages = simulate_link(self.NODE, link, h2)
         assert (_means(metrics), outages) == expected
 
-    def test_outage_path_in_place(self):
+    @pytest.mark.parametrize("link", KERNEL_LINKS, ids=_KERNEL_IDS)
+    def test_outage_path_in_place(self, link):
         # A zero draw has zero capacity, hence an infinite time: an outage,
         # dropped from the mean capacity.
-        link = KERNEL_LINKS[0]
         h2 = sample_h_squared(link.fading, np.random.default_rng(9), 3000)
         h2[::7] = 0.0
         expected = _reference_link(self.NODE, link, h2)
@@ -1558,23 +1575,41 @@ class TestSimulateLinkInPlace:
         metrics, outages = simulate_link(self.NODE, link, h2)
         assert (_means(metrics), outages) == expected
 
-    def test_only_a_contiguous_writeable_float64_array_is_overwritten(self):
+    @pytest.mark.parametrize("row", range(2))
+    def test_a_workspace_row_is_overwritten_alone(self, row):
+        # run_scenario hands the kernel row 0 of its (2, n) workspace.
         link = KERNEL_LINKS[1]
-        # Draws a float32 holds exactly, so every input below is the same draws.
-        draws = sample_h_squared(link.fading, np.random.default_rng(8), 5000)
-        draws = draws.astype(np.float32).astype(float)
+        h2 = sample_h_squared(link.fading, np.random.default_rng(8), 5000)
+        expected = _reference_link(self.NODE, link, h2)
+        work = np.full((2, h2.size), 7.0)
+        work[row] = h2
+        metrics, outages = simulate_link(self.NODE, link, work[row])
+        assert (_means(metrics), outages) == expected
+        assert not np.array_equal(work[row], h2)
+        assert (work[1 - row] == 7.0).all()
+
+    @pytest.mark.parametrize("link", KERNEL_LINKS, ids=_KERNEL_IDS)
+    def test_a_contiguous_writeable_float64_array_is_overwritten(self, link):
+        draws = _float32_exact_draws(link, 5000)
         expected = _reference_link(self.NODE, link, draws)
         overwritten = draws.copy()
         metrics, outages = simulate_link(self.NODE, link, overwritten)
         assert (_means(metrics), outages) == expected
         assert not np.array_equal(overwritten, draws)
-        strided = np.repeat(draws, 2)[::2]
-        read_only = draws.copy()
-        read_only.flags.writeable = False
-        for kept in (draws.tolist(), strided, read_only, draws.astype(np.float32)):
-            before = copy.deepcopy(kept)
-            assert simulate_link(self.NODE, link, kept) == (metrics, outages)
-            assert np.array_equal(kept, before)
+
+    @pytest.mark.parametrize(
+        "kind",
+        [np.ndarray.tolist, _strided, _read_only, lambda draws: draws.astype(np.float32)],
+        ids=["list", "strided", "read-only", "float32"],
+    )
+    @pytest.mark.parametrize("link", KERNEL_LINKS, ids=_KERNEL_IDS)
+    def test_any_other_input_is_copied(self, link, kind):
+        draws = _float32_exact_draws(link, 5000)
+        expected = simulate_link(self.NODE, link, draws.copy())
+        kept = kind(draws)
+        before = copy.deepcopy(kept)
+        assert simulate_link(self.NODE, link, kept) == expected
+        assert np.array_equal(kept, before)
 
 
 _FAULTS_SCRIPT = """
