@@ -40,7 +40,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, with_output: bool = True)
             "--samples", type=int, default=None, help="override monte_carlo.n_samples"
         )
         parser.add_argument("--out", default=None, help="output path (default: stdout)")
-        parser.add_argument("--format", choices=("csv", "json"), default=None)
+        parser.add_argument("--format", metavar="{csv,json}", default=None)
         parser.add_argument(
             "--threads", type=int, default=1, help="accepted and ignored (runs are single-threaded)"
         )
@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ScenarioConfig:
-    config = load_scenario(Path(args.config).read_text())
+    config = load_scenario(Path(args.config).read_text(encoding="utf-8"))
     # The flags that set a field. ScenarioConfig checks them as it does the loader's.
     fields = dict(seed="seed", samples="n_samples", out="output_path", format="output_format")
     overrides = {fields[k]: v for k, v in vars(args).items() if k in fields and v is not None}
@@ -81,13 +81,13 @@ def _write(config: ScenarioConfig, document: str) -> None:
     if config.output_path is None:
         sys.stdout.write(document)
     else:
-        Path(config.output_path).write_text(document)
+        Path(config.output_path).write_text(document, encoding="utf-8")
 
 
 def _cmd_simulate(args) -> int:
     config = _load_config(args)
     report = run_scenario(config)
-    _write(config, emit_report(report, config.output_format))
+    _write(config, emit_report(report))
     return 0
 
 
@@ -114,7 +114,7 @@ def _cmd_sweep(args) -> int:
             TrsGain(gamma)
         except ValueError as exc:
             raise ScenarioValidationError("--gamma", str(exc)) from None
-    _write(config, emit_sweep(gamma_sweep(config, gammas), config.output_format))
+    _write(config, emit_sweep(gamma_sweep(config, gammas)))
     return 0
 
 

@@ -833,12 +833,6 @@ def _csv(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _is_json(output_format: str) -> bool:
-    if output_format not in ("csv", "json"):
-        raise ValueError(f"unknown report format {output_format!r}")
-    return output_format == "json"
-
-
 def dump_json(tree) -> str:
     """``json.dumps(tree, indent=2, allow_nan=False) + "\\n"``, built in one pass.
 
@@ -944,10 +938,11 @@ def report_tree(report: RunReport) -> dict:
     return tree
 
 
-def emit_report(report: RunReport, output_format: str) -> str:
-    """Render a report as CSV (fixed column contract) or JSON. The CSV TOTALS
-    row carries ``report.totals``; optimizer results appear only in JSON."""
-    if _is_json(output_format):
+def emit_report(report: RunReport) -> str:
+    """Render a report in its config's ``output_format``: CSV (fixed column
+    contract) or JSON. The CSV TOTALS row carries ``report.totals``; optimizer
+    results appear only in JSON."""
+    if report.config.output_format == "json":
         return dump_json(report_tree(report))
     links = zip(report.config.topology.links, report.links)
     rows = [(link.id, vars(s.metrics).values(), str(s.outage_count)) for link, s in links]
@@ -956,9 +951,10 @@ def emit_report(report: RunReport, output_format: str) -> str:
     return _csv(CSV_HEADER, rows)
 
 
-def emit_sweep(results: list[tuple[float, RunReport]], output_format: str) -> str:
-    """``gamma_sweep``'s results as CSV (TRS totals per gamma) or JSON (``{gamma, report}``s)."""
-    if _is_json(output_format):
+def emit_sweep(results: list[tuple[float, RunReport]]) -> str:
+    """``gamma_sweep``'s non-empty results, in their config's ``output_format``:
+    CSV (TRS totals per gamma) or JSON (``{gamma, report}``s)."""
+    if results[0][1].config.output_format == "json":
         return dump_json([{"gamma": g, "report": report_tree(r)} for g, r in results])
     rows = [
         (_fmt(g), (r.totals.capacity_trs_bps, r.totals.energy_trs_j, r.totals.latency_trs_s))

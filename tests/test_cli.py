@@ -289,7 +289,7 @@ def _full_mesh(n_nodes: int, gamma: float) -> str:
 def test_every_total_is_the_left_fold_of_the_link_rows(config_file, capsys):
     text = _full_mesh(7, gamma=3.0)  # 42 links
     report = run_scenario(load_scenario(text))
-    lines = emit_report(report, "csv").splitlines()
+    lines = emit_report(report).splitlines()
     names = lines[0].split(",")[1:-1]
     columns = list(zip(*([float(v) for v in line.split(",")[1:-1]] for line in lines[1:-1])))
     assert len(columns[0]) == 42
@@ -309,7 +309,8 @@ def test_every_total_is_the_left_fold_of_the_link_rows(config_file, capsys):
 
     assert [float(v) for v in lines[-1].split(",")[1:-1]] == folds
     assert list(vars(report.totals).values()) == folds
-    json_totals = json.loads(emit_report(report, "json"))["totals"]
+    json_config = dataclasses.replace(report.config, output_format="json")
+    json_totals = json.loads(emit_report(dataclasses.replace(report, config=json_config)))["totals"]
     assert [json_totals[key] for key in ("throughput_bps", "energy_j", "latency_s")] == trs
     assert list(vars(network_totals([s.metrics for s in report.links])).values()) == folds
     assert main(["sweep", "--config", config_file(text), "--gamma", "3"]) == 0
@@ -592,6 +593,28 @@ class TestPinnedBytes:
         }
 
 
+def test_non_ascii_ids_under_an_ascii_locale(tmp_path):
+    # A fresh process whose locale encoding is ASCII: scenario files are
+    # read, and --out files written, as UTF-8 whatever the locale says.
+    text = (CONFIGS / "example_chain.yaml").read_text(encoding="utf-8")
+    config = tmp_path / "chain.yaml"
+    config.write_text(text.replace("sensor", "capteur-\u00e9"), encoding="utf-8")
+    out = tmp_path / "report.csv"
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(qwsnsim.__file__).resolve().parents[1]),
+        "LC_ALL": "C",
+        "PYTHONCOERCECLOCALE": "0",
+        "PYTHONUTF8": "0",
+    }
+    argv = ["simulate", "--config", str(config), "--out", str(out)]
+    done = subprocess.run(
+        [sys.executable, "-m", "qwsnsim.cli", *argv], env=env, capture_output=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert out.read_bytes().decode("utf-8").splitlines()[1].startswith("capteur-\u00e9->relay,")
+
+
 class TestNonFiniteInputs:
     @pytest.mark.parametrize(
         "old,new,path",
@@ -828,6 +851,17 @@ class TestSampleCeiling:
         text += _ergodic_optimizer(MAX_SAMPLES)
         config = load_scenario(text)
         assert config.n_samples == config.optimizer.fading.n_samples == MAX_SAMPLES
+
+
+@pytest.mark.parametrize(
+    "command", [["simulate"], ["sweep", "--gamma", "2"]], ids=["simulate", "sweep"]
+)
+def test_format_flag_outside_csv_json_exits_1(config_file, capsys, command):
+    # ScenarioConfig checks the flag as it checks the key it overrides.
+    assert main([*command, "--config", config_file(GOOD), "--format", "xml"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: output.format: expected one of csv/json, got 'xml'\n"
 
 
 class TestIterationCeiling:
